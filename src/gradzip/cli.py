@@ -16,10 +16,10 @@ import argparse
 import csv
 import io
 import os
-import struct
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -33,21 +33,19 @@ from .codec import (
     entropy_encode,
 )
 from .errors import (
-    DataError,
     FormatError,
     GradzipError,
     IntegrityError,
-    ProtocolError,
     UsageError,
 )
 from .flsim import (
-    ClientRoundStats,
     RoundReport,
     SimConfig,
     break_even_bandwidth,
-    layer_stats,
+    check_bounds,
     reports_to_csv,
     run_simulation,
+    verify_round,
 )
 from .pipeline import (
     DEFAULT_LOSSY_THRESHOLD,
@@ -56,12 +54,11 @@ from .pipeline import (
     SyncState,
     compress_round,
     decompress_round,
-    describe_blob,
+    describe_payload,
     frame_payload,
     iter_payloads,
-    spec_digest,
 )
-from .predictor import VARIANT_FLIP, VARIANT_KERNEL, PredictParams
+from .predictor import PredictParams
 from .trace import (
     MODE_FULL_BATCH,
     MODE_MINI_BATCH,
@@ -69,8 +66,8 @@ from .trace import (
     GradientTrace,
     LayerSpec,
     SynthConfig,
-    decode_layer_table,
-    encode_layer_table,
+    decode_header,
+    encode_header,
     load_trace,
     save_trace,
     synth_trace,
@@ -78,9 +75,6 @@ from .trace import (
 
 STREAM_MAGIC = b"GZPS"
 STREAM_VERSION = 1
-
-_MODE_BYTE = {MODE_MINI_BATCH: 0, MODE_FULL_BATCH: 1}
-_BYTE_MODE = {code: mode for mode, code in _MODE_BYTE.items()}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,41 +88,31 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _honor_umask(path: str) -> None:
-    # mkstemp files come out 0600; give them the mode a plain open() would.
-    umask = os.umask(0)
-    os.umask(umask)
-    os.chmod(path, 0o666 & ~umask)
-
-
-def _atomic_write_bytes(path, data: bytes) -> None:
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradzip-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        _honor_umask(tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_save_trace(trace: GradientTrace, path) -> None:
+def _atomic_write(path, write) -> None:
+    """Run write(tmp) on a temp file beside path, then rename it into place."""
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradzip-")
     os.close(fd)
     try:
-        save_trace(trace, tmp)
-        _honor_umask(tmp)
+        write(tmp)
+        # mkstemp files come out 0600; give them the mode a plain open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path, data: bytes) -> None:
+    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
+
+
+def _atomic_save_trace(trace: GradientTrace, path) -> None:
+    _atomic_write(path, lambda tmp: save_trace(trace, tmp))
 
 
 def _emit_text(text: str, path) -> None:
@@ -137,11 +121,6 @@ def _emit_text(text: str, path) -> None:
         _atomic_write_bytes(path, text.encode("utf-8"))
     else:
         sys.stdout.write(text)
-
-
-def _read_file(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
 
 
 def _parse_layers(text: str) -> list[LayerSpec]:
@@ -198,29 +177,17 @@ def _params_from_args(args, trace_mode: str) -> PipelineParams:
     )
 
 
-def _stream_header(mode: str, layers, nrounds: int) -> bytes:
-    head = bytearray(STREAM_MAGIC)
-    head += struct.pack("<HBI", STREAM_VERSION, _MODE_BYTE[mode], len(layers))
-    head += encode_layer_table(list(layers))
-    head += struct.pack("<I", nrounds)
-    return bytes(head)
-
-
-def _read_stream_header(reader: ByteReader):
-    if reader.take(4) != STREAM_MAGIC:
-        raise FormatError("not a gradzip payload stream (bad magic)")
-    version, mode_byte, nlayers = reader.unpack("<HBI")
-    if version != STREAM_VERSION:
-        raise FormatError(f"unsupported stream version {version}")
-    if mode_byte not in _BYTE_MODE:
-        raise FormatError(f"unknown training mode byte {mode_byte}")
-    if nlayers == 0:
-        raise FormatError("stream declares zero layers")
-    layers = decode_layer_table(reader, nlayers)
-    (nrounds,) = reader.unpack("<I")
-    if nrounds == 0:
-        raise FormatError("stream declares zero rounds")
-    return _BYTE_MODE[mode_byte], layers, nrounds
+def _read_stream(path):
+    """Header and payload frames of a stream file, with the round count checked."""
+    data = Path(path).read_bytes()
+    reader = ByteReader(data)
+    mode, layers, nrounds = decode_header(reader, STREAM_MAGIC, STREAM_VERSION, "payload stream")
+    payloads = list(iter_payloads(data[reader.pos:]))
+    if len(payloads) != nrounds:
+        raise IntegrityError(
+            f"stream declares {nrounds} rounds but contains {len(payloads)}"
+        )
+    return mode, layers, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -251,37 +218,15 @@ def cmd_compress(args) -> int:
     params = _params_from_args(args, trace.mode)
     client = SyncState.initial(trace.layers)
     server = SyncState.initial(trace.layers)
-    out = bytearray(_stream_header(trace.mode, trace.layers, trace.num_rounds))
+    out = bytearray(
+        encode_header(STREAM_MAGIC, STREAM_VERSION, trace.mode, trace.layers, trace.num_rounds)
+    )
     reports = []
     for tensors in trace.rounds:
         payload, client = compress_round(tensors, client, params)
         wire = frame_payload(payload)
         recons, server = decompress_round(payload, server, params)
-        if client.to_bytes() != server.to_bytes():
-            raise ProtocolError(
-                f"client/server state mismatch after round {payload.round}"
-            )
-        stats = []
-        for spec, g, recon, blob in zip(trace.layers, tensors, recons, payload.blobs):
-            ls = layer_stats(g, recon, describe_blob(blob, spec))
-            if ls.lossy and ls.max_err > ls.delta:
-                raise IntegrityError(
-                    f"error bound violated in round {payload.round}, "
-                    f"layer {spec.name!r}: {ls.max_err} > {ls.delta}"
-                )
-            stats.append(ls)
-        s = sum(x.s_bytes for x in stats)
-        row = ClientRoundStats(
-            client=0,
-            s_bytes=s,
-            sprime_bytes=len(wire),
-            cr=s / len(wire),
-            max_err=max(x.max_err for x in stats),
-            bitmap_bytes=sum(x.bitmap_bytes for x in stats),
-            t_comp_s=0.0,
-            t_decomp_s=0.0,
-            layers=stats,
-        )
+        row = verify_round(tensors, recons, payload, len(wire), client, server, (0.0, 0.0))
         reports.append(RoundReport(payload.round, [row], row.cr, []))
         out += wire
     _atomic_write_bytes(args.output, bytes(out))
@@ -301,30 +246,16 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    data = _read_file(args.input)
-    reader = ByteReader(data)
-    mode, layers, nrounds = _read_stream_header(reader)
-    payloads = list(iter_payloads(data[reader.pos:]))
-    if len(payloads) != nrounds:
-        raise IntegrityError(
-            f"stream declares {nrounds} rounds but contains {len(payloads)}"
-        )
+    mode, layers, payloads = _read_stream(args.input)
     params = PipelineParams(
         predict=PredictParams(beta=args.beta),
         bound=ErrorBoundConfig(MODE_ABSOLUTE, 1.0),  # unused on the decode path
     )
     server = SyncState.initial(layers)
     rounds = []
-    bounds_per_round = []
     for payload in payloads:
         recons, server = decompress_round(payload, server, params)
         rounds.append(recons)
-        if args.reference:
-            per_layer = []
-            for spec, blob in zip(layers, payload.blobs):
-                info = describe_blob(blob, spec)
-                per_layer.append(info.delta if info.tag == TAG_LOSSY else None)
-            bounds_per_round.append(per_layer)
     _atomic_save_trace(GradientTrace(layers, rounds, mode), args.output)
     if args.reference:
         ref = load_trace(args.reference)
@@ -334,28 +265,14 @@ def cmd_decompress(args) -> int:
             raise UsageError(
                 f"reference has {ref.num_rounds} rounds, stream has {len(rounds)}"
             )
-        worst = 0.0
-        worst_frac = 0.0
-        for t, (recs, deltas) in enumerate(zip(rounds, bounds_per_round)):
-            for spec, rec, orig, delta in zip(layers, recs, ref.rounds[t], deltas):
-                err = float(
-                    np.max(np.abs(rec.values.astype(np.float64)
-                                  - orig.values.astype(np.float64)))
-                )
-                if delta is None:
-                    if err != 0.0:
-                        raise IntegrityError(
-                            f"round {t + 1}, layer {spec.name!r}: lossless layer "
-                            f"differs from reference"
-                        )
-                elif err > delta:
-                    raise IntegrityError(
-                        f"round {t + 1}, layer {spec.name!r}: error bound "
-                        f"violated, {err} > {delta}"
-                    )
-                else:
-                    worst = max(worst, err)
-                    worst_frac = max(worst_frac, err / delta)
+        lossy = [
+            ls
+            for orig, recs, payload in zip(ref.rounds, rounds, payloads)
+            for ls in check_bounds(orig, recs, payload)
+            if ls.lossy
+        ]
+        worst = max((ls.max_err for ls in lossy), default=0.0)
+        worst_frac = max((ls.max_err / ls.delta for ls in lossy), default=0.0)
         print(
             f"bound OK: {len(rounds)} rounds verified, worst error {worst:.6g} "
             f"({100.0 * worst_frac:.1f}% of its bound)"
@@ -399,46 +316,21 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _bitmap_bits(info) -> int:
-    """Bits on the wire for the sign side channel, headers included."""
-    if info.bitmap_variant == VARIANT_KERNEL:
-        return 40 + info.kernel_count + info.predicted_kernels
-    if info.bitmap_variant == VARIANT_FLIP:
-        return 16
-    return 8
-
-
 def cmd_inspect(args) -> int:
-    data = _read_file(args.input)
-    reader = ByteReader(data)
-    mode, layers, nrounds = _read_stream_header(reader)
-    digest = spec_digest(layers)
-    lines = [f"stream: {len(layers)} layers, mode {mode}, {nrounds} rounds"]
+    mode, layers, payloads = _read_stream(args.input)
+    lines = [f"stream: {len(layers)} layers, mode {mode}, {len(payloads)} rounds"]
     for spec in layers:
         shape = "x".join(str(d) for d in spec.shape)
         lines.append(f"layer {spec.name} kind {spec.kind} shape {shape}")
     total_wire = 0
-    count = 0
-    for payload in iter_payloads(data[reader.pos:]):
-        if payload.spec_digest != digest:
-            raise IntegrityError(
-                f"payload for round {payload.round} does not match the stream's "
-                f"layer table"
-            )
-        if len(payload.blobs) != len(layers):
-            raise IntegrityError(
-                f"payload for round {payload.round} has {len(payload.blobs)} "
-                f"blobs for {len(layers)} layers"
-            )
-        count += 1
+    for payload in payloads:
         framed = len(frame_payload(payload))
         total_wire += framed
         lines.append(
             f"payload client {payload.client_id} round {payload.round} "
             f"bytes {framed}"
         )
-        for spec, blob in zip(layers, payload.blobs):
-            info = describe_blob(blob, spec)
+        for spec, info in zip(layers, describe_payload(payload, layers)):
             if info.tag != TAG_LOSSY:
                 lines.append(
                     f"  {spec.name}: tag lossless_only wire {info.wire_bytes} "
@@ -449,13 +341,11 @@ def cmd_inspect(args) -> int:
                 f"  {spec.name}: tag lossy wire {info.wire_bytes} "
                 f"inner {info.inner_bytes} delta {info.delta:.9g} "
                 f"mu {info.mu:.9g} sigma {info.sigma:.9g} "
-                f"bitmap {info.bitmap_variant} bitmap_bits {_bitmap_bits(info)} "
+                f"bitmap {info.bitmap_variant} bitmap_bits {info.bitmap_bits} "
                 f"kernels {info.kernel_count} predicted {info.predicted_kernels} "
                 f"huffman_bits {info.huffman_bits} literals {info.literal_count}"
             )
-    if count != nrounds:
-        raise IntegrityError(f"stream declares {nrounds} rounds, found {count}")
-    original = 4 * sum(s.numel for s in layers) * count
+    original = 4 * sum(s.numel for s in layers) * len(payloads)
     lines.append(
         f"total wire {total_wire} bytes, original {original} bytes, "
         f"ratio {original / total_wire:.4f}"
@@ -652,10 +542,7 @@ def main(argv=None) -> int:
     except FormatError as exc:
         print(f"gradzip: format error: {exc}", file=sys.stderr)
         return 2
-    except (IntegrityError, DataError, ProtocolError) as exc:
-        print(f"gradzip: {exc}", file=sys.stderr)
-        return 3
-    except GradzipError as exc:  # future subclasses default to payload errors
+    except GradzipError as exc:  # integrity, data, protocol and any later subclass
         print(f"gradzip: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

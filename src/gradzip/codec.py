@@ -1,13 +1,14 @@
 """Error-bounded quantizer, canonical Huffman coder, lossless backend.
 
-The lossy path discretizes residuals into bins of width 2*delta with
-round-to-nearest (ties to even), so every reconstructed value sits within
-delta of its input. Elements the bins cannot represent faithfully (cap
-overflow, or floating-point corner cases where bin * 2 * delta lands outside
-the bound) are demoted to literals: their exact 32-bit value rides along and
-reconstructs with zero error. Bins are entropy coded with a canonical Huffman
-code and the result is passed through a general lossless backend (DEFLATE by
-default, raw store as a fallback).
+The lossy path discretizes the residual original - ghat into bins of width
+2*delta with round-to-nearest (ties to even), so every reconstructed value
+sits within delta of its input. Elements the bins cannot represent faithfully
+(cap overflow, or floating-point corner cases where the float32
+reconstruction lands outside the bound) are demoted to literals. A literal
+stores the element's ORIGINAL float32 value, not the residual, so it
+reconstructs with zero error and the bound holds unconditionally. Bins are
+entropy coded with a canonical Huffman code and the result is passed through
+a general lossless backend (DEFLATE by default, raw store as a fallback).
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class QuantizedStream:
     bins: np.ndarray
     literal_mask: np.ndarray
     literals: np.ndarray
-    bin_cap: int = DEFAULT_BIN_CAP
 
     def __post_init__(self):
         bins = np.ascontiguousarray(self.bins, dtype=np.int32).reshape(-1)
@@ -75,8 +75,8 @@ class QuantizedStream:
             )
         if mask.any() and bins[mask].any():
             raise IntegrityError("bins under the literal mask must be zero")
-        if bins.size and int(np.abs(bins).max()) > self.bin_cap:
-            raise IntegrityError("bin magnitude exceeds bin_cap")
+        if bins.size and int(np.abs(bins).max()) > DEFAULT_BIN_CAP:
+            raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
         self.bins = bins
         self.literal_mask = mask
         self.literals = literals
@@ -119,37 +119,44 @@ def resolve_bound(cfg: ErrorBoundConfig, original: GradientTensor) -> float:
     return float(cfg.value) * max(span, RELATIVE_RANGE_FLOOR)
 
 
-def quantize(residuals: np.ndarray, delta: float, bin_cap: int = DEFAULT_BIN_CAP) -> QuantizedStream:
-    """Discretize residuals into bins of width 2 * delta, ties to even.
+def quantize(
+    original: np.ndarray, ghat: np.ndarray, delta: float
+) -> tuple[QuantizedStream, np.ndarray]:
+    """Quantize original - ghat, demoting bound violators to exact literals.
 
-    Any element whose bin overflows bin_cap, or whose reconstruction
-    bin * 2 * delta would not stay within delta of the input, becomes a
-    literal carrying the value in 32-bit precision.
+    Returns the stream and the float32 reconstruction dequantize will
+    compute. The check runs against that exact float32 value, so float32
+    rounding can never push an element past the bound: offenders carry their
+    original value.
     """
     if not delta > 0.0:
         raise UsageError(f"delta must be positive, got {delta}")
-    if not 1 <= bin_cap <= 1 << 30:
-        raise UsageError(f"bin_cap out of range: {bin_cap}")
-    r = np.asarray(residuals, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(r)):
-        raise DataError("residuals contain non-finite values")
+    original = np.asarray(original).reshape(-1)
+    if not np.all(np.isfinite(original)):
+        raise DataError("quantizer input contains non-finite values")
+    g64 = original.astype(np.float64)
     width = 2.0 * delta
-    binsf = np.rint(r / width)
-    ok = np.isfinite(binsf) & (np.abs(binsf) <= bin_cap)
-    recon = binsf * width
-    ok &= np.abs(recon - r) <= delta
-    bins = np.where(ok, binsf, 0.0).astype(np.int32)
+    binsf = np.rint((g64 - ghat) / width)
+    ok = np.isfinite(binsf) & (np.abs(binsf) <= DEFAULT_BIN_CAP)
+    binsf = np.where(ok, binsf, 0.0)
+    recon64 = ghat + binsf * width
+    recon32 = recon64.astype(np.float32)
+    ok &= np.isfinite(recon32)
+    ok &= np.abs(recon64 - g64) <= delta
+    ok &= np.abs(recon32.astype(np.float64) - g64) <= delta
     mask = ~ok
-    return QuantizedStream(bins, mask, r[mask].astype(np.float32), bin_cap=bin_cap)
+    bins = np.where(ok, binsf, 0.0).astype(np.int32)
+    literals = original[mask]
+    recon32[mask] = literals
+    return QuantizedStream(bins, mask, literals), recon32
 
 
-def dequantize(stream: QuantizedStream, delta: float) -> np.ndarray:
-    """Invert quantize: bins scale back to values, literals restore exactly."""
-    if not delta > 0.0:
-        raise UsageError(f"delta must be positive, got {delta}")
-    out = stream.bins.astype(np.float64) * (2.0 * delta)
-    out[stream.literal_mask] = stream.literals.astype(np.float64)
-    return out
+def dequantize(stream: QuantizedStream, ghat: np.ndarray, delta: float) -> np.ndarray:
+    """Invert quantize: the same float32 reconstruction, literals restored exactly."""
+    recon64 = ghat + stream.bins.astype(np.float64) * (2.0 * delta)
+    recon32 = recon64.astype(np.float32)
+    recon32[stream.literal_mask] = stream.literals
+    return recon32
 
 
 def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -235,8 +242,11 @@ def _build_decode_tables(block: HuffmanBlock):
     used = np.nonzero(lengths)[0]
     if used.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
-    codes = _canonical_codes(lengths)
     maxlen = int(lengths[used].max())
+    per_length = np.bincount(lengths[used], minlength=maxlen + 1)
+    if sum(int(c) << (maxlen - ln) for ln, c in enumerate(per_length)) > 1 << maxlen:
+        raise IntegrityError("Huffman code lengths over-subscribe the code space")
+    codes = _canonical_codes(lengths)
     root_bits = min(_ROOT_TABLE_BITS, maxlen)
     size = 1 << root_bits
     table_sym = np.zeros(size, dtype=np.int64)
@@ -348,13 +358,18 @@ def encode_stream(stream: QuantizedStream) -> bytes:
     return body
 
 
-def decode_stream(reader: ByteReader, numel: int) -> QuantizedStream:
+@dataclass
+class EncodedStream:
+    """A parsed quantized stream whose bins are still Huffman coded."""
+
+    block: HuffmanBlock
+    literal_mask: np.ndarray
+    literals: np.ndarray
+
+
+def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
+    """Parse what encode_stream wrote and validate the literal section."""
     block = decode_block(reader)
-    bins = entropy_decode(block) if block.bit_count else np.zeros(0, dtype=np.int64)
-    if bins.size != numel:
-        raise IntegrityError(f"decoded {bins.size} bins for a {numel}-element layer")
-    if bins.size and (int(bins.min()) < -(1 << 31) or int(bins.max()) >= 1 << 31):
-        raise IntegrityError("decoded bins outside the 32-bit range")
     (lit_count,) = reader.unpack("<I")
     mask_raw = reader.take((numel + 7) // 8)
     mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8), count=numel, bitorder="little").astype(bool)
@@ -365,10 +380,18 @@ def decode_stream(reader: ByteReader, numel: int) -> QuantizedStream:
     literals = np.frombuffer(reader.take(4 * lit_count), dtype="<f4").astype(np.float32)
     if not np.all(np.isfinite(literals)):
         raise DataError("literal section holds non-finite values")
-    cap = DEFAULT_BIN_CAP
-    if bins.size:
-        cap = max(cap, int(np.abs(bins).max()))
-    return QuantizedStream(bins.astype(np.int32), mask, literals, bin_cap=cap)
+    return EncodedStream(block, mask, literals)
+
+
+def decode_stream(encoded: EncodedStream) -> QuantizedStream:
+    """Entropy-decode the bins of a parsed stream."""
+    numel = encoded.literal_mask.size
+    bins = entropy_decode(encoded.block)
+    if bins.size != numel:
+        raise IntegrityError(f"decoded {bins.size} bins for a {numel}-element layer")
+    if bins.size and (int(bins.min()) < -(1 << 31) or int(bins.max()) >= 1 << 31):
+        raise IntegrityError("decoded bins outside the 32-bit range")
+    return QuantizedStream(bins.astype(np.int32), encoded.literal_mask, encoded.literals)
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:

@@ -20,12 +20,12 @@ from .codec import ErrorBoundConfig
 from .errors import IntegrityError, ProtocolError, UsageError
 from .pipeline import (
     TAG_LOSSY,
-    BlobInfo,
+    CompressedPayload,
     PipelineParams,
     SyncState,
     compress_round,
     decompress_round,
-    describe_blob,
+    describe_payload,
     frame_payload,
     parse_payload,
 )
@@ -158,22 +158,81 @@ def fedavg_mean(per_client: list[list[GradientTensor]]) -> list[np.ndarray]:
     return out
 
 
-def layer_stats(
-    g: GradientTensor, recon: GradientTensor, info: BlobInfo
-) -> LayerStats:
-    """Per-layer size and error figures for one original/reconstruction pair."""
-    err = float(np.abs(recon.values.astype(np.float64) - g.values.astype(np.float64)).max())
-    s = 4 * g.spec.numel
-    lossy = info.tag == TAG_LOSSY
-    return LayerStats(
-        layer=g.spec.name,
-        s_bytes=s,
-        sprime_bytes=info.wire_bytes,
-        cr=s / info.wire_bytes,
-        max_err=err,
-        delta=info.delta if lossy else None,
-        bitmap_bytes=info.bitmap_bytes,
-        lossy=lossy,
+def check_bounds(
+    originals: list[GradientTensor],
+    recons: list[GradientTensor],
+    payload: CompressedPayload,
+) -> list[LayerStats]:
+    """Per-layer stats for one round, checking every layer against its bound.
+
+    A lossy layer may be off by at most its wire delta, a lossless layer not
+    at all. A violation raises IntegrityError naming the round, the client and
+    the layer.
+    """
+    infos = describe_payload(payload, [g.spec for g in originals])
+    stats = []
+    for g, recon, info in zip(originals, recons, infos):
+        err = float(np.abs(recon.values.astype(np.float64) - g.values.astype(np.float64)).max())
+        lossy = info.tag == TAG_LOSSY
+        limit = info.delta if lossy else 0.0
+        if err > limit:
+            raise IntegrityError(
+                f"error bound violated at round {payload.round}, client "
+                f"{payload.client_id}, layer {g.spec.name!r}: {err} > {limit}"
+            )
+        s = 4 * g.spec.numel
+        stats.append(LayerStats(
+            layer=g.spec.name,
+            s_bytes=s,
+            sprime_bytes=info.wire_bytes,
+            cr=s / info.wire_bytes,
+            max_err=err,
+            delta=info.delta if lossy else None,
+            bitmap_bytes=info.bitmap_bytes,
+            lossy=lossy,
+        ))
+    return stats
+
+
+def verify_round(
+    originals: list[GradientTensor],
+    recons: list[GradientTensor],
+    payload: CompressedPayload,
+    framed_bytes: int,
+    client: SyncState,
+    server: SyncState,
+    times: tuple[float, float],
+) -> ClientRoundStats:
+    """Check one round's two promises and summarize it as a report row.
+
+    Client and server must end the round with bitwise-identical predictor
+    state: a difference raises ProtocolError naming the round, the client and
+    the first layer whose magnitude memory or reconstruction differs. Every
+    reconstruction must stay within its bound (see check_bounds). ``times``
+    is the (compress, decompress) time recorded in the row.
+    """
+    where = f"round {payload.round}, client {payload.client_id}"
+    if client.round != server.round:
+        raise ProtocolError(f"client/server round counters differ at {where}")
+    for spec, c_mag, s_mag, c_rec, s_rec in zip(
+        client.layers, client.mag, server.mag, client.prev_recon, server.prev_recon
+    ):
+        if c_mag.to_bytes() != s_mag.to_bytes() or c_rec.tobytes() != s_rec.tobytes():
+            raise ProtocolError(
+                f"client/server state mismatch at {where}, layer {spec.name!r}"
+            )
+    stats = check_bounds(originals, recons, payload)
+    s_bytes = sum(ls.s_bytes for ls in stats)
+    return ClientRoundStats(
+        client=payload.client_id,
+        s_bytes=s_bytes,
+        sprime_bytes=framed_bytes,
+        cr=s_bytes / framed_bytes,
+        max_err=max(ls.max_err for ls in stats),
+        bitmap_bytes=sum(ls.bitmap_bytes for ls in stats),
+        t_comp_s=times[0],
+        t_decomp_s=times[1],
+        layers=stats,
     )
 
 
@@ -211,33 +270,10 @@ def run_simulation(cfg: SimConfig) -> list[RoundReport]:
             t2 = time.perf_counter()
             recons, server_states[k] = decompress_round(parsed, server_states[k], cfg.params)
             t3 = time.perf_counter()
-            if client_states[k].to_bytes() != server_states[k].to_bytes():
-                raise ProtocolError(f"state desync at round {t + 1}, client {k}")
-            stats = []
-            for spec, g, r, blob in zip(layers, tensors, recons, payload.blobs):
-                info = describe_blob(blob, spec)
-                ls = layer_stats(g, r, info)
-                if ls.lossy and ls.max_err > ls.delta:
-                    raise IntegrityError(
-                        f"error bound violated at round {t + 1}, client {k}, "
-                        f"layer {spec.name!r}: {ls.max_err} > {ls.delta}"
-                    )
-                stats.append(ls)
-            s_total = sum(ls.s_bytes for ls in stats)
-            sp_total = len(wire)
-            t_comp, t_decomp = (
-                (t1 - t0, t3 - t2) if measured else cfg.fixed_times
-            )
-            client_stats.append(ClientRoundStats(
-                client=k,
-                s_bytes=s_total,
-                sprime_bytes=sp_total,
-                cr=s_total / sp_total,
-                max_err=max(ls.max_err for ls in stats),
-                bitmap_bytes=sum(ls.bitmap_bytes for ls in stats),
-                t_comp_s=t_comp,
-                t_decomp_s=t_decomp,
-                layers=stats,
+            times = (t1 - t0, t3 - t2) if measured else cfg.fixed_times
+            client_stats.append(verify_round(
+                tensors, recons, payload, len(wire),
+                client_states[k], server_states[k], times,
             ))
             round_recons.append(recons)
         aggregate = fedavg_mean(round_recons)

@@ -6,12 +6,6 @@ coding, and the lossless backend. The client keeps the reconstruction the
 server will compute and feeds the predictors from it, so both sides evolve
 bitwise-identical state using only the framed payload as a channel.
 
-Literal convention: inside this pipeline a quantized-stream literal stores the
-layer's ORIGINAL float32 value (not the residual). Any element whose float32
-reconstruction would land outside the error bound is demoted to a literal, so
-reconstruction error for such elements is exactly zero and the bound holds
-unconditionally.
-
 Wire formats (little-endian):
 
     layer blob (before the lossless backend wrap):
@@ -29,7 +23,7 @@ Wire formats (little-endian):
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
@@ -37,14 +31,15 @@ import numpy as np
 from .codec import (
     BACKEND_DEFAULT,
     BACKEND_STORE,
-    DEFAULT_BIN_CAP,
+    EncodedStream,
     ErrorBoundConfig,
-    QuantizedStream,
-    decode_block,
     decode_stream,
+    dequantize,
     encode_stream,
     lossless_compress,
     lossless_decompress,
+    quantize,
+    read_stream,
     resolve_bound,
 )
 from .errors import FormatError, IntegrityError, ProtocolError, UsageError
@@ -54,6 +49,7 @@ from .predictor import (
     PredictParams,
     SignBitmap,
     SignTensor,
+    bitmap_wire_bits,
     decode_bitmap,
     encode_bitmap,
     predict_magnitude,
@@ -136,43 +132,6 @@ def _prev_sign(recon: np.ndarray) -> SignTensor:
     return SignTensor(np.sign(recon).astype(np.int8))
 
 
-def _quantize_verified(
-    original: np.ndarray, ghat: np.ndarray, delta: float
-) -> tuple[QuantizedStream, np.ndarray]:
-    """Quantize original - ghat, demoting bound violators to exact literals.
-
-    Returns the stream and the float32 reconstruction the server will compute.
-    The check runs against that exact float32 value, so float32 rounding can
-    never push an element past the bound: offenders carry their original value.
-    """
-    g64 = original.astype(np.float64)
-    width = 2.0 * delta
-    binsf = np.rint((g64 - ghat) / width)
-    ok = np.isfinite(binsf) & (np.abs(binsf) <= DEFAULT_BIN_CAP)
-    binsf = np.where(ok, binsf, 0.0)
-    recon64 = ghat + binsf * width
-    recon32 = recon64.astype(np.float32)
-    ok &= np.isfinite(recon32)
-    ok &= np.abs(recon64 - g64) <= delta
-    ok &= np.abs(recon32.astype(np.float64) - g64) <= delta
-    mask = ~ok
-    bins = np.where(ok, binsf, 0.0).astype(np.int32)
-    literals = original[mask]
-    recon32[mask] = literals
-    stream = QuantizedStream(bins, mask, literals, bin_cap=DEFAULT_BIN_CAP)
-    return stream, recon32
-
-
-def _reconstruct(
-    stream: QuantizedStream, ghat: np.ndarray, delta: float
-) -> np.ndarray:
-    """Server-side mirror of _quantize_verified's reconstruction arithmetic."""
-    recon64 = ghat + stream.bins.astype(np.float64) * (2.0 * delta)
-    recon32 = recon64.astype(np.float32)
-    recon32[stream.literal_mask] = stream.literals
-    return recon32
-
-
 def _predict(
     spec: LayerSpec,
     g_curr: GradientTensor | None,
@@ -240,7 +199,7 @@ def compress_round(
                 mag_after = state.mag[i]
                 flags = 0
             delta = resolve_bound(params.bound, g)
-            stream, recon32 = _quantize_verified(g.values, ghat, delta)
+            stream, recon32 = quantize(g.values, ghat, delta)
             inner = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
             inner += encode_bitmap(bitmap)
             inner += encode_stream(stream)
@@ -257,63 +216,49 @@ def compress_round(
     return payload, next_state
 
 
+def _check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
+    if payload.version != PAYLOAD_VERSION:
+        raise FormatError(f"unsupported payload version {payload.version}")
+    if payload.spec_digest != spec_digest(layers):
+        raise ProtocolError(
+            f"payload for round {payload.round} does not match the layer table"
+        )
+    if len(payload.blobs) != len(layers):
+        raise IntegrityError(
+            f"payload for round {payload.round} has {len(payload.blobs)} blobs "
+            f"for {len(layers)} layers"
+        )
+
+
 def decompress_round(
     payload: CompressedPayload, state: SyncState, params: PipelineParams
 ) -> tuple[list[GradientTensor], SyncState]:
     """Decode one payload; returns reconstructions and advanced state."""
-    if payload.version != PAYLOAD_VERSION:
-        raise FormatError(f"unsupported payload version {payload.version}")
-    if payload.spec_digest != spec_digest(state.layers):
-        raise ProtocolError("payload layer table does not match server state")
+    _check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
-        )
-    if len(payload.blobs) != len(state.layers):
-        raise IntegrityError(
-            f"payload has {len(payload.blobs)} blobs for {len(state.layers)} layers"
         )
     recons = []
     new_mag = []
     new_recon = []
     for i, (spec, blob) in enumerate(zip(state.layers, payload.blobs)):
-        inner = lossless_decompress(blob)
-        reader = ByteReader(inner, truncation_error=IntegrityError)
-        (tag,) = reader.unpack("<B")
-        if tag == TAG_LOSSLESS:
-            raw = reader.take(4 * spec.numel)
-            if reader.remaining:
-                raise IntegrityError(f"layer {spec.name!r}: trailing bytes in blob")
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-            recon32 = values
-            new_mag.append(state.mag[i])
-        elif tag == TAG_LOSSY:
-            flags, mu32, sigma32, delta = reader.unpack("<Bffd")
-            if flags & ~_FLAG_PREDICTION:
-                raise FormatError(f"layer {spec.name!r}: unknown blob flags {flags:#x}")
-            if not delta > 0.0:
-                raise IntegrityError(f"layer {spec.name!r}: non-positive delta on wire")
-            bitmap = decode_bitmap(reader)
-            stream = decode_stream(reader, spec.numel)
-            if reader.remaining:
-                raise IntegrityError(f"layer {spec.name!r}: trailing bytes in blob")
-            if flags & _FLAG_PREDICTION:
+        info, bitmap, body = _parse_blob(blob, spec)
+        mag_after = state.mag[i]
+        if info.tag == TAG_LOSSLESS:
+            recon32 = body
+        else:
+            stream = decode_stream(body)
+            if info.flags & _FLAG_PREDICTION:
                 ghat, _, mag_after = _predict(
-                    spec, None, bitmap, np.float32(mu32), np.float32(sigma32),
+                    spec, None, bitmap, np.float32(info.mu), np.float32(info.sigma),
                     state.mag[i], state.prev_recon[i], payload.round == 1,
                     params.predict,
                 )
             else:
-                if bitmap.variant != VARIANT_NONE:
-                    raise IntegrityError(
-                        f"layer {spec.name!r}: sign bitmap present without prediction"
-                    )
                 ghat = np.zeros(spec.numel, dtype=np.float64)
-                mag_after = state.mag[i]
-            recon32 = _reconstruct(stream, ghat, delta)
-            new_mag.append(mag_after)
-        else:
-            raise FormatError(f"layer {spec.name!r}: unknown blob tag {tag}")
+            recon32 = dequantize(stream, ghat, info.delta)
+        new_mag.append(mag_after)
         new_recon.append(recon32)
         recons.append(GradientTensor(spec, recon32))
     next_state = SyncState(state.layers, new_mag, new_recon, payload.round)
@@ -325,7 +270,6 @@ class BlobInfo:
     """Header-level description of one layer blob, without full decoding."""
 
     tag: int
-    numel: int
     wire_bytes: int
     inner_bytes: int
     flags: int = 0
@@ -334,53 +278,75 @@ class BlobInfo:
     delta: float = 0.0
     bitmap_variant: str = VARIANT_NONE
     bitmap_bytes: int = 0
+    bitmap_bits: int = 0
     kernel_count: int = 0
     predicted_kernels: int = 0
-    huffman_bytes: int = 0
     huffman_bits: int = 0
     literal_count: int = 0
 
 
-def describe_blob(blob: bytes, spec: LayerSpec) -> BlobInfo:
-    """Parse a layer blob's framing and side channels; skips symbol decoding."""
+def _parse_blob(
+    blob: bytes, spec: LayerSpec
+) -> tuple[BlobInfo, SignBitmap | None, np.ndarray | EncodedStream]:
+    """Inflate and validate one layer blob, leaving the bins entropy coded.
+
+    Returns the blob's description, its sign bitmap (None for a lossless
+    blob) and its body: the float32 values of a lossless blob, or the parsed
+    stream of a lossy one.
+    """
     inner = lossless_decompress(blob)
     reader = ByteReader(inner, truncation_error=IntegrityError)
     (tag,) = reader.unpack("<B")
     if tag == TAG_LOSSLESS:
-        if reader.remaining != 4 * spec.numel:
-            raise IntegrityError(f"layer {spec.name!r}: lossless blob size mismatch")
-        return BlobInfo(tag, spec.numel, len(blob), len(inner))
-    if tag != TAG_LOSSY:
+        info = BlobInfo(tag, len(blob), len(inner))
+        bitmap = None
+        body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4").astype(np.float32)
+    elif tag == TAG_LOSSY:
+        flags, mu, sigma, delta = reader.unpack("<Bffd")
+        if flags & ~_FLAG_PREDICTION:
+            raise FormatError(f"layer {spec.name!r}: unknown blob flags {flags:#x}")
+        if not delta > 0.0:
+            raise IntegrityError(f"layer {spec.name!r}: non-positive delta on wire")
+        bitmap_start = reader.pos
+        bitmap = decode_bitmap(reader)
+        if not flags & _FLAG_PREDICTION and bitmap.variant != VARIANT_NONE:
+            raise IntegrityError(
+                f"layer {spec.name!r}: sign bitmap present without prediction"
+            )
+        bitmap_bytes = reader.pos - bitmap_start
+        body = read_stream(reader, spec.numel)
+        info = BlobInfo(
+            tag=tag,
+            wire_bytes=len(blob),
+            inner_bytes=len(inner),
+            flags=flags,
+            mu=mu,
+            sigma=sigma,
+            delta=delta,
+            bitmap_variant=bitmap.variant,
+            bitmap_bytes=bitmap_bytes,
+            bitmap_bits=bitmap_wire_bits(bitmap),
+            kernel_count=bitmap.kernel_count,
+            predicted_kernels=bitmap.predicted_count,
+            huffman_bits=body.block.bit_count,
+            literal_count=body.literals.size,
+        )
+    else:
         raise FormatError(f"layer {spec.name!r}: unknown blob tag {tag}")
-    flags, mu, sigma, delta = reader.unpack("<Bffd")
-    bitmap_start = reader.pos
-    bitmap = decode_bitmap(reader)
-    bitmap_bytes = reader.pos - bitmap_start
-    block_start = reader.pos
-    block = decode_block(reader)
-    huffman_bytes = reader.pos - block_start
-    (lit_count,) = reader.unpack("<I")
-    reader.take((spec.numel + 7) // 8)
-    reader.take(4 * lit_count)
     if reader.remaining:
         raise IntegrityError(f"layer {spec.name!r}: trailing bytes in blob")
-    return BlobInfo(
-        tag=tag,
-        numel=spec.numel,
-        wire_bytes=len(blob),
-        inner_bytes=len(inner),
-        flags=flags,
-        mu=float(mu),
-        sigma=float(sigma),
-        delta=float(delta),
-        bitmap_variant=bitmap.variant,
-        bitmap_bytes=bitmap_bytes,
-        kernel_count=bitmap.kernel_count,
-        predicted_kernels=bitmap.predicted_count,
-        huffman_bytes=huffman_bytes,
-        huffman_bits=block.bit_count,
-        literal_count=lit_count,
-    )
+    return info, bitmap, body
+
+
+def describe_blob(blob: bytes, spec: LayerSpec) -> BlobInfo:
+    """Describe and validate one layer blob without entropy-decoding its bins."""
+    return _parse_blob(blob, spec)[0]
+
+
+def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> list[BlobInfo]:
+    """Check a payload against a layer table and describe each of its blobs."""
+    _check_payload(payload, layers)
+    return [describe_blob(blob, spec) for spec, blob in zip(layers, payload.blobs)]
 
 
 def frame_payload(payload: CompressedPayload) -> bytes:
@@ -398,14 +364,14 @@ def frame_payload(payload: CompressedPayload) -> bytes:
 
 
 def parse_payload(data: bytes) -> CompressedPayload:
-    payload, consumed = _parse_one(ByteReader(data))
-    if consumed != len(data):
+    reader = ByteReader(data)
+    payload = _parse_one(reader)
+    if reader.remaining:
         raise FormatError("trailing bytes after payload frame")
     return payload
 
 
-def _parse_one(reader: ByteReader) -> tuple[CompressedPayload, int]:
-    start = reader.pos
+def _parse_one(reader: ByteReader) -> CompressedPayload:
     if reader.take(4) != PAYLOAD_MAGIC:
         raise FormatError("not a payload frame (bad magic)")
     version, client_id, round_idx = reader.unpack("<HII")
@@ -419,13 +385,11 @@ def _parse_one(reader: ByteReader) -> tuple[CompressedPayload, int]:
     for _ in range(nlayers):
         (blen,) = reader.unpack("<I")
         blobs.append(reader.take(blen))
-    payload = CompressedPayload(client_id, round_idx, digest, blobs, version)
-    return payload, reader.pos - start
+    return CompressedPayload(client_id, round_idx, digest, blobs, version)
 
 
 def iter_payloads(data: bytes):
     """Yield consecutive payload frames from a concatenated stream."""
     reader = ByteReader(data)
     while reader.remaining:
-        payload, _ = _parse_one(reader)
-        yield payload
+        yield _parse_one(reader)

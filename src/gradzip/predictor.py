@@ -33,9 +33,6 @@ _TAG_NONE = 0
 _TAG_FLIP = 1
 _TAG_KERNEL = 2
 
-BASELINE_KINDS = ("lorenzo", "ma3", "ma5", "ar1", "ema_nonorm")
-
-
 class UndefinedCorrelationError(DataError):
     """Correlation is undefined because one input has zero norm."""
 
@@ -152,6 +149,15 @@ def encode_bitmap(bitmap: SignBitmap) -> bytes:
     return out + _pack_bits(bitmap.level1) + _pack_bits(bitmap.level2)
 
 
+def bitmap_wire_bits(bitmap: SignBitmap) -> int:
+    """Bits encode_bitmap writes for a bitmap, headers included, before padding."""
+    if bitmap.variant == VARIANT_KERNEL:
+        return 40 + bitmap.kernel_count + bitmap.predicted_count
+    if bitmap.variant == VARIANT_FLIP:
+        return 16
+    return 8
+
+
 def decode_bitmap(reader: ByteReader) -> SignBitmap:
     (tag,) = reader.unpack("<B")
     if tag == _TAG_NONE:
@@ -199,41 +205,6 @@ def predict_magnitude(
     pred_abs = z_pred * max(float(sigma_curr), 0.0) + float(mu_curr)
     np.maximum(pred_abs, 0.0, out=pred_abs)
     return pred_abs, MagPredictorState(memory=z_pred, initialized=True)
-
-
-def baseline_predict(kind: str, history: list[np.ndarray], beta: float = 0.5) -> np.ndarray:
-    """Reference magnitude predictors used for ablation comparisons.
-
-    lorenzo: previous value. ma3/ma5: mean of the trailing window. ar1: one
-    scalar lag-1 coefficient fit over the history, applied to the last array.
-    ema_nonorm: the EMA of predict_magnitude without the normalization steps,
-    folded over the whole history from a zero memory.
-    """
-    if kind not in BASELINE_KINDS:
-        raise UsageError(f"unknown baseline {kind!r}")
-    need = {"lorenzo": 1, "ar1": 1, "ema_nonorm": 1, "ma3": 3, "ma5": 5}[kind]
-    if len(history) < need:
-        raise UsageError(f"baseline {kind!r} needs {need} rounds of history, got {len(history)}")
-    hist = [np.asarray(h, dtype=np.float64).reshape(-1) for h in history]
-    if kind == "lorenzo":
-        return hist[-1].copy()
-    if kind in ("ma3", "ma5"):
-        window = need
-        return np.mean(hist[-window:], axis=0)
-    if kind == "ar1":
-        if len(hist) < 2:
-            return hist[-1].copy()
-        num = 0.0
-        den = 0.0
-        for prev, curr in zip(hist[:-1], hist[1:]):
-            num += float(np.dot(prev, curr))
-            den += float(np.dot(prev, prev))
-        phi = num / den if den > 0.0 else 0.0
-        return phi * hist[-1]
-    memory = np.zeros_like(hist[0])
-    for x in hist:
-        memory = (1.0 - beta) * memory + beta * x
-    return memory
 
 
 def gradient_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +228,10 @@ def decode_layer_table(reader: ByteReader, nlayers: int) -> list[LayerSpec]:
     layers = []
     for _ in range(nlayers):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        try:
+            name = reader.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"layer name is not valid UTF-8: {exc}") from exc
         (naxes,) = reader.unpack("<B")
         if not 1 <= naxes <= 4:
             raise FormatError(f"layer {name!r}: axis count {naxes} outside 1-4")
@@ -240,16 +243,38 @@ def decode_layer_table(reader: ByteReader, nlayers: int) -> list[LayerSpec]:
     return layers
 
 
+def encode_header(magic: bytes, version: int, mode: str, layers, nrounds: int) -> bytes:
+    """File header shared by trace files and payload streams.
+
+    magic, version u16, mode u8, layer count u32, layer table, rounds u32.
+    """
+    head = magic + struct.pack("<HBI", version, _MODE_CODES[mode], len(layers))
+    return head + encode_layer_table(list(layers)) + struct.pack("<I", nrounds)
+
+
+def decode_header(reader: ByteReader, magic: bytes, version: int, what: str):
+    """Parse and validate what encode_header wrote: (mode, layers, nrounds)."""
+    if reader.take(4) != magic:
+        raise FormatError(f"{what}: bad magic")
+    got_version, mode_code, nlayers = reader.unpack("<HBI")
+    if got_version != version:
+        raise FormatError(f"{what}: unsupported version {got_version}")
+    if mode_code not in _MODE_NAMES:
+        raise FormatError(f"{what}: unknown mode code {mode_code}")
+    if nlayers == 0:
+        raise FormatError(f"{what}: zero layers")
+    layers = decode_layer_table(reader, nlayers)
+    (nrounds,) = reader.unpack("<I")
+    if nrounds == 0:
+        raise FormatError(f"{what}: zero rounds")
+    return _MODE_NAMES[mode_code], layers, nrounds
+
+
 def save_trace(trace: GradientTrace, path) -> None:
     """Write a trace in the GTRC format. Byte-deterministic for equal traces."""
-    header = bytearray()
-    header += TRACE_MAGIC
-    header += struct.pack("<HB", TRACE_VERSION, _MODE_CODES[trace.mode])
-    header += struct.pack("<I", len(trace.layers))
-    header += encode_layer_table(trace.layers)
-    header += struct.pack("<I", len(trace.rounds))
+    header = encode_header(TRACE_MAGIC, TRACE_VERSION, trace.mode, trace.layers, trace.num_rounds)
     with open(path, "wb") as fh:
-        fh.write(bytes(header))
+        fh.write(header)
         for tensors in trace.rounds:
             for tensor in tensors:
                 fh.write(tensor.values.astype("<f4", copy=False).tobytes())
@@ -259,21 +284,7 @@ def load_trace(path) -> GradientTrace:
     """Read a GTRC trace file, validating structure and value finiteness."""
     data = Path(path).read_bytes()
     reader = ByteReader(data)
-    if reader.take(4) != TRACE_MAGIC:
-        raise FormatError(f"{path}: not a trace file (bad magic)")
-    version, mode_code = reader.unpack("<HB")
-    if version != TRACE_VERSION:
-        raise FormatError(f"{path}: unsupported trace version {version}")
-    if mode_code not in _MODE_NAMES:
-        raise FormatError(f"{path}: unknown mode code {mode_code}")
-    (nlayers,) = reader.unpack("<I")
-    if nlayers == 0:
-        raise FormatError(f"{path}: zero layers")
-    layers = decode_layer_table(reader, nlayers)
-    (nrounds,) = reader.unpack("<I")
-    if nrounds == 0:
-        raise FormatError(f"{path}: zero rounds")
-
+    mode, layers, nrounds = decode_header(reader, TRACE_MAGIC, TRACE_VERSION, f"{path}: trace file")
     expected = 4 * sum(spec.numel for spec in layers) * nrounds
     if reader.remaining != expected:
         raise IntegrityError(
@@ -285,11 +296,9 @@ def load_trace(path) -> GradientTrace:
         for spec in layers:
             raw = reader.take(4 * spec.numel)
             values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{path}: non-finite values in layer {spec.name!r}")
             tensors.append(GradientTensor(spec, values))
         rounds.append(tensors)
-    return GradientTrace(layers, rounds, _MODE_NAMES[mode_code])
+    return GradientTrace(layers, rounds, mode)
 
 
 def _kernel_flip_probability(target: float, kernel_size: int) -> float:

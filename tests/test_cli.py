@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import gradzip
 from gradzip.cli import main
 from gradzip.flsim import CSV_COLUMNS
 from gradzip.trace import MODE_FULL_BATCH, MODE_MINI_BATCH, load_trace
@@ -192,17 +193,32 @@ def test_round_count_mismatch_exits_3(tmp_path, capsys):
     assert run("compress", trace, out) == 0
     data = out.read_bytes()
     # Drop the last payload frame, keeping the header's round count at 3.
-    from gradzip.pipeline import frame_payload, iter_payloads
-    from gradzip.trace import ByteReader
-    from gradzip.cli import _read_stream_header
+    from gradzip.pipeline import frame_payload
+    from gradzip.cli import _read_stream
 
-    reader = ByteReader(data)
-    _read_stream_header(reader)
-    frames = [frame_payload(p) for p in iter_payloads(data[reader.pos:])]
+    _, _, payloads = _read_stream(out)
+    frames = [frame_payload(p) for p in payloads]
+    header_len = len(data) - sum(len(f) for f in frames)
     cut = tmp_path / "cut.gzp"
-    cut.write_bytes(data[:reader.pos] + b"".join(frames[:-1]))
+    cut.write_bytes(data[:header_len] + b"".join(frames[:-1]))
     assert run("decompress", cut, tmp_path / "r.gtrc") == 3
     assert "rounds" in capsys.readouterr().err
+
+
+def test_non_utf8_layer_name_exits_2(tmp_path, capsys):
+    trace = make_trace(tmp_path, rounds=2, layers="fc:64x16")
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = bytearray(out.read_bytes())
+    # Header: magic 4, version u16, mode u8, layer count u32, then the first
+    # layer's name length u16 and its UTF-8 bytes.
+    assert data[13:15] == b"fc"
+    data[13] = 0xFF
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 2
+    assert run("inspect", bad) == 2
+    assert "UTF-8" in capsys.readouterr().err
 
 
 def test_simulate_stdout_matches_csv_file(tmp_path, capsys):
@@ -292,11 +308,16 @@ def test_bench_emits_csv(tmp_path, capsys):
 
 
 def test_console_entry_point_separates_streams(tmp_path):
+    # The child imports gradzip from wherever this process found it.
+    src = os.path.dirname(os.path.dirname(gradzip.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
     trace = tmp_path / "t.gtrc"
     proc = subprocess.run(
         [sys.executable, "-m", "gradzip.cli", "synth", str(trace),
          "--layers", "fc:64x16", "--rounds", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == ""
@@ -304,7 +325,7 @@ def test_console_entry_point_separates_streams(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "gradzip.cli", "simulate", str(trace),
          "--bandwidths", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(CSV_COLUMNS[:3]))

@@ -3,6 +3,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradzip.codec import (
     DEFAULT_BIN_CAP,
@@ -19,10 +22,21 @@ from gradzip.codec import (
     lossless_compress,
     lossless_decompress,
     quantize,
+    read_stream,
     resolve_bound,
 )
 from gradzip.errors import DataError, FormatError, IntegrityError, UsageError
 from gradzip.trace import ByteReader, GradientTensor, LayerSpec
+
+
+def quantize0(values, delta):
+    """Quantize with a zero prediction, so the residual is the value itself."""
+    values = np.asarray(values)
+    return quantize(values, np.zeros(values.size), delta)[0]
+
+
+def dequantize0(stream, delta):
+    return dequantize(stream, np.zeros(stream.numel), delta)
 
 
 def tensor(values):
@@ -54,24 +68,24 @@ class TestResolveBound:
 
 class TestQuantize:
     def test_worked_example(self):
-        s = quantize(np.array([0.12]), 0.05)
+        s = quantize0(np.array([0.12]), 0.05)
         assert s.bins.tolist() == [1]
-        out = dequantize(s, 0.05)
+        out = dequantize0(s, 0.05)
         assert out[0] == pytest.approx(0.10)
         assert abs(out[0] - 0.12) <= 0.05
 
     def test_zero_residual(self):
-        s = quantize(np.array([0.0]), 0.05)
+        s = quantize0(np.array([0.0]), 0.05)
         assert s.bins.tolist() == [0]
-        assert dequantize(s, 0.05)[0] == 0.0
+        assert dequantize0(s, 0.05)[0] == 0.0
 
     def test_cap_overflow_becomes_literal(self):
         delta = 1e-3
         val = 1e6 * delta
-        s = quantize(np.array([val]), delta)
+        s = quantize0(np.array([val]), delta)
         assert s.literal_mask.tolist() == [True]
         assert s.bins.tolist() == [0]
-        assert dequantize(s, delta)[0] == np.float32(val)
+        assert dequantize0(s, delta)[0] == np.float32(val)
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(13)
@@ -79,7 +93,7 @@ class TestQuantize:
             n = int(rng.integers(1, 1000))
             delta = float(10.0 ** rng.uniform(-4, 0))
             r = rng.normal(scale=rng.uniform(0.01, 5.0), size=n)
-            s = quantize(r, delta)
+            s = quantize0(r, delta)
             for i in range(n):
                 # Python's round is ties-to-even, same convention as np.rint.
                 want = round(r[i] / (2.0 * delta))
@@ -91,38 +105,82 @@ class TestQuantize:
 
     def test_ties_to_even(self):
         delta = 0.5  # bin width 1.0: residuals 0.5, 1.5, 2.5 are exact ties
-        s = quantize(np.array([0.5, 1.5, 2.5, -0.5, -1.5]), delta)
+        s = quantize0(np.array([0.5, 1.5, 2.5, -0.5, -1.5]), delta)
         assert s.bins.tolist() == [0, 2, 2, 0, -2]
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DataError):
-            quantize(np.array([np.nan]), 0.1)
+            quantize0(np.array([np.nan]), 0.1)
         with pytest.raises(UsageError):
-            quantize(np.array([1.0]), 0.0)
+            quantize0(np.array([1.0]), 0.0)
 
     def test_roundtrip_bound(self):
         rng = np.random.default_rng(17)
         for delta in (1e-4, 1e-2, 1.0):
             r = rng.normal(scale=3.0, size=4096)
-            out = dequantize(quantize(r, delta), delta)
+            out = dequantize0(quantize0(r, delta), delta)
             assert float(np.abs(out - r).max()) <= delta
 
     def test_literal_exact(self):
         val = np.float32(0.1234567)
         delta = 1e-9
-        s = quantize(np.array([float(val) * 1e6], dtype=np.float64) * 0 + float(val), delta)
+        s = quantize0(np.array([float(val) * 1e6], dtype=np.float64) * 0 + float(val), delta)
         # Force the literal path with a tiny delta and a large value.
         big = float(val) + 1e5
-        s = quantize(np.array([big]), delta)
+        s = quantize0(np.array([big]), delta)
         assert s.literal_mask[0]
-        assert dequantize(s, delta)[0] == np.float32(big)
+        assert dequantize0(s, delta)[0] == np.float32(big)
+
+    # Extreme predictions and bounds overflow float64 on the way to a
+    # literal; numpy warns about that, and the literal path absorbs it.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @example(
+        data=np.array([3.4028235e38, -3.4028235e38, 1e-45, -1e-45, 0.0], dtype=np.float32),
+        ghat=0.0, delta=1e-3, ulps=None,
+    )
+    @example(data=np.full(7, 1e-40, dtype=np.float32), ghat=-2.5, delta=0.75, ulps=None)
+    # One binade and a bound of 0.6 spacings: rounding the float64
+    # reconstruction to float32 pushes some elements past the bound.
+    @example(
+        data=(1.0 + np.arange(48) / 48 + 1 / 97).astype(np.float32),
+        ghat=None, delta=1.0, ulps=0.6,
+    )
+    @given(
+        data=hnp.arrays(
+            np.float32,
+            st.integers(1, 48),
+            elements=st.floats(width=32, allow_nan=False, allow_infinity=False),
+        ).flatmap(lambda a: st.sampled_from([a, np.full(a.size, a[0], dtype=np.float32)])),
+        ghat=st.none() | st.floats(-1e3, 1e3) | st.floats(allow_nan=False, allow_infinity=False),
+        delta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        ulps=st.none() | st.floats(0.25, 4.0),
+    )
+    def test_bound_literals_and_reconstruction_property(self, data, ghat, delta, ulps):
+        # ghat None tracks the data closely, so residuals go through the
+        # bins; a scalar broadcasts one finite prediction of any magnitude.
+        # ulps sets the bound to a few float32 spacings of the largest
+        # element, where float32 rounding decides whether the bound holds.
+        if ulps is not None:
+            delta = ulps * float(np.spacing(np.abs(data).max()))
+        if ghat is None:
+            ghat = data.astype(np.float64) * (1 - 2**-12)
+        ghat = np.broadcast_to(np.asarray(ghat, dtype=np.float64), data.shape)
+        stream, recon32 = quantize(data, ghat, delta)
+        wire = encode_stream(stream)
+        back = decode_stream(read_stream(ByteReader(wire, truncation_error=IntegrityError), data.size))
+        out = dequantize(back, ghat, delta)
+        assert out.dtype == np.float32
+        assert np.all(np.abs(out.astype(np.float64) - data.astype(np.float64)) <= delta)
+        assert stream.literals.view(np.uint32).tolist() == data[stream.literal_mask].view(np.uint32).tolist()
+        assert out.view(np.uint32).tolist() == recon32.view(np.uint32).tolist()
 
     def test_monotone_symbol_count(self):
         rng = np.random.default_rng(19)
         r = rng.normal(size=8192)
         prev = None
         for delta in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            nsym = np.unique(quantize(r, delta).bins).size
+            nsym = np.unique(quantize0(r, delta).bins).size
             if prev is not None:
                 assert nsym <= prev
             prev = nsym
@@ -257,6 +315,11 @@ class TestBlockSerialization:
         with pytest.raises(IntegrityError):
             entropy_decode(corrupted)
 
+    def test_oversubscribed_code_lengths_rejected(self):
+        # Three one-bit codes break the Kraft inequality: 3 * 2**-1 > 1.
+        with pytest.raises(IntegrityError):
+            entropy_decode(HuffmanBlock(0, [1, 1, 1], 8, b"\xff", 0))
+
     def test_bit_count_beyond_stream(self):
         with pytest.raises(IntegrityError):
             HuffmanBlock(0, np.array([1], dtype=np.uint8), 64, b"\x00", 1)
@@ -268,22 +331,22 @@ class TestStreamSerialization:
         delta = 1e-3
         r = rng.normal(size=5000)
         r[rng.integers(0, 5000, size=12)] = 1e9  # force literals
-        s = quantize(r, delta)
+        s = quantize0(r, delta)
         assert s.literals.size >= 12
         raw = encode_stream(s)
-        back = decode_stream(ByteReader(raw, truncation_error=IntegrityError), s.numel)
+        back = decode_stream(read_stream(ByteReader(raw, truncation_error=IntegrityError), s.numel))
         np.testing.assert_array_equal(back.bins, s.bins)
         np.testing.assert_array_equal(back.literal_mask, s.literal_mask)
         np.testing.assert_array_equal(back.literals, s.literals)
 
     def test_literal_count_mismatch_detected(self):
-        s = quantize(np.array([1e9, 0.0]), 1e-3)
+        s = quantize0(np.array([1e9, 0.0]), 1e-3)
         raw = bytearray(encode_stream(s))
         # Literal count field sits right after the Huffman block.
         block_len = len(encode_block(entropy_encode(s.bins)))
         raw[block_len] ^= 0xFF
         with pytest.raises(IntegrityError):
-            decode_stream(ByteReader(bytes(raw), truncation_error=IntegrityError), 2)
+            read_stream(ByteReader(bytes(raw), truncation_error=IntegrityError), 2)
 
 
 class TestLosslessBackend:
@@ -328,11 +391,11 @@ class TestEndToEndBound:
         rng = np.random.default_rng(59)
         for delta in (1e-4, 1e-2, 1.0):
             r = rng.normal(scale=2.0, size=10000)
-            s = quantize(r, delta)
+            s = quantize0(r, delta)
             wire = lossless_compress(encode_stream(s))
-            back = decode_stream(
+            back = decode_stream(read_stream(
                 ByteReader(lossless_decompress(wire), truncation_error=IntegrityError),
                 s.numel,
-            )
-            out = dequantize(back, delta)
+            ))
+            out = dequantize0(back, delta)
             assert float(np.abs(out - r).max()) <= delta

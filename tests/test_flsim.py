@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gradzip.codec import ErrorBoundConfig
-from gradzip.errors import UsageError
+from gradzip.errors import IntegrityError, ProtocolError, UsageError
 from gradzip.flsim import (
     CommModel,
     SimConfig,
@@ -14,9 +14,18 @@ from gradzip.flsim import (
     fedavg_mean,
     reports_to_csv,
     run_simulation,
+    verify_round,
 )
-from gradzip.pipeline import PipelineParams
-from gradzip.predictor import PredictParams
+from gradzip.pipeline import (
+    TAG_LOSSY,
+    PipelineParams,
+    SyncState,
+    compress_round,
+    decompress_round,
+    describe_blob,
+    frame_payload,
+)
+from gradzip.predictor import MagPredictorState, PredictParams
 from gradzip.trace import (
     GradientTensor,
     GradientTrace,
@@ -207,6 +216,79 @@ class TestRunSimulation:
         t2 = synth_trace(SynthConfig(seed=2, layers=(LayerSpec("x", (256,)),), rounds=2))
         with pytest.raises(UsageError):
             SimConfig((t1, t2), make_cfg().params, (), None, (0.0, 0.0))
+
+
+def one_verified_round(rounds=2):
+    """Client and server after ``rounds`` rounds, with the last round's artifacts."""
+    cfg = make_cfg(nclients=1, rounds=rounds)
+    client = SyncState.initial(list(sim_layers()))
+    server = SyncState.initial(list(sim_layers()))
+    for tensors in cfg.traces[0].rounds:
+        payload, client = compress_round(tensors, client, cfg.params, client_id=3)
+        recons, server = decompress_round(payload, server, cfg.params)
+    return tensors, recons, payload, client, server
+
+
+def copy_state(state):
+    return SyncState(
+        state.layers,
+        [MagPredictorState(m.memory.copy(), m.initialized) for m in state.mag],
+        [r.copy() for r in state.prev_recon],
+        state.round,
+    )
+
+
+def just_past_bound(orig, delta):
+    """Smallest float32 above ``orig`` whose distance from it exceeds delta."""
+    v = np.float32(orig + delta)
+    while float(v) - orig <= delta:
+        v = np.nextafter(v, np.float32(np.inf))
+    return v
+
+
+class TestVerifyRound:
+    def test_clean_round_row(self):
+        tensors, recons, payload, client, server = one_verified_round()
+        framed = len(frame_payload(payload))
+        row = verify_round(tensors, recons, payload, framed, client, server, (0.5, 0.25))
+        assert row.client == 3
+        assert row.sprime_bytes == framed
+        assert row.s_bytes == 4 * sum(s.numel for s in sim_layers())
+        assert (row.t_comp_s, row.t_decomp_s) == (0.5, 0.25)
+        assert [ls.layer for ls in row.layers] == [s.name for s in sim_layers()]
+
+    def test_one_ulp_past_bound_names_round_and_layer(self):
+        tensors, recons, payload, client, server = one_verified_round()
+        layer = 1  # "fc", a lossy layer
+        info = describe_blob(payload.blobs[layer], sim_layers()[layer])
+        assert info.tag == TAG_LOSSY
+        orig = float(tensors[layer].values[5])
+        past = just_past_bound(orig, info.delta)
+        at_bound = np.nextafter(past, np.float32(-np.inf))
+        assert float(at_bound) - orig <= info.delta < float(past) - orig
+        framed = len(frame_payload(payload))
+        for value, ok in ((at_bound, True), (past, False)):
+            bumped = list(recons)
+            values = recons[layer].values.copy()
+            values[5] = value
+            bumped[layer] = GradientTensor(recons[layer].spec, values)
+            if ok:
+                verify_round(tensors, bumped, payload, framed, client, server, (0.0, 0.0))
+                continue
+            with pytest.raises(IntegrityError, match=r"round 2, client 3, layer 'fc'"):
+                verify_round(tensors, bumped, payload, framed, client, server, (0.0, 0.0))
+
+    @pytest.mark.parametrize("part", ["mag", "prev_recon"])
+    def test_flipped_server_state_bit_names_layer(self, part):
+        tensors, recons, payload, client, server = one_verified_round()
+        server = copy_state(server)
+        layer = 2 if part == "prev_recon" else 0  # "bias" / "conv1"
+        arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
+        arr.view(np.uint8)[3] ^= 0x01
+        framed = len(frame_payload(payload))
+        name = sim_layers()[layer].name
+        with pytest.raises(ProtocolError, match=rf"round 2, client 3, layer '{name}'"):
+            verify_round(tensors, recons, payload, framed, client, server, (0.0, 0.0))
 
 
 class TestFedavgMean:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig
-from gradzip.errors import FormatError, IntegrityError, ProtocolError
+from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError
 from gradzip.pipeline import (
     CompressedPayload,
     PipelineParams,
     SyncState,
     compress_round,
     decompress_round,
+    describe_blob,
     frame_payload,
     iter_payloads,
     parse_payload,
@@ -254,6 +255,24 @@ class TestProtocolErrors:
             [bytes(blob)] + payload.blobs[1:],
         )
         with pytest.raises((IntegrityError, FormatError)):
+            decompress_round(tampered, SyncState.initial(trace.layers), params)
+
+    def test_describe_blob_checks_literals_like_decode(self):
+        # A bound far below float32 resolution turns every element into a
+        # literal; the last four bytes of a stored blob are then a literal.
+        trace = structured_trace(seed=18, rounds=1)
+        params = make_params(value=1e-30, backend="store")
+        payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
+        spec = trace.layers[0]
+        assert describe_blob(payload.blobs[0], spec).literal_count == spec.numel
+        blob = payload.blobs[0][:-4] + np.array([np.nan], dtype="<f4").tobytes()
+        tampered = CompressedPayload(
+            payload.client_id, payload.round, payload.spec_digest,
+            [blob] + payload.blobs[1:],
+        )
+        with pytest.raises(DataError):
+            describe_blob(blob, spec)
+        with pytest.raises(DataError):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
 

@@ -10,7 +10,6 @@ from gradzip.predictor import (
     SignBitmap,
     SignTensor,
     UndefinedCorrelationError,
-    baseline_predict,
     bitmap_overhead_ratio,
     decode_bitmap,
     encode_bitmap,
@@ -97,42 +96,6 @@ class TestPredictMagnitude:
         for a, b in zip(out_a, out_b):
             assert np.array_equal(a, b)
         assert state_a.to_bytes() == state_b.to_bytes()
-
-
-class TestBaselines:
-    def test_lorenzo(self):
-        got = baseline_predict("lorenzo", [np.array([1.0, 2.0])])
-        np.testing.assert_array_equal(got, [1.0, 2.0])
-
-    def test_ma3(self):
-        hist = [np.array([1.0]), np.array([2.0]), np.array([3.0])]
-        np.testing.assert_array_equal(baseline_predict("ma3", hist), [2.0])
-
-    def test_ma5_window(self):
-        hist = [np.array([float(i)]) for i in range(1, 8)]
-        np.testing.assert_array_equal(baseline_predict("ma5", hist), [5.0])
-
-    def test_ema_nonorm_single(self):
-        got = baseline_predict("ema_nonorm", [np.array([4.0])], beta=0.5)
-        np.testing.assert_array_equal(got, [2.0])
-
-    def test_ar1_recovers_decay(self):
-        base = np.array([1.0, 2.0, 4.0])
-        hist = [base * (0.5 ** t) for t in range(4)]
-        got = baseline_predict("ar1", hist)
-        np.testing.assert_allclose(got, hist[-1] * 0.5, rtol=1e-12)
-
-    def test_insufficient_history(self):
-        with pytest.raises(UsageError):
-            baseline_predict("ma3", [np.array([1.0])])
-        with pytest.raises(UsageError):
-            baseline_predict("ma5", [np.array([1.0])] * 4)
-        with pytest.raises(UsageError):
-            baseline_predict("lorenzo", [])
-
-    def test_unknown_kind(self):
-        with pytest.raises(UsageError):
-            baseline_predict("kalman", [np.array([1.0])])
 
 
 class TestGradientCorrelation:
