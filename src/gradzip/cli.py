@@ -45,15 +45,14 @@ from .flsim import (
     check_bounds,
     reports_to_csv,
     run_simulation,
-    verify_round,
+    verified_rounds,
 )
 from .pipeline import (
     DEFAULT_LOSSY_THRESHOLD,
     TAG_LOSSY,
     PipelineParams,
     SyncState,
-    compress_round,
-    decompress_round,
+    decode_payload,
     describe_payload,
     frame_payload,
     iter_payloads,
@@ -216,18 +215,12 @@ def cmd_synth(args) -> int:
 def cmd_compress(args) -> int:
     trace = load_trace(args.input)
     params = _params_from_args(args, trace.mode)
-    client = SyncState.initial(trace.layers)
-    server = SyncState.initial(trace.layers)
     out = bytearray(
         encode_header(STREAM_MAGIC, STREAM_VERSION, trace.mode, trace.layers, trace.num_rounds)
     )
     reports = []
-    for tensors in trace.rounds:
-        payload, client = compress_round(tensors, client, params)
-        wire = frame_payload(payload)
-        recons, server = decompress_round(payload, server, params)
-        row = verify_round(tensors, recons, payload, len(wire), client, server, (0.0, 0.0))
-        reports.append(RoundReport(payload.round, [row], row.cr, []))
+    for wire, _, row in verified_rounds(trace.layers, trace.rounds, params, fixed_times=(0.0, 0.0)):
+        reports.append(RoundReport(len(reports) + 1, [row], row.cr, []))
         out += wire
     _atomic_write_bytes(args.output, bytes(out))
     buf = io.StringIO()
@@ -247,15 +240,14 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     mode, layers, payloads = _read_stream(args.input)
-    params = PipelineParams(
-        predict=PredictParams(beta=args.beta),
-        bound=ErrorBoundConfig(MODE_ABSOLUTE, 1.0),  # unused on the decode path
-    )
+    predict = PredictParams(beta=args.beta)
     server = SyncState.initial(layers)
     rounds = []
+    infos = []
     for payload in payloads:
-        recons, server = decompress_round(payload, server, params)
+        recons, round_infos, server = decode_payload(payload, server, predict)
         rounds.append(recons)
+        infos.append(round_infos)
     _atomic_save_trace(GradientTrace(layers, rounds, mode), args.output)
     if args.reference:
         ref = load_trace(args.reference)
@@ -267,8 +259,8 @@ def cmd_decompress(args) -> int:
             )
         lossy = [
             ls
-            for orig, recs, payload in zip(ref.rounds, rounds, payloads)
-            for ls in check_bounds(orig, recs, payload)
+            for orig, recs, payload, round_infos in zip(ref.rounds, rounds, payloads, infos)
+            for ls in check_bounds(orig, recs, payload, round_infos)
             if ls.lossy
         ]
         worst = max((ls.max_err for ls in lossy), default=0.0)
@@ -355,6 +347,11 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    synth = SynthConfig(
+        seed=args.seed, layers=tuple(_parse_layers(args.layers)), rounds=args.rounds,
+    )
+    if args.symbols < 1:
+        raise UsageError("--symbols must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows = [("op", "items", "bytes", "seconds", "rate", "unit")]
 
@@ -379,37 +376,17 @@ def cmd_bench(args) -> int:
         f"{t2 - t1:.6f}", f"{n / (t2 - t1) / 1e6:.3f}", "Msym/s",
     ))
 
-    # Whole pipeline on a synthetic trace, after one untimed warm-up round.
-    trace = synth_trace(SynthConfig(
-        seed=args.seed, layers=tuple(_parse_layers(args.layers)),
-        rounds=args.rounds,
-    ))
-    params = _params_from_args(args, trace.mode)
-    warm_c = SyncState.initial(trace.layers)
-    warm_s = SyncState.initial(trace.layers)
-    payload, _ = compress_round(trace.rounds[0], warm_c, params)
-    decompress_round(payload, warm_s, params)
-
-    client = SyncState.initial(trace.layers)
-    server = SyncState.initial(trace.layers)
-    payloads = []
-    t0 = time.perf_counter()
-    for tensors in trace.rounds:
-        payload, client = compress_round(tensors, client, params)
-        payloads.append(payload)
-    t1 = time.perf_counter()
-    for payload in payloads:
-        _, server = decompress_round(payload, server, params)
-    t2 = time.perf_counter()
+    # Whole pipeline: a measured one-client simulation on a synthetic trace.
+    trace = synth_trace(synth)
+    reports = run_simulation(SimConfig((trace,), _params_from_args(args, trace.mode)))
     raw = trace.total_bytes()
-    rows.append((
-        "pipeline_compress", trace.num_rounds, raw,
-        f"{t1 - t0:.6f}", f"{8.0 * raw / (t1 - t0) / 1e6:.1f}", "Mbit/s",
-    ))
-    rows.append((
-        "pipeline_decompress", trace.num_rounds, raw,
-        f"{t2 - t1:.6f}", f"{8.0 * raw / (t2 - t1) / 1e6:.1f}", "Mbit/s",
-    ))
+    t_comp = sum(rep.clients[0].t_comp_s for rep in reports)
+    t_decomp = sum(rep.clients[0].t_decomp_s for rep in reports)
+    for op, seconds in (("pipeline_compress", t_comp), ("pipeline_decompress", t_decomp)):
+        rows.append((
+            op, trace.num_rounds, raw,
+            f"{seconds:.6f}", f"{8.0 * raw / seconds / 1e6:.1f}", "Mbit/s",
+        ))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:

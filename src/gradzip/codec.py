@@ -51,8 +51,8 @@ class ErrorBoundConfig:
     def __post_init__(self):
         if self.mode not in (MODE_ABSOLUTE, MODE_RELATIVE):
             raise UsageError(f"unknown error-bound mode {self.mode!r}")
-        if not self.value > 0.0:
-            raise UsageError(f"error bound must be positive, got {self.value}")
+        if not 0.0 < self.value < np.inf:
+            raise UsageError(f"error bound must be positive and finite, got {self.value}")
 
 
 @dataclass
@@ -129,23 +129,22 @@ def quantize(
     rounding can never push an element past the bound: offenders carry their
     original value.
     """
-    if not delta > 0.0:
-        raise UsageError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < np.inf:
+        raise UsageError(f"delta must be positive and finite, got {delta}")
     original = np.asarray(original).reshape(-1)
     if not np.all(np.isfinite(original)):
         raise DataError("quantizer input contains non-finite values")
     g64 = original.astype(np.float64)
-    width = 2.0 * delta
-    binsf = np.rint((g64 - ghat) / width)
+    binsf = np.rint((g64 - ghat) / (2.0 * delta))
     ok = np.isfinite(binsf) & (np.abs(binsf) <= DEFAULT_BIN_CAP)
-    binsf = np.where(ok, binsf, 0.0)
-    recon64 = ghat + binsf * width
+    bins = np.where(ok, binsf, 0.0).astype(np.int32)
+    recon64 = _bin_centers(bins, ghat, delta)
     recon32 = recon64.astype(np.float32)
     ok &= np.isfinite(recon32)
     ok &= np.abs(recon64 - g64) <= delta
     ok &= np.abs(recon32.astype(np.float64) - g64) <= delta
     mask = ~ok
-    bins = np.where(ok, binsf, 0.0).astype(np.int32)
+    bins[mask] = 0
     literals = original[mask]
     recon32[mask] = literals
     return QuantizedStream(bins, mask, literals), recon32
@@ -153,10 +152,15 @@ def quantize(
 
 def dequantize(stream: QuantizedStream, ghat: np.ndarray, delta: float) -> np.ndarray:
     """Invert quantize: the same float32 reconstruction, literals restored exactly."""
-    recon64 = ghat + stream.bins.astype(np.float64) * (2.0 * delta)
-    recon32 = recon64.astype(np.float32)
+    recon32 = _bin_centers(stream.bins, ghat, delta).astype(np.float32)
     recon32[stream.literal_mask] = stream.literals
     return recon32
+
+
+def _bin_centers(bins: np.ndarray, ghat: np.ndarray, delta: float) -> np.ndarray:
+    """The float64 value each bin stands for. quantize and dequantize both
+    build it from the integer bins, so even a zero's sign agrees."""
+    return ghat + bins.astype(np.float64) * (2.0 * delta)
 
 
 def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:

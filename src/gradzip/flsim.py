@@ -20,16 +20,16 @@ from .codec import ErrorBoundConfig
 from .errors import IntegrityError, ProtocolError, UsageError
 from .pipeline import (
     TAG_LOSSY,
+    BlobInfo,
     CompressedPayload,
     PipelineParams,
     SyncState,
     compress_round,
-    decompress_round,
-    describe_payload,
+    decode_payload,
     frame_payload,
     parse_payload,
 )
-from .trace import GradientTensor, GradientTrace
+from .trace import GradientTensor, GradientTrace, LayerSpec
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,15 @@ def check_bounds(
     originals: list[GradientTensor],
     recons: list[GradientTensor],
     payload: CompressedPayload,
+    infos: list[BlobInfo],
 ) -> list[LayerStats]:
     """Per-layer stats for one round, checking every layer against its bound.
 
+    ``infos`` describes the payload's blobs, as decode_payload returns them.
     A lossy layer may be off by at most its wire delta, a lossless layer not
     at all. A violation raises IntegrityError naming the round, the client and
     the layer.
     """
-    infos = describe_payload(payload, [g.spec for g in originals])
     stats = []
     for g, recon, info in zip(originals, recons, infos):
         err = float(np.abs(recon.values.astype(np.float64) - g.values.astype(np.float64)).max())
@@ -198,6 +199,7 @@ def verify_round(
     originals: list[GradientTensor],
     recons: list[GradientTensor],
     payload: CompressedPayload,
+    infos: list[BlobInfo],
     framed_bytes: int,
     client: SyncState,
     server: SyncState,
@@ -208,8 +210,9 @@ def verify_round(
     Client and server must end the round with bitwise-identical predictor
     state: a difference raises ProtocolError naming the round, the client and
     the first layer whose magnitude memory or reconstruction differs. Every
-    reconstruction must stay within its bound (see check_bounds). ``times``
-    is the (compress, decompress) time recorded in the row.
+    reconstruction must stay within the bound of its blob in ``infos`` (see
+    check_bounds). ``times`` is the (compress, decompress) time recorded in
+    the row.
     """
     where = f"round {payload.round}, client {payload.client_id}"
     if client.round != server.round:
@@ -221,7 +224,7 @@ def verify_round(
             raise ProtocolError(
                 f"client/server state mismatch at {where}, layer {spec.name!r}"
             )
-    stats = check_bounds(originals, recons, payload)
+    stats = check_bounds(originals, recons, payload, infos)
     s_bytes = sum(ls.s_bytes for ls in stats)
     return ClientRoundStats(
         client=payload.client_id,
@@ -236,47 +239,54 @@ def verify_round(
     )
 
 
+def verified_rounds(
+    layers: list[LayerSpec],
+    rounds: list[list[GradientTensor]],
+    params: PipelineParams,
+    client_id: int = 0,
+    fixed_times: tuple[float, float] | None = None,
+):
+    """Run one client and the server's mirror of it, one round per step.
+
+    Each round the client compresses and frames its payload, the server
+    parses that frame and decodes it, and verify_round checks the round.
+    Yields (framed bytes, server reconstructions, ClientRoundStats row). The
+    row's codec times are measured unless fixed_times gives them.
+    """
+    client = SyncState.initial(layers)
+    server = SyncState.initial(layers)
+    for tensors in rounds:
+        t0 = time.perf_counter()
+        payload, client = compress_round(tensors, client, params, client_id=client_id)
+        t1 = time.perf_counter()
+        wire = frame_payload(payload)
+        parsed = parse_payload(wire)
+        t2 = time.perf_counter()
+        recons, infos, server = decode_payload(parsed, server, params.predict)
+        t3 = time.perf_counter()
+        times = (t1 - t0, t3 - t2) if fixed_times is None else fixed_times
+        row = verify_round(tensors, recons, parsed, infos, len(wire), client, server, times)
+        yield wire, recons, row
+
+
 def run_simulation(cfg: SimConfig) -> list[RoundReport]:
     """Drive all clients and the server for every round; verify as we go.
 
     Raises ProtocolError on a client/server state mismatch and IntegrityError
     on an error-bound violation, naming the round, client, and layer.
     """
-    layers = list(cfg.traces[0].layers)
-    nclients = len(cfg.traces)
-    client_states = [SyncState.initial(layers) for _ in range(nclients)]
-    server_states = [SyncState.initial(layers) for _ in range(nclients)]
-    measured = cfg.fixed_times is None
-    if measured:
-        # Warm-up: first-round codec work on scratch states, not timed.
-        scratch_c = SyncState.initial(layers)
-        scratch_s = SyncState.initial(layers)
-        payload, scratch_c = compress_round(cfg.traces[0].rounds[0], scratch_c, cfg.params)
-        decompress_round(payload, scratch_s, cfg.params)
-
+    layers = cfg.traces[0].layers
+    if cfg.fixed_times is None:
+        # Warm-up: one untimed first round on scratch states.
+        next(verified_rounds(layers, cfg.traces[0].rounds[:1], cfg.params))
+    drivers = [
+        verified_rounds(layers, trace.rounds[:cfg.num_rounds], cfg.params, k, cfg.fixed_times)
+        for k, trace in enumerate(cfg.traces)
+    ]
     reports = []
-    for t in range(cfg.num_rounds):
-        client_stats = []
-        round_recons = []
-        for k in range(nclients):
-            tensors = cfg.traces[k].rounds[t]
-            t0 = time.perf_counter()
-            payload, client_states[k] = compress_round(
-                tensors, client_states[k], cfg.params, client_id=k
-            )
-            t1 = time.perf_counter()
-            wire = frame_payload(payload)
-            parsed = parse_payload(wire)
-            t2 = time.perf_counter()
-            recons, server_states[k] = decompress_round(parsed, server_states[k], cfg.params)
-            t3 = time.perf_counter()
-            times = (t1 - t0, t3 - t2) if measured else cfg.fixed_times
-            client_stats.append(verify_round(
-                tensors, recons, payload, len(wire),
-                client_states[k], server_states[k], times,
-            ))
-            round_recons.append(recons)
-        aggregate = fedavg_mean(round_recons)
+    for t, results in enumerate(zip(*drivers)):
+        client_stats = [row for _, _, row in results]
+        aggregate = fedavg_mean([recons for _, recons, _ in results])
         mean_s = float(np.mean([c.s_bytes for c in client_stats]))
         mean_sp = float(np.mean([c.sprime_bytes for c in client_stats]))
         mean_tc = float(np.mean([c.t_comp_s for c in client_stats]))
@@ -304,19 +314,9 @@ CSV_COLUMNS = [
 ]
 
 
-def reports_to_csv(reports: list[RoundReport], path) -> None:
-    """Write per-layer, per-client, and per-bandwidth aggregate rows.
-
-    ``path`` may also be an open text file object (like ``np.savetxt``).
-    """
-    if hasattr(path, "write"):
-        _write_report(path, reports)
-    else:
-        with open(path, "w", newline="") as fh:
-            _write_report(fh, reports)
-
-
-def _write_report(fh, reports: list[RoundReport]) -> None:
+def reports_to_csv(reports: list[RoundReport], fh) -> None:
+    """Write per-layer, per-client, and per-bandwidth aggregate rows to an
+    open text file."""
     w = csv.writer(fh, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for rep in reports:
@@ -357,7 +357,7 @@ def _whole_trace_cr(reports: list[RoundReport]) -> float:
 
 
 def compare_modes(
-    cfg: SimConfig, bounds: list[ErrorBoundConfig] | None = None, csv_path=None
+    cfg: SimConfig, bounds: list[ErrorBoundConfig] | None = None
 ) -> list[ModeComparison]:
     """Whole-trace compression ratios with prediction on vs off, per bound."""
     bounds = bounds or [cfg.params.bound]
@@ -368,11 +368,4 @@ def compare_modes(
         cr_on = _whole_trace_cr(run_simulation(replace(cfg, params=params_on)))
         cr_off = _whole_trace_cr(run_simulation(replace(cfg, params=params_off)))
         rows.append(ModeComparison(bound.mode, bound.value, cr_on, cr_off, cr_on / cr_off))
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["eb_mode", "eb_value", "cr_prediction_on", "cr_prediction_off", "gain"])
-            for r in rows:
-                w.writerow([r.eb_mode, f"{r.eb_value:.6g}", f"{r.cr_on:.6g}",
-                            f"{r.cr_off:.6g}", f"{r.gain:.6g}"])
     return rows

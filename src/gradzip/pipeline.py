@@ -234,12 +234,23 @@ def decompress_round(
     payload: CompressedPayload, state: SyncState, params: PipelineParams
 ) -> tuple[list[GradientTensor], SyncState]:
     """Decode one payload; returns reconstructions and advanced state."""
+    recons, _, next_state = decode_payload(payload, state, params.predict)
+    return recons, next_state
+
+
+def decode_payload(
+    payload: CompressedPayload, state: SyncState, predict: PredictParams
+) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
+    """Decode one payload; returns reconstructions, the description of each
+    parsed blob, and the advanced state. ``predict`` is all the decoder reads
+    of the pipeline parameters: the rest is on the wire."""
     _check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
     recons = []
+    infos = []
     new_mag = []
     new_recon = []
     for i, (spec, blob) in enumerate(zip(state.layers, payload.blobs)):
@@ -252,17 +263,17 @@ def decompress_round(
             if info.flags & _FLAG_PREDICTION:
                 ghat, _, mag_after = _predict(
                     spec, None, bitmap, np.float32(info.mu), np.float32(info.sigma),
-                    state.mag[i], state.prev_recon[i], payload.round == 1,
-                    params.predict,
+                    state.mag[i], state.prev_recon[i], payload.round == 1, predict,
                 )
             else:
                 ghat = np.zeros(spec.numel, dtype=np.float64)
             recon32 = dequantize(stream, ghat, info.delta)
+        infos.append(info)
         new_mag.append(mag_after)
         new_recon.append(recon32)
         recons.append(GradientTensor(spec, recon32))
     next_state = SyncState(state.layers, new_mag, new_recon, payload.round)
-    return recons, next_state
+    return recons, infos, next_state
 
 
 @dataclass
@@ -305,8 +316,8 @@ def _parse_blob(
         flags, mu, sigma, delta = reader.unpack("<Bffd")
         if flags & ~_FLAG_PREDICTION:
             raise FormatError(f"layer {spec.name!r}: unknown blob flags {flags:#x}")
-        if not delta > 0.0:
-            raise IntegrityError(f"layer {spec.name!r}: non-positive delta on wire")
+        if not 0.0 < delta < np.inf:
+            raise IntegrityError(f"layer {spec.name!r}: non-positive or non-finite delta on wire")
         bitmap_start = reader.pos
         bitmap = decode_bitmap(reader)
         if not flags & _FLAG_PREDICTION and bitmap.variant != VARIANT_NONE:

@@ -33,6 +33,9 @@ _TAG_NONE = 0
 _TAG_FLIP = 1
 _TAG_KERNEL = 2
 
+# Floor on the deviation that standardizes the previous magnitudes.
+SIGMA_FLOOR = 1e-12
+
 class UndefinedCorrelationError(DataError):
     """Correlation is undefined because one input has zero norm."""
 
@@ -42,15 +45,12 @@ class PredictParams:
     beta: float = 0.5
     tau: float = 0.5
     full_batch: bool = False
-    sigma_floor: float = 1e-12
 
     def __post_init__(self):
         if not 0.0 < self.beta <= 1.0:
             raise UsageError(f"beta must be in (0, 1], got {self.beta}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
-        if self.sigma_floor <= 0.0:
-            raise UsageError("sigma_floor must be positive")
 
 
 @dataclass
@@ -188,7 +188,7 @@ def predict_magnitude(
     """EMA prediction of elementwise magnitudes in normalized space.
 
     Standardizes the previous reconstructed magnitudes with their own mean and
-    population deviation (floored at sigma_floor), blends with the memory as
+    population deviation (floored at SIGMA_FLOOR), blends with the memory as
     z_pred = (1 - beta) * memory + beta * z_prev, then de-normalizes with the
     current round's transmitted statistics. The returned prediction is clamped
     to be nonnegative; the new memory keeps the unclamped z_pred.
@@ -200,7 +200,7 @@ def predict_magnitude(
         raise UsageError("prev_recon_abs must be nonnegative")
     mean = float(x.mean())
     std = float(x.std())
-    z_prev = (x - mean) / max(std, params.sigma_floor)
+    z_prev = (x - mean) / max(std, SIGMA_FLOOR)
     z_pred = (1.0 - params.beta) * state.memory + params.beta * z_prev
     pred_abs = z_pred * max(float(sigma_curr), 0.0) + float(mu_curr)
     np.maximum(pred_abs, 0.0, out=pred_abs)

@@ -166,6 +166,8 @@ class SynthConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if not self.layers:
             raise UsageError("SynthConfig needs at least one layer")
         if self.rounds < 1:

@@ -329,3 +329,70 @@ def test_console_entry_point_separates_streams(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(CSV_COLUMNS[:3]))
+
+
+def test_compress_inflates_each_blob_once(tmp_path, monkeypatch):
+    # The server's decode parses each blob; the verify step reuses that parse.
+    from gradzip import pipeline
+
+    rounds, nlayers = 3, len(LAYERS.split(","))
+    trace = make_trace(tmp_path, rounds=rounds)
+    real = pipeline.lossless_decompress
+    calls = []
+
+    def counted(data):
+        calls.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(pipeline, "lossless_decompress", counted)
+    assert run("compress", trace, tmp_path / "t.gzp") == 0
+    assert len(calls) == rounds * nlayers
+
+
+@pytest.mark.parametrize("flags", [
+    ("--eb", "inf"),
+    ("--eb-mode", "abs", "--eb", "nan"),
+    # The synthetic trace spans more than 2, so the scaled bound overflows.
+    ("--eb-mode", "rel", "--eb", "1e308"),
+])
+def test_non_finite_bound_exits_1(tmp_path, capsys, flags):
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, *flags) == 1
+    assert "gradzip: usage error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
+    import struct
+
+    from gradzip.cli import _read_stream
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = bytearray(out.read_bytes())
+    _, _, payloads = _read_stream(out)
+    blob = payloads[1].blobs[0]
+    # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
+    assert blob[:2] == b"S\x01"
+    at = data.find(blob) + 11
+    data[at:at + 8] = struct.pack("<d", float("inf"))
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert run("inspect", bad) == 3
+    assert "non-finite delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "{tmp}/t.gtrc", "--layers", "fc:64x16", "--seed", "-3"),
+    ("bench", "--seed", "-1"),
+    ("bench", "--symbols", "-1"),
+    ("bench", "--symbols", "0"),
+])
+def test_bad_seed_or_symbol_count_exits_1(tmp_path, capsys, argv):
+    assert run(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gradzip: usage error:")
+    assert "Traceback" not in err

@@ -65,6 +65,12 @@ class TestResolveBound:
         with pytest.raises(UsageError):
             ErrorBoundConfig("typo", 0.1)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    def test_non_finite_bound_rejected(self, mode, value):
+        with pytest.raises(UsageError, match="finite"):
+            ErrorBoundConfig(mode, value)
+
 
 class TestQuantize:
     def test_worked_example(self):
@@ -114,6 +120,16 @@ class TestQuantize:
         with pytest.raises(UsageError):
             quantize0(np.array([1.0]), 0.0)
 
+    def test_non_finite_delta_rejected(self):
+        for delta in (math.inf, math.nan):
+            with pytest.raises(UsageError, match="finite"):
+                quantize0(np.array([1.0]), delta)
+        # A relative bound that overflows once scaled by the layer's range.
+        delta = resolve_bound(ErrorBoundConfig("relative", 1e308), tensor([-2.0, 2.0]))
+        assert delta == math.inf
+        with pytest.raises(UsageError, match="finite"):
+            quantize0(np.array([-2.0, 2.0]), delta)
+
     def test_roundtrip_bound(self):
         rng = np.random.default_rng(17)
         for delta in (1e-4, 1e-2, 1.0):
@@ -140,6 +156,9 @@ class TestQuantize:
         ghat=0.0, delta=1e-3, ulps=None,
     )
     @example(data=np.full(7, 1e-40, dtype=np.float32), ghat=-2.5, delta=0.75, ulps=None)
+    # A negative-zero prediction and a residual that rounds to bin -0.0: the
+    # reconstruction must be the +0.0 that dequantize rebuilds from bin 0.
+    @example(data=np.array([-1.0], dtype=np.float32), ghat=-0.0, delta=1.0, ulps=None)
     # One binade and a bound of 0.6 spacings: rounding the float64
     # reconstruction to float32 pushes some elements past the bound.
     @example(
@@ -166,6 +185,10 @@ class TestQuantize:
         if ghat is None:
             ghat = data.astype(np.float64) * (1 - 2**-12)
         ghat = np.broadcast_to(np.asarray(ghat, dtype=np.float64), data.shape)
+        if not math.isfinite(delta):  # the float32 spacing at FLT_MAX is inf
+            with pytest.raises(UsageError):
+                quantize(data, ghat, delta)
+            return
         stream, recon32 = quantize(data, ghat, delta)
         wire = encode_stream(stream)
         back = decode_stream(read_stream(ByteReader(wire, truncation_error=IntegrityError), data.size))

@@ -14,6 +14,7 @@ from gradzip.flsim import (
     fedavg_mean,
     reports_to_csv,
     run_simulation,
+    verified_rounds,
     verify_round,
 )
 from gradzip.pipeline import (
@@ -21,7 +22,7 @@ from gradzip.pipeline import (
     PipelineParams,
     SyncState,
     compress_round,
-    decompress_round,
+    decode_payload,
     describe_blob,
     frame_payload,
 )
@@ -225,8 +226,8 @@ def one_verified_round(rounds=2):
     server = SyncState.initial(list(sim_layers()))
     for tensors in cfg.traces[0].rounds:
         payload, client = compress_round(tensors, client, cfg.params, client_id=3)
-        recons, server = decompress_round(payload, server, cfg.params)
-    return tensors, recons, payload, client, server
+        recons, infos, server = decode_payload(payload, server, cfg.params.predict)
+    return tensors, recons, payload, infos, client, server
 
 
 def copy_state(state):
@@ -248,9 +249,9 @@ def just_past_bound(orig, delta):
 
 class TestVerifyRound:
     def test_clean_round_row(self):
-        tensors, recons, payload, client, server = one_verified_round()
+        tensors, recons, payload, infos, client, server = one_verified_round()
         framed = len(frame_payload(payload))
-        row = verify_round(tensors, recons, payload, framed, client, server, (0.5, 0.25))
+        row = verify_round(tensors, recons, payload, infos, framed, client, server, (0.5, 0.25))
         assert row.client == 3
         assert row.sprime_bytes == framed
         assert row.s_bytes == 4 * sum(s.numel for s in sim_layers())
@@ -258,7 +259,7 @@ class TestVerifyRound:
         assert [ls.layer for ls in row.layers] == [s.name for s in sim_layers()]
 
     def test_one_ulp_past_bound_names_round_and_layer(self):
-        tensors, recons, payload, client, server = one_verified_round()
+        tensors, recons, payload, infos, client, server = one_verified_round()
         layer = 1  # "fc", a lossy layer
         info = describe_blob(payload.blobs[layer], sim_layers()[layer])
         assert info.tag == TAG_LOSSY
@@ -273,14 +274,14 @@ class TestVerifyRound:
             values[5] = value
             bumped[layer] = GradientTensor(recons[layer].spec, values)
             if ok:
-                verify_round(tensors, bumped, payload, framed, client, server, (0.0, 0.0))
+                verify_round(tensors, bumped, payload, infos, framed, client, server, (0.0, 0.0))
                 continue
             with pytest.raises(IntegrityError, match=r"round 2, client 3, layer 'fc'"):
-                verify_round(tensors, bumped, payload, framed, client, server, (0.0, 0.0))
+                verify_round(tensors, bumped, payload, infos, framed, client, server, (0.0, 0.0))
 
     @pytest.mark.parametrize("part", ["mag", "prev_recon"])
     def test_flipped_server_state_bit_names_layer(self, part):
-        tensors, recons, payload, client, server = one_verified_round()
+        tensors, recons, payload, infos, client, server = one_verified_round()
         server = copy_state(server)
         layer = 2 if part == "prev_recon" else 0  # "bias" / "conv1"
         arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
@@ -288,7 +289,32 @@ class TestVerifyRound:
         framed = len(frame_payload(payload))
         name = sim_layers()[layer].name
         with pytest.raises(ProtocolError, match=rf"round 2, client 3, layer '{name}'"):
-            verify_round(tensors, recons, payload, framed, client, server, (0.0, 0.0))
+            verify_round(tensors, recons, payload, infos, framed, client, server, (0.0, 0.0))
+
+
+class TestVerifiedRounds:
+    def test_frames_and_rows_match_a_hand_driven_round(self):
+        cfg = make_cfg(nclients=1, rounds=3)
+        trace = cfg.traces[0]
+        driver = verified_rounds(trace.layers, trace.rounds, cfg.params, 2, (0.5, 0.25))
+        client = SyncState.initial(trace.layers)
+        server = SyncState.initial(trace.layers)
+        steps = 0
+        for tensors, (wire, recons, row) in zip(trace.rounds, driver):
+            payload, client = compress_round(tensors, client, cfg.params, client_id=2)
+            want, _, server = decode_payload(payload, server, cfg.params.predict)
+            assert wire == frame_payload(payload)
+            assert [r.values.tobytes() for r in recons] == [r.values.tobytes() for r in want]
+            assert (row.client, row.sprime_bytes) == (2, len(wire))
+            assert (row.t_comp_s, row.t_decomp_s) == (0.5, 0.25)
+            steps += 1
+        assert steps == 3
+
+    def test_times_measured_without_fixed_times(self):
+        cfg = make_cfg(nclients=1, rounds=2)
+        trace = cfg.traces[0]
+        for _, _, row in verified_rounds(trace.layers, trace.rounds, cfg.params):
+            assert row.t_comp_s > 0.0 and row.t_decomp_s > 0.0
 
 
 class TestFedavgMean:
@@ -345,15 +371,6 @@ class TestCompareModes:
         rows = compare_modes(cfg)
         assert 0.5 <= rows[0].gain <= 2.0
 
-    def test_csv_emitted(self, tmp_path):
-        cfg = make_cfg(nclients=1, rounds=2)
-        p = tmp_path / "cmp.csv"
-        rows = compare_modes(cfg, [ErrorBoundConfig("relative", 1e-2)], csv_path=p)
-        with open(p) as fh:
-            got = list(csv.reader(fh))
-        assert got[0] == ["eb_mode", "eb_value", "cr_prediction_on", "cr_prediction_off", "gain"]
-        assert len(got) == 1 + len(rows)
-
 
 class TestReportCsv:
     def test_schema_and_row_counts(self, tmp_path):
@@ -361,7 +378,8 @@ class TestReportCsv:
         cfg = make_cfg(nclients=nclients, rounds=rounds, bandwidths=(1e6, 1e8))
         reports = run_simulation(cfg)
         p = tmp_path / "report.csv"
-        reports_to_csv(reports, p)
+        with open(p, "w", newline="") as fh:
+            reports_to_csv(reports, fh)
         with open(p) as fh:
             rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]

@@ -1,3 +1,6 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,16 @@ from gradzip.pipeline import (
     PipelineParams,
     SyncState,
     compress_round,
+    decode_payload,
     decompress_round,
     describe_blob,
+    describe_payload,
     frame_payload,
     iter_payloads,
     parse_payload,
     spec_digest,
 )
-from gradzip.predictor import PredictParams
+from gradzip.predictor import MagPredictorState, PredictParams
 from gradzip.trace import GradientTensor, LayerSpec, SynthConfig, synth_trace
 
 
@@ -134,6 +139,39 @@ class TestSynchronization:
         r_off = run_lockstep(trace, off)[0][2]
         for a, b in zip(r_on, r_off):
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_negative_zero_prediction_keeps_states_equal(self):
+        # A predicted sign of -1 times a magnitude clamped to 0 gives
+        # ghat = -0.0, and each residual here rounds to bin -0.0: both sides
+        # must still reconstruct the same zero, sign included.
+        spec = LayerSpec("fc", (64, 32))
+        params = make_params(full_batch=True, value=0.5)
+
+        def state_at_round_one():
+            return SyncState(
+                [spec],
+                [MagPredictorState(np.full(spec.numel, -1e6), initialized=True)],
+                [np.full(spec.numel, -1.0, dtype=np.float32)],
+                round=1,
+            )
+
+        g = GradientTensor(spec, -np.linspace(0.1, 0.3, spec.numel, dtype=np.float32))
+        payload, client = compress_round([g], state_at_round_one(), params)
+        _, server = decompress_round(
+            parse_payload(frame_payload(payload)), state_at_round_one(), params
+        )
+        assert client.prev_recon[0].tobytes() == server.prev_recon[0].tobytes()
+        assert client.to_bytes() == server.to_bytes()
+
+    def test_decode_payload_describes_the_blobs_it_parsed(self):
+        trace = structured_trace(seed=10, rounds=3)
+        params = make_params()
+        server = SyncState.initial(trace.layers)
+        for tensors, payload, recons, _, _ in run_lockstep(trace, params):
+            got, infos, server = decode_payload(payload, server, params.predict)
+            assert infos == describe_payload(payload, trace.layers)
+            for a, b in zip(got, recons):
+                assert a.values.tobytes() == b.values.tobytes()
 
 
 class TestPredictionOffEquivalence:
@@ -273,6 +311,25 @@ class TestProtocolErrors:
         with pytest.raises(DataError):
             describe_blob(blob, spec)
         with pytest.raises(DataError):
+            decompress_round(tampered, SyncState.initial(trace.layers), params)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_wire_delta_rejected(self, delta):
+        trace = structured_trace(seed=19, rounds=1)
+        params = make_params(backend="store")
+        payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
+        spec = trace.layers[0]
+        # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
+        blob = bytearray(payload.blobs[0])
+        assert blob[:2] == b"S\x01"
+        blob[11:19] = struct.pack("<d", delta)
+        tampered = CompressedPayload(
+            payload.client_id, payload.round, payload.spec_digest,
+            [bytes(blob)] + payload.blobs[1:],
+        )
+        with pytest.raises(IntegrityError, match="delta"):
+            describe_blob(bytes(blob), spec)
+        with pytest.raises(IntegrityError, match="delta"):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
 
