@@ -34,11 +34,20 @@ BACKEND_DEFAULT = "default"
 BACKEND_STORE = "store"
 _BACKEND_TAGS = {BACKEND_DEFAULT: b"Z", BACKEND_STORE: b"S"}
 
-# Widest Huffman code the decoder's 64-bit window can absorb in one refill.
+# Widest Huffman code: a 64-bit window read at a byte still holds all of it
+# after the up-to-7-bit offset of the code's first bit.
 _MAX_CODE_LEN = 56
 # Dense symbol-table guard; quantizer output always fits 2 * DEFAULT_BIN_CAP + 1.
 _MAX_ALPHABET_RANGE = 1 << 20
 _ROOT_TABLE_BITS = 12
+# The decoder squares its next-boundary table this many times, so its Python
+# walk takes one step per 2**_JUMP_LEVELS codes.
+_JUMP_LEVELS = 4
+# Stream bytes whose per-bit code lengths are found at once (and 8x that many
+# table entries squared at once); bounds the decoder's temporaries.
+_WINDOW_CHUNK_BYTES = 1 << 13
+# Symbols the encoder packs at once; bounds its temporaries.
+_PACK_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,8 @@ def quantize(
     rounding can never push an element past the bound: offenders carry their
     original value.
     """
-    if not 0.0 < delta < np.inf:
-        raise UsageError(f"delta must be positive and finite, got {delta}")
+    if not 0.0 < 2.0 * float(delta) < np.inf:
+        raise UsageError(f"delta must be positive with a finite bin width 2 * delta, got {delta}")
     original = np.asarray(original).reshape(-1)
     if not np.all(np.isfinite(original)):
         raise DataError("quantizer input contains non-finite values")
@@ -186,35 +195,61 @@ def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
     return depth[:n]
 
 
+def _canonical_starts(count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First code and first canonical rank of each code length.
+
+    count[ln] is the number of codes of length ln (count[0] must be 0). The
+    first code follows DEFLATE's next_code recurrence.
+    """
+    first_code = np.zeros(count.size, dtype=np.uint64)
+    code = 0
+    for ln in range(1, count.size):
+        code = (code + int(count[ln - 1])) << 1
+        first_code[ln] = code
+    first_rank = np.cumsum(count) - count
+    return first_code, first_rank
+
+
+def _canonical_order(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Used symbol indices in canonical (length, symbol) order, and their lengths."""
+    used = np.nonzero(lengths)[0]
+    order = used[np.argsort(lengths[used], kind="stable")]
+    return order, lengths[order].astype(np.int64)
+
+
 def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     """Assign canonical code values to the used symbols, ordered (length, symbol)."""
     codes = np.zeros(lengths.size, dtype=np.uint64)
-    used = np.nonzero(lengths)[0]
-    order = used[np.argsort(lengths[used], kind="stable")]
-    code = 0
-    prev_len = 0
-    for idx in order:
-        ln = int(lengths[idx])
-        code <<= ln - prev_len
-        codes[idx] = code
-        code += 1
-        prev_len = ln
+    order, lens = _canonical_order(lengths)
+    if order.size:
+        first_code, first_rank = _canonical_starts(np.bincount(lens))
+        rank = np.arange(order.size) - first_rank[lens]
+        codes[order] = first_code[lens] + rank.astype(np.uint64)
     return codes
 
 
-def _pack_codes(codes: np.ndarray, lens: np.ndarray) -> tuple[bytes, int]:
-    total = int(lens.sum())
-    if total == 0:
-        return b"", 0
-    offsets = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=offsets[1:])
-    bits = np.zeros((total + 7) // 8 * 8, dtype=np.uint8)
-    maxlen = int(lens.max())
-    for b in range(maxlen):
-        sel = lens > b
-        shifts = (lens[sel] - 1 - b).astype(np.uint64)
-        bits[offsets[sel] + b] = ((codes[sel] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bits).tobytes(), total
+def _pack_codes(index: np.ndarray, codes: np.ndarray, lens: np.ndarray, total: int) -> bytes:
+    """Pack the codes of the symbols ``index`` MSB-first into 64-bit words.
+
+    A code that crosses a word boundary puts its head in its own word and the
+    rest, its spill, at the top of the next one. Symbols are packed a chunk
+    at a time, so the temporaries stay bounded; total is the bit count.
+    """
+    words = np.zeros((total + 63) >> 6, dtype=np.uint64)
+    bit = 0
+    for a in range(0, index.size, _PACK_CHUNK):
+        sym = index[a : a + _PACK_CHUNK]
+        code, ln = codes[sym], lens[sym]
+        offsets = np.cumsum(ln)
+        bit, offsets = bit + int(offsets[-1]), offsets - ln + bit
+        word = offsets >> 6
+        end = (offsets & 63) + ln  # bit after the code, counted from its word's MSB
+        head = (code << (64 - end).clip(0).view(np.uint64)) >> (end - 64).clip(0).view(np.uint64)
+        firsts = np.flatnonzero(np.diff(word, prepend=-1))
+        words[word[firsts]] |= np.bitwise_or.reduceat(head, firsts)
+        spill = np.flatnonzero(end > 64)
+        words[word[spill] + 1] |= code[spill] << (128 - end[spill]).view(np.uint64)
+    return words.astype(">u8").tobytes()[: (total + 7) >> 3]
 
 
 def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
@@ -226,114 +261,187 @@ def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
     values = np.asarray(bins).reshape(-1)
     if values.size == 0:
         return HuffmanBlock(0, np.zeros(0, dtype=np.uint8), 0, b"", 0)
-    values = values.astype(np.int64)
-    symbols, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    lo, hi = int(symbols[0]), int(symbols[-1])
+    lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
     if span > _MAX_ALPHABET_RANGE:
         raise UsageError(f"symbol range {span} too wide to entropy-code")
-    code_lens = _huffman_code_lengths(counts)
-    dense_lens = np.zeros(span, dtype=np.uint8)
-    dense_lens[symbols - lo] = code_lens
-    dense_codes = _canonical_codes(dense_lens)
-    per_elem_idx = (symbols - lo)[inverse]
-    stream, bit_count = _pack_codes(dense_codes[per_elem_idx], dense_lens[per_elem_idx].astype(np.int64))
-    return HuffmanBlock(lo, dense_lens, bit_count, stream, int(values.size))
+    index = values.astype(np.int64)
+    index -= lo
+    counts = np.bincount(index, minlength=span)
+    used = np.flatnonzero(counts)
+    lens = np.zeros(span, dtype=np.int64)
+    lens[used] = _huffman_code_lengths(counts[used])
+    bit_count = int(counts @ lens)
+    stream = _pack_codes(index, _canonical_codes(lens), lens, bit_count)
+    return HuffmanBlock(lo, lens, bit_count, stream, int(values.size))
 
 
-def _build_decode_tables(block: HuffmanBlock):
-    lengths = block.lengths
-    used = np.nonzero(lengths)[0]
-    if used.size == 0:
+@dataclass
+class _DecodeTables:
+    """Canonical code tables: a root table for codes of up to root_bits bits,
+    and per-length starts for the longer ones."""
+
+    min_len: int
+    max_len: int
+    count: np.ndarray  # codes per length
+    first_code: np.ndarray  # uint64, first canonical code of each length
+    first_rank: np.ndarray  # canonical rank of that first code
+    symbols: np.ndarray  # int64 symbols in canonical order
+    root_bits: int
+    root_len: np.ndarray  # uint8 code length per root_bits-bit prefix, 0 = longer code
+    root_sym: np.ndarray  # int64 symbol per prefix, for the codes root_len holds
+
+
+def _build_decode_tables(block: HuffmanBlock) -> _DecodeTables:
+    order, lens = _canonical_order(block.lengths)
+    if order.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
-    maxlen = int(lengths[used].max())
-    per_length = np.bincount(lengths[used], minlength=maxlen + 1)
-    if sum(int(c) << (maxlen - ln) for ln, c in enumerate(per_length)) > 1 << maxlen:
+    count = np.bincount(lens)
+    max_len = count.size - 1
+    if sum(int(c) << (max_len - ln) for ln, c in enumerate(count)) > 1 << max_len:
         raise IntegrityError("Huffman code lengths over-subscribe the code space")
-    codes = _canonical_codes(lengths)
-    root_bits = min(_ROOT_TABLE_BITS, maxlen)
-    size = 1 << root_bits
-    table_sym = np.zeros(size, dtype=np.int64)
-    table_len = np.zeros(size, dtype=np.uint8)
-    order = used[np.lexsort((used, lengths[used]))]
-    # Slow-path canonical tables, indexed by code length.
-    first_code = [-1] * (maxlen + 1)
-    first_index = [0] * (maxlen + 1)
-    count_at = [0] * (maxlen + 1)
-    canon_syms = (order + block.min_symbol).tolist()
-    for rank, idx in enumerate(order):
-        ln = int(lengths[idx])
-        if first_code[ln] < 0:
-            first_code[ln] = int(codes[idx])
-            first_index[ln] = rank
-        count_at[ln] += 1
-    short = order[lengths[order] <= root_bits]
-    if short.size:
-        lens_s = lengths[short].astype(np.int64)
-        starts = (codes[short].astype(np.int64)) << (root_bits - lens_s)
-        widths = np.int64(1) << (root_bits - lens_s)
-        fill_idx = np.concatenate(
-            [np.arange(s, s + w) for s, w in zip(starts, widths)]
-        )
-        table_sym[fill_idx] = np.repeat(short + block.min_symbol, widths)
-        table_len[fill_idx] = np.repeat(lengths[short], widths)
-    return (
-        table_sym.tolist(),
-        table_len.tolist(),
-        root_bits,
-        maxlen,
-        first_code,
-        first_index,
-        count_at,
-        canon_syms,
+    first_code, first_rank = _canonical_starts(count)
+    symbols = order.astype(np.int64) + block.min_symbol
+    root_bits = min(_ROOT_TABLE_BITS, max_len)
+    # Left-aligned to root_bits, canonical codes cover consecutive ranges from
+    # 0 upwards, so the short codes fill the front of the root table in order.
+    short = lens <= root_bits
+    widths = np.int64(1) << (root_bits - lens[short])
+    filled = int(widths.sum())
+    root_len = np.zeros(1 << root_bits, dtype=np.uint8)
+    root_sym = np.zeros(1 << root_bits, dtype=np.int64)
+    root_len[:filled] = np.repeat(lens[short], widths)
+    root_sym[:filled] = np.repeat(symbols[short], widths)
+    return _DecodeTables(
+        int(lens[0]), max_len, count, first_code, first_rank, symbols,
+        root_bits, root_len, root_sym,
     )
 
 
-def entropy_decode(block: HuffmanBlock) -> np.ndarray:
-    """Exact inverse of entropy_encode. Corrupt streams raise IntegrityError."""
-    if block.bit_count == 0:
-        if block.symbol_count:
+def _long_codes(aligned: np.ndarray, t: _DecodeTables) -> np.ndarray:
+    """Lengths of codes longer than the root table, 0 where none matches.
+
+    aligned holds 64-bit windows with the code's first bit at the MSB. One
+    pass per long length: a window holds a length-ln code when its top ln
+    bits fall in that length's canonical range, and the shortest match wins.
+    """
+    lens = np.zeros(aligned.size, dtype=np.uint8)
+    for ln in range(t.root_bits + 1, t.max_len + 1):
+        if t.count[ln]:
+            code = (aligned >> np.uint64(64 - ln)) - t.first_code[ln]
+            lens[(lens == 0) & (code < int(t.count[ln]))] = ln
+    return lens
+
+
+def _next_boundary(wins: np.ndarray, bit_count: int, t: _DecodeTables) -> np.ndarray:
+    """nxt[p] = p + length of the code at bit p, for every bit of the stream.
+
+    wins[j] is the native 64-bit window starting at stream byte j. Index
+    bit_count of the result is the absorbing end and bit_count + 1 the
+    absorbing error node: a position with no valid code, or whose code runs
+    past bit_count, points at the error node.
+    """
+    end, error = bit_count, bit_count + 1
+    nxt = np.empty(bit_count + 2, dtype=np.int32 if error < 1 << 31 else np.int64)
+    nxt[end], nxt[error] = end, error
+    shifts = np.arange(64 - t.root_bits, 56 - t.root_bits, -1, dtype=np.uint64)
+    mask = np.uint64((1 << t.root_bits) - 1)
+    base = np.arange(min(8 * _WINDOW_CHUNK_BYTES, bit_count), dtype=nxt.dtype)
+    for j in range(0, (bit_count + 7) >> 3, _WINDOW_CHUNK_BYTES):
+        w = wins[j : j + _WINDOW_CHUNK_BYTES]
+        lens = t.root_len[((w[:, None] >> shifts) & mask).view(np.int64)]
+        lens = lens.reshape(-1)[: bit_count - 8 * j]
+        out = nxt[8 * j : 8 * j + lens.size]
+        np.add(base[: lens.size], lens, out=out)
+        out += 8 * j
+        miss = np.flatnonzero(lens == 0)
+        if miss.size:
+            long_lens = _long_codes(w[miss >> 3] << (miss & 7).view(np.uint64), t)
+            out[miss] += long_lens
+            out[miss[long_lens == 0]] = error
+    tail = nxt[max(0, end - _MAX_CODE_LEN) : end]
+    tail[tail > end] = error
+    return nxt
+
+
+def _square_in_place(nxt: np.ndarray, levels: int) -> None:
+    """Replace nxt by nxt composed with itself 2**levels times.
+
+    Every entry points at or after its own index, so a chunk can be squared
+    in place once the chunks before it are: what it reads is either inside
+    it (gathered before the write) or not yet squared.
+    """
+    for _ in range(levels):
+        for a in range(0, nxt.size, 8 * _WINDOW_CHUNK_BYTES):
+            part = nxt[a : a + 8 * _WINDOW_CHUNK_BYTES]
+            part[:] = nxt[part]
+
+
+def _codes_at(pos: np.ndarray, wins: np.ndarray, t: _DecodeTables) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol and length of the code that starts at each int64 bit position."""
+    aligned = wins[pos >> 3] << (pos & 7).view(np.uint64)
+    prefix = (aligned >> np.uint64(64 - t.root_bits)).view(np.int64)
+    symbols = t.root_sym[prefix]
+    lens = t.root_len[prefix].astype(np.int64)
+    long = np.flatnonzero(lens == 0)
+    if long.size:
+        ln = _long_codes(aligned[long], t).astype(np.int64)
+        code = (aligned[long] >> (64 - ln).view(np.uint64)) - t.first_code[ln]
+        symbols[long] = t.symbols[t.first_rank[ln] + code.view(np.int64)]
+        lens[long] = ln
+    return symbols, lens
+
+
+def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
+    """Exact inverse of entropy_encode. Corrupt streams raise IntegrityError.
+
+    Every bit position gets the position of the next code boundary, as if a
+    code started there. _JUMP_LEVELS squarings of that table let a Python
+    walk from bit 0 visit every 2**_JUMP_LEVELS-th true boundary; the codes
+    from those heads on are then decoded for all heads at once. numel, when
+    given, is the symbol count the block must hold: a bit count that numel
+    codes cannot fill is rejected before any per-bit table is built.
+    """
+    bit_count = block.bit_count
+    if bit_count == 0:
+        if block.symbol_count or numel:
             raise IntegrityError("empty bitstream for a nonzero symbol count")
         return np.zeros(0, dtype=np.int64)
-    (table_sym, table_len, root_bits, maxlen,
-     first_code, first_index, count_at, canon_syms) = _build_decode_tables(block)
-    data = block.stream + b"\x00" * 16
-    out = []
-    append = out.append
-    bitbuf = 0
-    avail = 0
+    t = _build_decode_tables(block)
+    if numel is not None and not numel * t.min_len <= bit_count <= numel * t.max_len:
+        raise IntegrityError(
+            f"{bit_count} bits cannot hold {numel} codes of {t.min_len}..{t.max_len} bits"
+        )
+    # Bits past bit_count read as zeros, which start the first canonical code,
+    # so a decode lane parked at the end still reads a valid code.
+    padded = bytearray(block.stream[: (bit_count + 7) >> 3] + bytes(8))
+    padded[bit_count >> 3] &= 0xFF00 >> (bit_count & 7)
+    wins = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    wins = wins.astype(np.uint64)
+    jump = _next_boundary(wins, bit_count, t)
+    _square_in_place(jump, _JUMP_LEVELS)
+    heads = []
     pos = 0
-    consumed = 0
-    bit_count = block.bit_count
-    nbytes = len(data)
-    mask64 = (1 << 64) - 1
-    while consumed < bit_count:
-        while avail <= 56 and pos < nbytes:
-            bitbuf = ((bitbuf << 8) | data[pos]) & mask64
-            pos += 1
-            avail += 8
-        look = (bitbuf >> (avail - root_bits)) & ((1 << root_bits) - 1)
-        ln = table_len[look]
-        if ln:
-            sym = table_sym[look]
-        else:
-            code = 0
-            ln = 0
-            while True:
-                ln += 1
-                if ln > maxlen:
-                    raise IntegrityError("invalid Huffman code in bitstream")
-                code = (code << 1) | ((bitbuf >> (avail - ln)) & 1)
-                fc = first_code[ln]
-                if fc >= 0 and code - fc < count_at[ln]:
-                    sym = canon_syms[first_index[ln] + code - fc]
-                    break
-        consumed += ln
-        avail -= ln
-        append(sym)
-    if consumed != bit_count:
-        raise IntegrityError("Huffman bitstream does not end on a code boundary")
-    return np.asarray(out, dtype=np.int64)
+    hop = memoryview(jump)
+    while pos < bit_count:
+        heads.append(pos)
+        pos = hop[pos]
+    del hop, jump
+    if pos != bit_count:
+        raise IntegrityError("invalid Huffman code in bitstream, or no code boundary at its end")
+    # Each head starts a run of 2**_JUMP_LEVELS codes; only the last run can
+    # reach the end early, and its lanes then stay parked at bit_count.
+    out = np.empty((len(heads), 1 << _JUMP_LEVELS), dtype=np.int64)
+    pos = np.array(heads, dtype=np.int64)
+    last_run = 0
+    for i in range(out.shape[1]):
+        last_run += int(pos[-1]) < bit_count
+        out[:, i], lens = _codes_at(pos, wins, t)
+        np.minimum(pos + lens, bit_count, out=pos)
+    symbols = out.reshape(-1)[: out.size - out.shape[1] + last_run]
+    if numel is not None and symbols.size != numel:
+        raise IntegrityError(f"decoded {symbols.size} bins for a {numel}-element layer")
+    return symbols
 
 
 def encode_block(block: HuffmanBlock) -> bytes:
@@ -389,10 +497,7 @@ def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
 
 def decode_stream(encoded: EncodedStream) -> QuantizedStream:
     """Entropy-decode the bins of a parsed stream."""
-    numel = encoded.literal_mask.size
-    bins = entropy_decode(encoded.block)
-    if bins.size != numel:
-        raise IntegrityError(f"decoded {bins.size} bins for a {numel}-element layer")
+    bins = entropy_decode(encoded.block, encoded.literal_mask.size)
     if bins.size and (int(bins.min()) < -(1 << 31) or int(bins.max()) >= 1 << 31):
         raise IntegrityError("decoded bins outside the 32-bit range")
     return QuantizedStream(bins.astype(np.int32), encoded.literal_mask, encoded.literals)

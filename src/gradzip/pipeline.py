@@ -316,8 +316,10 @@ def _parse_blob(
         flags, mu, sigma, delta = reader.unpack("<Bffd")
         if flags & ~_FLAG_PREDICTION:
             raise FormatError(f"layer {spec.name!r}: unknown blob flags {flags:#x}")
-        if not 0.0 < delta < np.inf:
-            raise IntegrityError(f"layer {spec.name!r}: non-positive or non-finite delta on wire")
+        if not 0.0 < 2.0 * delta < np.inf:
+            raise IntegrityError(
+                f"layer {spec.name!r}: non-positive or non-finite delta or bin width on wire"
+            )
         bitmap_start = reader.pos
         bitmap = decode_bitmap(reader)
         if not flags & _FLAG_PREDICTION and bitmap.variant != VARIANT_NONE:

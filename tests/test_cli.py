@@ -354,6 +354,8 @@ def test_compress_inflates_each_blob_once(tmp_path, monkeypatch):
     ("--eb-mode", "abs", "--eb", "nan"),
     # The synthetic trace spans more than 2, so the scaled bound overflows.
     ("--eb-mode", "rel", "--eb", "1e308"),
+    # Finite, but the bin width 2 * delta overflows.
+    ("--eb-mode", "abs", "--eb", "1e308"),
 ])
 def test_non_finite_bound_exits_1(tmp_path, capsys, flags):
     trace = make_trace(tmp_path, rounds=2)
@@ -377,12 +379,15 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
     # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
     assert blob[:2] == b"S\x01"
     at = data.find(blob) + 11
-    data[at:at + 8] = struct.pack("<d", float("inf"))
-    bad = tmp_path / "bad.gzp"
-    bad.write_bytes(bytes(data))
-    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
-    assert run("inspect", bad) == 3
-    assert "non-finite delta" in capsys.readouterr().err
+    # 1e308 is finite, but its bin width 2 * delta is not.
+    for delta in (float("inf"), 1e308):
+        data[at:at + 8] = struct.pack("<d", delta)
+        bad = tmp_path / "bad.gzp"
+        bad.write_bytes(bytes(data))
+        assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+        assert run("inspect", bad) == 3
+        assert "non-finite delta" in capsys.readouterr().err
+        assert not (tmp_path / "r.gtrc").exists()
 
 
 @pytest.mark.parametrize("argv", [

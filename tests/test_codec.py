@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -9,9 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from gradzip.codec import (
     DEFAULT_BIN_CAP,
+    EncodedStream,
     ErrorBoundConfig,
     HuffmanBlock,
     QuantizedStream,
+    _canonical_codes,
+    _huffman_code_lengths,
+    _pack_codes,
     decode_block,
     decode_stream,
     dequantize,
@@ -121,7 +126,8 @@ class TestQuantize:
             quantize0(np.array([1.0]), 0.0)
 
     def test_non_finite_delta_rejected(self):
-        for delta in (math.inf, math.nan):
+        # 1e308 is finite, but its bin width 2 * delta is not.
+        for delta in (math.inf, math.nan, 1e308):
             with pytest.raises(UsageError, match="finite"):
                 quantize0(np.array([1.0]), delta)
         # A relative bound that overflows once scaled by the layer's range.
@@ -156,6 +162,8 @@ class TestQuantize:
         ghat=0.0, delta=1e-3, ulps=None,
     )
     @example(data=np.full(7, 1e-40, dtype=np.float32), ghat=-2.5, delta=0.75, ulps=None)
+    # A finite bound whose bin width 2 * delta overflows.
+    @example(data=np.ones(3, dtype=np.float32), ghat=0.0, delta=1e308, ulps=None)
     # A negative-zero prediction and a residual that rounds to bin -0.0: the
     # reconstruction must be the +0.0 that dequantize rebuilds from bin 0.
     @example(data=np.array([-1.0], dtype=np.float32), ghat=-0.0, delta=1.0, ulps=None)
@@ -185,7 +193,7 @@ class TestQuantize:
         if ghat is None:
             ghat = data.astype(np.float64) * (1 - 2**-12)
         ghat = np.broadcast_to(np.asarray(ghat, dtype=np.float64), data.shape)
-        if not math.isfinite(delta):  # the float32 spacing at FLT_MAX is inf
+        if not math.isfinite(2.0 * delta):  # e.g. the float32 spacing at FLT_MAX is inf
             with pytest.raises(UsageError):
                 quantize(data, ghat, delta)
             return
@@ -233,6 +241,133 @@ class TestQuantizedStreamValidation:
                 np.array([False]),
                 np.zeros(0, dtype=np.float32),
             )
+
+
+def reference_decode(block):
+    """The per-symbol decoder that entropy_decode replaced, kept as its oracle.
+
+    It reads a code at a time: a root-table lookup on the next root_bits
+    bits, else bit by bit against the canonical tables.
+    """
+    if block.bit_count == 0:
+        if block.symbol_count:
+            raise IntegrityError("empty bitstream for a nonzero symbol count")
+        return np.zeros(0, dtype=np.int64)
+    lengths = block.lengths
+    used = np.nonzero(lengths)[0]
+    if used.size == 0:
+        raise IntegrityError("Huffman table declares no symbols")
+    maxlen = int(lengths[used].max())
+    per_length = np.bincount(lengths[used], minlength=maxlen + 1)
+    if sum(int(c) << (maxlen - ln) for ln, c in enumerate(per_length)) > 1 << maxlen:
+        raise IntegrityError("Huffman code lengths over-subscribe the code space")
+    order = used[np.lexsort((used, lengths[used]))]
+    root_bits = min(12, maxlen)
+    table_sym = [0] * (1 << root_bits)
+    table_len = [0] * (1 << root_bits)
+    first_code = [-1] * (maxlen + 1)
+    first_index = [0] * (maxlen + 1)
+    count_at = [0] * (maxlen + 1)
+    canon_syms = (order + block.min_symbol).tolist()
+    code = prev_len = 0
+    for rank, idx in enumerate(order):
+        ln = int(lengths[idx])
+        code <<= ln - prev_len
+        prev_len = ln
+        if first_code[ln] < 0:
+            first_code[ln] = code
+            first_index[ln] = rank
+        count_at[ln] += 1
+        if ln <= root_bits:
+            start = code << (root_bits - ln)
+            for e in range(start, start + (1 << (root_bits - ln))):
+                table_sym[e] = canon_syms[rank]
+                table_len[e] = ln
+        code += 1
+    data = block.stream + b"\x00" * 16
+    out = []
+    bitbuf = avail = pos = consumed = 0
+    while consumed < block.bit_count:
+        while avail <= 56 and pos < len(data):
+            bitbuf = ((bitbuf << 8) | data[pos]) & ((1 << 64) - 1)
+            pos += 1
+            avail += 8
+        look = (bitbuf >> (avail - root_bits)) & ((1 << root_bits) - 1)
+        ln = table_len[look]
+        if ln:
+            sym = table_sym[look]
+        else:
+            code = ln = 0
+            while True:
+                ln += 1
+                if ln > maxlen:
+                    raise IntegrityError("invalid Huffman code in bitstream")
+                code = (code << 1) | ((bitbuf >> (avail - ln)) & 1)
+                fc = first_code[ln]
+                if fc >= 0 and code - fc < count_at[ln]:
+                    sym = canon_syms[first_index[ln] + code - fc]
+                    break
+        consumed += ln
+        avail -= ln
+        out.append(sym)
+    if consumed != block.bit_count:
+        raise IntegrityError("Huffman bitstream does not end on a code boundary")
+    return np.asarray(out, dtype=np.int64)
+
+
+def reference_decode_count(block, numel):
+    """reference_decode plus the symbol-count check decode_stream makes."""
+    out = reference_decode(block)
+    if out.size != numel:
+        raise IntegrityError(f"decoded {out.size} bins for a {numel}-element layer")
+    return out
+
+
+def outcome(decode, *args):
+    """The decoded symbols as a list, or "IntegrityError"."""
+    try:
+        return decode(*args).tolist()
+    except IntegrityError:
+        return "IntegrityError"
+
+
+def pack_bits(lengths, min_symbol, message):
+    """Canonical codes of ``message`` packed MSB-first, one bit at a time."""
+    used = np.nonzero(lengths)[0]
+    order = used[np.argsort(lengths[used], kind="stable")]
+    bits = {}
+    code = prev = 0
+    for idx in order:
+        ln = int(lengths[idx])
+        code <<= ln - prev
+        bits[int(idx) + min_symbol] = format(code, f"0{ln}b")
+        code += 1
+        prev = ln
+    stream = "".join(bits[int(s)] for s in message)
+    padded = stream + "0" * (-len(stream) % 8)
+    return bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)), len(stream)
+
+
+def fibonacci_code_lengths(n):
+    """Code lengths the coder builds for Fibonacci counts: a chain n - 1 deep."""
+    counts = [1, 1]
+    while len(counts) < n:
+        counts.append(counts[-1] + counts[-2])
+    return _huffman_code_lengths(np.array(counts, dtype=np.int64))
+
+
+# Bins the property tests draw: single-symbol runs, sparse alphabets up to
+# +-30000, and dense small-range arrays.
+huffman_inputs = st.one_of(
+    st.builds(
+        lambda n, v: np.full(n, v, dtype=np.int64),
+        st.integers(1, 3000), st.integers(-40000, 40000),
+    ),
+    st.lists(st.integers(-30000, 30000), min_size=1, max_size=12, unique=True).flatmap(
+        lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=1, max_size=2000)
+    ).map(lambda v: np.array(v, dtype=np.int64)),
+    hnp.arrays(np.int64, st.integers(1, 3000), elements=st.integers(-70, 70)),
+)
 
 
 def roundtrip_bins(bins):
@@ -309,6 +444,65 @@ class TestHuffman:
         assert encode_block(b1) == encode_block(b2)
 
 
+class TestDecoderAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(bins=huffman_inputs)
+    def test_decode_matches_reference_and_input(self, bins):
+        block = entropy_encode(bins)
+        wire = decode_block(ByteReader(encode_block(block)))
+        for b in (block, wire):
+            np.testing.assert_array_equal(entropy_decode(b, bins.size), bins)
+            np.testing.assert_array_equal(reference_decode(b), bins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        depth=st.integers(33, 45),
+        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=300),
+        min_symbol=st.integers(-30000, 30000),
+    )
+    def test_codes_longer_than_32_bits(self, depth, picks, min_symbol):
+        # Fibonacci counts make the deepest Huffman chain; pick symbols
+        # mostly from its long end, so codes cross 32- and 64-bit words.
+        lengths = fibonacci_code_lengths(depth + 1)
+        assert int(lengths.max()) == depth
+        message = np.array([int(p * p * lengths.size) for p in picks]) + min_symbol
+        stream, bit_count = pack_bits(lengths, min_symbol, message)
+        block = HuffmanBlock(min_symbol, lengths, bit_count, stream, 0)
+        np.testing.assert_array_equal(entropy_decode(block, message.size), message)
+        np.testing.assert_array_equal(reference_decode(block), message)
+        lens = lengths.astype(np.int64)
+        index = message - min_symbol
+        assert _pack_codes(index, _canonical_codes(lens), lens, bit_count) == stream
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bins=huffman_inputs,
+        where=st.floats(0.0, 1.0, exclude_max=True),
+        flip=st.booleans(),
+        bit_count=st.integers(0, 1 << 16),
+    )
+    def test_tampered_blocks_fail_alike(self, bins, where, flip, bit_count):
+        # One flipped bit anywhere in the serialized block, or a different
+        # bit count: both decoders return the same symbols or both raise.
+        raw = bytearray(encode_block(entropy_encode(bins)))
+        if flip:
+            at = int(where * 8 * len(raw))
+            raw[at // 8] ^= 0x80 >> (at % 8)
+        try:
+            block = decode_block(ByteReader(bytes(raw), truncation_error=IntegrityError))
+        except IntegrityError:
+            return
+        if not flip:
+            block = HuffmanBlock(
+                block.min_symbol, block.lengths, bit_count % (8 * len(block.stream) + 1),
+                block.stream, 0,
+            )
+        assert outcome(entropy_decode, block) == outcome(reference_decode, block)
+        assert outcome(entropy_decode, block, bins.size) == outcome(
+            reference_decode_count, block, bins.size
+        )
+
+
 class TestBlockSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(43)
@@ -342,6 +536,20 @@ class TestBlockSerialization:
         # Three one-bit codes break the Kraft inequality: 3 * 2**-1 > 1.
         with pytest.raises(IntegrityError):
             entropy_decode(HuffmanBlock(0, [1, 1, 1], 8, b"\xff", 0))
+
+    def test_inflated_bit_count_rejected_before_allocating(self):
+        # Ten one-bit codes cannot fill 8 Mbit: decode_stream must refuse the
+        # block without building a per-bit table for the whole stream.
+        block = HuffmanBlock(0, np.array([1, 1], dtype=np.uint8), 8 << 20, bytes(1 << 20), 0)
+        encoded = EncodedStream(block, np.zeros(10, dtype=bool), np.zeros(0, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="cannot hold"):
+                decode_stream(encoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bit_count_beyond_stream(self):
         with pytest.raises(IntegrityError):

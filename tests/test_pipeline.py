@@ -313,7 +313,8 @@ class TestProtocolErrors:
         with pytest.raises(DataError):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
-    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    # 1e308 is finite, but its bin width 2 * delta is not.
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, 1e308])
     def test_non_finite_wire_delta_rejected(self, delta):
         trace = structured_trace(seed=19, rounds=1)
         params = make_params(backend="store")
