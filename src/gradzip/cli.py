@@ -41,7 +41,6 @@ from .errors import (
 from .flsim import (
     RoundReport,
     SimConfig,
-    break_even_bandwidth,
     check_bounds,
     reports_to_csv,
     run_simulation,
@@ -52,6 +51,7 @@ from .pipeline import (
     TAG_LOSSY,
     PipelineParams,
     SyncState,
+    check_payload,
     decode_payload,
     describe_payload,
     frame_payload,
@@ -177,7 +177,11 @@ def _params_from_args(args, trace_mode: str) -> PipelineParams:
 
 
 def _read_stream(path):
-    """Header and payload frames of a stream file, with the round count checked."""
+    """Header and payload frames of a stream file, with the round count checked.
+
+    Every frame is checked against the header's layer table before anything
+    is sized from that table, so a corrupted axis cannot drive an allocation.
+    """
     data = Path(path).read_bytes()
     reader = ByteReader(data)
     mode, layers, nrounds = decode_header(reader, STREAM_MAGIC, STREAM_VERSION, "payload stream")
@@ -186,6 +190,8 @@ def _read_stream(path):
         raise IntegrityError(
             f"stream declares {nrounds} rounds but contains {len(payloads)}"
         )
+    for payload in payloads:
+        check_payload(payload, layers)
     return mode, layers, payloads
 
 
@@ -287,23 +293,8 @@ def cmd_simulate(args) -> int:
         rounds=args.rounds,
         fixed_times=fixed,
     )
-    reports = run_simulation(cfg)
     buf = io.StringIO()
-    reports_to_csv(reports, buf)
-    writer = csv.writer(buf, lineterminator="\n")
-    for rep in reports:
-        # Mark the break-even bandwidth (in the bandwidth_bps column) for any
-        # round where the codec time is nonzero and compression actually won.
-        mean_s = float(np.mean([c.s_bytes for c in rep.clients]))
-        mean_sp = float(np.mean([c.sprime_bytes for c in rep.clients]))
-        codec_s = float(np.mean([c.t_comp_s + c.t_decomp_s for c in rep.clients]))
-        cr = mean_s / mean_sp
-        if codec_s > 0.0 and cr > 1.0:
-            bstar = break_even_bandwidth(mean_s, cr, codec_s)
-            writer.writerow([
-                rep.round, "all", "break_even", "", "", f"{cr:.6g}", "", "",
-                "", "", "", f"{bstar:.6g}", "", "", "",
-            ])
+    reports_to_csv(run_simulation(cfg), buf)
     _emit_text(buf.getvalue(), args.csv)
     return 0
 

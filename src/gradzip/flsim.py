@@ -144,6 +144,9 @@ class RoundReport:
     mean_cr: float
     comm: list[CommRow]
     aggregate: list[np.ndarray] = field(default_factory=list, repr=False)
+    # (pooled CR, break-even bandwidth) when the codec took time and
+    # compression won; run_simulation fills it in.
+    break_even: tuple[float, float] | None = None
 
 
 def fedavg_mean(per_client: list[list[GradientTensor]]) -> list[np.ndarray]:
@@ -291,6 +294,12 @@ def run_simulation(cfg: SimConfig) -> list[RoundReport]:
         mean_sp = float(np.mean([c.sprime_bytes for c in client_stats]))
         mean_tc = float(np.mean([c.t_comp_s for c in client_stats]))
         mean_td = float(np.mean([c.t_decomp_s for c in client_stats]))
+        codec_s = float(np.mean([c.t_comp_s + c.t_decomp_s for c in client_stats]))
+        cr = mean_s / mean_sp
+        if codec_s > 0.0 and cr > 1.0:
+            break_even = (cr, break_even_bandwidth(mean_s, cr, codec_s))
+        else:
+            break_even = None
         comm = []
         for b in cfg.bandwidths_bps:
             t_ori, t_comm, ratio = comm_times(
@@ -303,6 +312,7 @@ def run_simulation(cfg: SimConfig) -> list[RoundReport]:
             mean_cr=float(np.mean([c.cr for c in client_stats])),
             comm=comm,
             aggregate=aggregate,
+            break_even=break_even,
         ))
     return reports
 
@@ -315,30 +325,36 @@ CSV_COLUMNS = [
 
 
 def reports_to_csv(reports: list[RoundReport], fh) -> None:
-    """Write per-layer, per-client, and per-bandwidth aggregate rows to an
-    open text file."""
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
+    """Write per-layer, per-client and per-bandwidth rows for every round,
+    then the break-even rows, to an open text file. Columns a row does not
+    name stay empty."""
+    w = csv.DictWriter(fh, CSV_COLUMNS, restval="", lineterminator="\n")
+    w.writeheader()
+
+    def row(rnd, client, layer, **cols):
+        w.writerow({"round": rnd, "client": client, "layer": layer, **cols})
+
     for rep in reports:
         for c in rep.clients:
             for ls in c.layers:
-                w.writerow([
-                    rep.round, c.client, ls.layer, ls.s_bytes, ls.sprime_bytes,
-                    f"{ls.cr:.6g}", f"{ls.max_err:.9g}",
-                    "" if ls.delta is None else f"{ls.delta:.9g}",
-                    ls.bitmap_bytes, "", "", "", "", "", "",
-                ])
-            w.writerow([
-                rep.round, c.client, "total", c.s_bytes, c.sprime_bytes,
-                f"{c.cr:.6g}", f"{c.max_err:.9g}", "", c.bitmap_bytes,
-                f"{c.t_comp_s:.9g}", f"{c.t_decomp_s:.9g}", "", "", "", "",
-            ])
-        for row in rep.comm:
-            w.writerow([
-                rep.round, "all", "all", "", "", f"{rep.mean_cr:.6g}", "", "",
-                "", "", "", f"{row.bandwidth_bps:.6g}",
-                f"{row.t_ori_s:.9g}", f"{row.t_comm_s:.9g}", f"{row.ratio:.9g}",
-            ])
+                row(rep.round, c.client, ls.layer, S_bytes=ls.s_bytes,
+                    Sprime_bytes=ls.sprime_bytes, CR=f"{ls.cr:.6g}",
+                    max_err=f"{ls.max_err:.9g}",
+                    delta="" if ls.delta is None else f"{ls.delta:.9g}",
+                    bitmap_bytes=ls.bitmap_bytes)
+            row(rep.round, c.client, "total", S_bytes=c.s_bytes,
+                Sprime_bytes=c.sprime_bytes, CR=f"{c.cr:.6g}",
+                max_err=f"{c.max_err:.9g}", bitmap_bytes=c.bitmap_bytes,
+                t_comp_s=f"{c.t_comp_s:.9g}", t_decomp_s=f"{c.t_decomp_s:.9g}")
+        for comm in rep.comm:
+            row(rep.round, "all", "all", CR=f"{rep.mean_cr:.6g}",
+                bandwidth_bps=f"{comm.bandwidth_bps:.6g}", t_ori_s=f"{comm.t_ori_s:.9g}",
+                t_comm_s=f"{comm.t_comm_s:.9g}", ratio=f"{comm.ratio:.9g}")
+    # The break-even bandwidth goes in the bandwidth_bps column.
+    for rep in reports:
+        if rep.break_even is not None:
+            cr, bstar = rep.break_even
+            row(rep.round, "all", "break_even", CR=f"{cr:.6g}", bandwidth_bps=f"{bstar:.6g}")
 
 
 @dataclass

@@ -3,7 +3,8 @@
 One round runs per layer: small layers are stored losslessly; large layers go
 through magnitude prediction, sign prediction, residual quantization, entropy
 coding, and the lossless backend. The client keeps the reconstruction the
-server will compute and feeds the predictors from it, so both sides evolve
+server will compute and feeds the predictors from it, and both sides derive
+each prediction through one step from the blob's wire fields, so they evolve
 bitwise-identical state using only the framed payload as a channel.
 
 Wire formats (little-endian):
@@ -44,6 +45,7 @@ from .codec import (
 )
 from .errors import FormatError, IntegrityError, ProtocolError, UsageError
 from .predictor import (
+    VARIANT_FLIP,
     VARIANT_NONE,
     MagPredictorState,
     PredictParams,
@@ -93,7 +95,7 @@ class SyncState:
 
     Holds, per layer, the magnitude-predictor memory and the previous round's
     reconstructed gradient. The previous sign tensor is derived from the
-    reconstruction on demand, never stored. After processing round t on both
+    reconstruction when a flip bitmap needs it, never stored. After processing round t on both
     sides the two states must serialize to identical bytes.
     """
 
@@ -133,35 +135,60 @@ def _prev_sign(recon: np.ndarray) -> SignTensor:
 
 
 def _predict(
-    spec: LayerSpec,
-    g_curr: GradientTensor | None,
-    bitmap_in: SignBitmap | None,
-    mu32: np.float32,
-    sigma32: np.float32,
-    mag_state: MagPredictorState,
-    prev_recon: np.ndarray,
-    first_round: bool,
-    params: PredictParams,
-) -> tuple[np.ndarray, SignBitmap, MagPredictorState]:
-    """Shared prediction step. The client passes g_curr and derives the
-    bitmap; the server passes the received bitmap instead. Both produce the
-    same ghat and updated magnitude state."""
-    prev_abs = np.abs(prev_recon).astype(np.float64)
+    state: SyncState, i: int, flags: int, bitmap: SignBitmap,
+    mu32: np.float32, sigma32: np.float32, params: PredictParams,
+) -> tuple[np.ndarray, MagPredictorState]:
+    """The prediction step for layer i's lossy blob, run by client and server.
+
+    Takes the blob's wire fields (flags, sign bitmap, mu and sigma) and the
+    layer's shared history, and returns ghat and the next magnitude state.
+    Signs come only from the bitmap, so the client predicts exactly what the
+    server rebuilds from the same blob.
+    """
+    spec, prev_recon = state.layers[i], state.prev_recon[i]
+    if not flags & _FLAG_PREDICTION:
+        return np.zeros(spec.numel, dtype=np.float64), state.mag[i]
     pred_abs, new_mag = predict_magnitude(
-        prev_abs, float(mu32), float(sigma32), mag_state, params
+        np.abs(prev_recon).astype(np.float64), float(mu32), float(sigma32), state.mag[i], params
     )
-    if first_round:
-        signs = SignTensor.zeros(spec.numel)
-        bitmap = SignBitmap()
-    elif g_curr is not None:
-        signs, bitmap = predict_signs(
-            g_curr, _prev_sign(prev_recon), GradientTensor(spec, prev_recon), params
-        )
-    else:
-        signs = reconstruct_signs(bitmap_in, _prev_sign(prev_recon), spec)
-        bitmap = bitmap_in
-    ghat = signs.values.astype(np.float64) * pred_abs
-    return ghat, bitmap, new_mag
+    prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
+    signs = reconstruct_signs(bitmap, prev_sign, spec)
+    return signs.values.astype(np.float64) * pred_abs, new_mag
+
+
+def _client_bitmap(
+    g: GradientTensor, prev_recon: np.ndarray, first_round: bool, params: PipelineParams
+) -> SignBitmap:
+    """The client's one sign decision: the bitmap its lossy blob carries."""
+    if not params.prediction_enabled or first_round:
+        return SignBitmap()
+    if not params.predict.full_batch:
+        return predict_signs(g, None, None, params.predict)[1]
+    prev = GradientTensor(g.spec, prev_recon)
+    return predict_signs(g, _prev_sign(prev_recon), prev, params.predict)[1]
+
+
+def _encode_layer(
+    g: GradientTensor, state: SyncState, i: int, params: PipelineParams
+) -> tuple[bytes, MagPredictorState, np.ndarray]:
+    """Layer i of a client round: (wrapped blob, next magnitude state, the
+    reconstruction the server will compute)."""
+    spec = state.layers[i]
+    if g.spec != spec:
+        raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
+    if spec.numel <= params.lossy_threshold:
+        inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
+        return lossless_compress(inner, params.backend), state.mag[i], g.values.copy()
+    mu, sigma = abs_stats(g)
+    mu32, sigma32 = np.float32(mu), np.float32(sigma)
+    flags = _FLAG_PREDICTION if params.prediction_enabled else 0
+    bitmap = _client_bitmap(g, state.prev_recon[i], state.round == 0, params)
+    ghat, mag = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict)
+    delta = resolve_bound(params.bound, g)
+    stream, recon32 = quantize(g.values, ghat, delta)
+    inner = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
+    inner += encode_bitmap(bitmap) + encode_stream(stream)
+    return lossless_compress(inner, params.backend), mag, recon32
 
 
 def compress_round(
@@ -173,50 +200,14 @@ def compress_round(
     """Compress one round of gradients; returns the payload and advanced state."""
     if len(tensors) != len(state.layers):
         raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
-    round_idx = state.round + 1
-    blobs = []
-    new_mag = []
-    new_recon = []
-    for i, (spec, g) in enumerate(zip(state.layers, tensors)):
-        if g.spec != spec:
-            raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
-        if spec.numel <= params.lossy_threshold:
-            inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
-            new_mag.append(state.mag[i])
-            new_recon.append(g.values.copy())
-        else:
-            mu, sigma = abs_stats(g)
-            mu32, sigma32 = np.float32(mu), np.float32(sigma)
-            if params.prediction_enabled:
-                ghat, bitmap, mag_after = _predict(
-                    spec, g, None, mu32, sigma32, state.mag[i],
-                    state.prev_recon[i], round_idx == 1, params.predict,
-                )
-                flags = _FLAG_PREDICTION
-            else:
-                ghat = np.zeros(spec.numel, dtype=np.float64)
-                bitmap = SignBitmap()
-                mag_after = state.mag[i]
-                flags = 0
-            delta = resolve_bound(params.bound, g)
-            stream, recon32 = quantize(g.values, ghat, delta)
-            inner = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
-            inner += encode_bitmap(bitmap)
-            inner += encode_stream(stream)
-            new_mag.append(mag_after)
-            new_recon.append(recon32)
-        blobs.append(lossless_compress(inner, params.backend))
-    payload = CompressedPayload(
-        client_id=client_id,
-        round=round_idx,
-        spec_digest=spec_digest(state.layers),
-        blobs=blobs,
-    )
-    next_state = SyncState(state.layers, new_mag, new_recon, round_idx)
-    return payload, next_state
+    out = [_encode_layer(g, state, i, params) for i, g in enumerate(tensors)]
+    blobs, mags, recons = ([row[k] for row in out] for k in range(3))
+    payload = CompressedPayload(client_id, state.round + 1, spec_digest(state.layers), blobs)
+    return payload, SyncState(state.layers, mags, recons, payload.round)
 
 
-def _check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
+def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
+    """Check a payload's version, layer-table digest and blob count."""
     if payload.version != PAYLOAD_VERSION:
         raise FormatError(f"unsupported payload version {payload.version}")
     if payload.spec_digest != spec_digest(layers):
@@ -238,42 +229,35 @@ def decompress_round(
     return recons, next_state
 
 
+def _decode_layer(
+    blob: bytes, state: SyncState, i: int, params: PredictParams
+) -> tuple["BlobInfo", MagPredictorState, np.ndarray]:
+    """Layer i of a server round: (blob description, next magnitude state,
+    reconstruction)."""
+    info, bitmap, body = _parse_blob(blob, state.layers[i], state.round == 0)
+    if info.tag == TAG_LOSSLESS:
+        return info, state.mag[i], body
+    stream = decode_stream(body)
+    mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
+    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params)
+    return info, mag, dequantize(stream, ghat, info.delta)
+
+
 def decode_payload(
     payload: CompressedPayload, state: SyncState, predict: PredictParams
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
     parsed blob, and the advanced state. ``predict`` is all the decoder reads
     of the pipeline parameters: the rest is on the wire."""
-    _check_payload(payload, state.layers)
+    check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
-    recons = []
-    infos = []
-    new_mag = []
-    new_recon = []
-    for i, (spec, blob) in enumerate(zip(state.layers, payload.blobs)):
-        info, bitmap, body = _parse_blob(blob, spec)
-        mag_after = state.mag[i]
-        if info.tag == TAG_LOSSLESS:
-            recon32 = body
-        else:
-            stream = decode_stream(body)
-            if info.flags & _FLAG_PREDICTION:
-                ghat, _, mag_after = _predict(
-                    spec, None, bitmap, np.float32(info.mu), np.float32(info.sigma),
-                    state.mag[i], state.prev_recon[i], payload.round == 1, predict,
-                )
-            else:
-                ghat = np.zeros(spec.numel, dtype=np.float64)
-            recon32 = dequantize(stream, ghat, info.delta)
-        infos.append(info)
-        new_mag.append(mag_after)
-        new_recon.append(recon32)
-        recons.append(GradientTensor(spec, recon32))
-    next_state = SyncState(state.layers, new_mag, new_recon, payload.round)
-    return recons, infos, next_state
+    out = [_decode_layer(blob, state, i, predict) for i, blob in enumerate(payload.blobs)]
+    infos, mags, recons = ([row[k] for row in out] for k in range(3))
+    tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, recons)]
+    return tensors, infos, SyncState(state.layers, mags, recons, payload.round)
 
 
 @dataclass
@@ -297,13 +281,14 @@ class BlobInfo:
 
 
 def _parse_blob(
-    blob: bytes, spec: LayerSpec
+    blob: bytes, spec: LayerSpec, first_round: bool = False
 ) -> tuple[BlobInfo, SignBitmap | None, np.ndarray | EncodedStream]:
     """Inflate and validate one layer blob, leaving the bins entropy coded.
 
     Returns the blob's description, its sign bitmap (None for a lossless
     blob) and its body: the float32 values of a lossless blob, or the parsed
-    stream of a lossy one.
+    stream of a lossy one. A blob of round 1 has no previous signs to
+    predict from, so it may not carry a sign bitmap.
     """
     inner = lossless_decompress(blob)
     reader = ByteReader(inner, truncation_error=IntegrityError)
@@ -326,6 +311,8 @@ def _parse_blob(
             raise IntegrityError(
                 f"layer {spec.name!r}: sign bitmap present without prediction"
             )
+        if bitmap.variant != VARIANT_NONE and first_round:
+            raise IntegrityError(f"layer {spec.name!r}: sign bitmap in round 1")
         bitmap_bytes = reader.pos - bitmap_start
         body = read_stream(reader, spec.numel)
         info = BlobInfo(
@@ -358,8 +345,9 @@ def describe_blob(blob: bytes, spec: LayerSpec) -> BlobInfo:
 
 def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> list[BlobInfo]:
     """Check a payload against a layer table and describe each of its blobs."""
-    _check_payload(payload, layers)
-    return [describe_blob(blob, spec) for spec, blob in zip(layers, payload.blobs)]
+    check_payload(payload, layers)
+    first_round = payload.round == 1
+    return [_parse_blob(blob, spec, first_round)[0] for spec, blob in zip(layers, payload.blobs)]
 
 
 def frame_payload(payload: CompressedPayload) -> bytes:

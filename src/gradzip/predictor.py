@@ -220,6 +220,16 @@ def gradient_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _consistency(pos: np.ndarray, neg: np.ndarray, t: int) -> np.ndarray:
+    """(max(p, n) + z - half) / (t - half), clipped to [0, 1], per kernel of
+    t entries with p positive, n negative and z zero ones."""
+    half = math.ceil(t / 2)
+    if t == half:
+        return np.ones(np.shape(pos))
+    raw = (np.maximum(pos, neg) + (t - pos - neg) - half) / (t - half)
+    return np.clip(raw, 0.0, 1.0)
+
+
 def sign_consistency(kernel: np.ndarray) -> float:
     """How uniformly a kernel's entries share one sign, in [0, 1].
 
@@ -227,17 +237,9 @@ def sign_consistency(kernel: np.ndarray) -> float:
     A single-element kernel is defined as fully consistent.
     """
     k = np.asarray(kernel).reshape(-1)
-    t = k.size
-    if t < 1:
+    if k.size < 1:
         raise UsageError("sign_consistency needs at least one element")
-    half = math.ceil(t / 2)
-    if t == half:
-        return 1.0
-    p = int((k > 0).sum())
-    n = int((k < 0).sum())
-    z = t - p - n
-    raw = (max(p, n) + z - half) / (t - half)
-    return min(1.0, max(0.0, raw))
+    return float(_consistency((k > 0).sum(), (k < 0).sum(), k.size))
 
 
 def _kernel_sign_prediction(values: np.ndarray, spec: LayerSpec, tau: float):
@@ -245,13 +247,7 @@ def _kernel_sign_prediction(values: np.ndarray, spec: LayerSpec, tau: float):
     kernels = values.reshape(-1, ksize)
     pos = (kernels > 0).sum(axis=1)
     neg = (kernels < 0).sum(axis=1)
-    zero = ksize - pos - neg
-    half = math.ceil(ksize / 2)
-    if ksize == half:
-        consist = np.ones(kernels.shape[0])
-    else:
-        consist = (np.maximum(pos, neg) + zero - half) / (ksize - half)
-        np.clip(consist, 0.0, 1.0, out=consist)
+    consist = _consistency(pos, neg, ksize)
     # A dominant-sign tie carries no direction, so the kernel stays unpredicted.
     predictable = (consist >= tau) & (pos != neg)
     dominant = np.where(pos >= neg, 1, -1).astype(np.int8)

@@ -9,7 +9,7 @@ import pytest
 import gradzip
 from gradzip.cli import main
 from gradzip.flsim import CSV_COLUMNS
-from gradzip.trace import MODE_FULL_BATCH, MODE_MINI_BATCH, load_trace
+from gradzip.trace import MODE_FULL_BATCH, MODE_MINI_BATCH, encode_layer_table, load_trace
 
 LAYERS = "conv1:16x8x3x3,conv2:16x16x3x3,fc:128x32"
 
@@ -388,6 +388,54 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
         assert run("inspect", bad) == 3
         assert "non-finite delta" in capsys.readouterr().err
         assert not (tmp_path / "r.gtrc").exists()
+
+
+@pytest.mark.parametrize("backend", ["default", "store"])
+def test_corrupt_layer_table_exits_2_or_3(tmp_path, backend):
+    # Every frame is checked against the header's layer table before anything
+    # is sized from it, so no corrupted axis drives an allocation.
+    trace = make_trace(tmp_path, layers="conv:8x4x3x3,fc:40x40,b:10", rounds=3)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", backend) == 0
+    data = out.read_bytes()
+    start = 4 + 2 + 1 + 4  # magic, version u16, mode u8, layer count u32
+    table = encode_layer_table(load_trace(trace).layers)
+    assert data[start:start + len(table)] == table
+    bad = tmp_path / "bad.gzp"
+    for off in range(start, start + len(table)):
+        for byte in {0x01, data[off] ^ 0x80} - {data[off]}:
+            bad.write_bytes(data[:off] + bytes([byte]) + data[off + 1:])
+            assert run("decompress", bad, tmp_path / "r.gtrc") in (2, 3), off
+            assert run("inspect", bad) in (2, 3), off
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
+    from gradzip.cli import _read_stream
+    from gradzip.pipeline import CompressedPayload, frame_payload
+    from gradzip.predictor import VARIANT_FLIP, SignBitmap, encode_bitmap
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    _, _, payloads = _read_stream(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    first = payloads[0]
+    # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
+    # the bitmap's tag byte ("none"), which becomes a flip bit.
+    blob = first.blobs[0]
+    assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
+    blob = blob[:19] + encode_bitmap(SignBitmap(VARIANT_FLIP, flip=True)) + blob[20:]
+    tampered = CompressedPayload(
+        first.client_id, first.round, first.spec_digest, [blob] + first.blobs[1:]
+    )
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(header + frame_payload(tampered) + frame_payload(payloads[1]))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert run("inspect", bad) == 3
+    assert capsys.readouterr().err.count("sign bitmap in round 1") == 2
+    assert not (tmp_path / "r.gtrc").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -385,9 +385,16 @@ class TestReportCsv:
         header, body = rows[0], rows[1:]
         assert header[:3] == ["round", "client", "layer"]
         nlayers = len(sim_layers())
+        # Measured codec times are nonzero and compression wins, so every
+        # round also gets one break-even row, written after all rounds.
         want = rounds * (nclients * (nlayers + 1) + nbw)
-        assert len(body) == want
-        agg = [r for r in body if r[1] == "all"]
+        assert len(body) == want + rounds
+        marks = body[want:]
+        assert [r[:3] for r in marks] == [[str(t), "all", "break_even"] for t in range(1, rounds + 1)]
+        for r, rep in zip(marks, reports):
+            cr, bstar = rep.break_even
+            assert r[5] == f"{cr:.6g}" and r[11] == f"{bstar:.6g}"
+        agg = [r for r in body[:want] if r[1] == "all"]
         assert len(agg) == rounds * nbw
         for r in agg:
             assert r[11] != "" and r[13] != "" and r[14] != ""

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from gradzip import pipeline
 from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig
 from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError
 from gradzip.pipeline import (
@@ -20,7 +21,15 @@ from gradzip.pipeline import (
     parse_payload,
     spec_digest,
 )
-from gradzip.predictor import MagPredictorState, PredictParams
+from gradzip.predictor import (
+    VARIANT_FLIP,
+    VARIANT_KERNEL,
+    MagPredictorState,
+    PredictParams,
+    SignBitmap,
+    SignTensor,
+    encode_bitmap,
+)
 from gradzip.trace import GradientTensor, LayerSpec, SynthConfig, synth_trace
 
 
@@ -163,6 +172,38 @@ class TestSynchronization:
         assert client.prev_recon[0].tobytes() == server.prev_recon[0].tobytes()
         assert client.to_bytes() == server.to_bytes()
 
+    @pytest.mark.parametrize("mode,full_batch", [("mini_batch", False), ("full_batch", True)])
+    def test_client_prediction_reads_only_the_bitmap(self, monkeypatch, mode, full_batch):
+        # Both sides derive ghat from the blob's bitmap through one step, so
+        # wrong signs from predict_signs (next to the true bitmap) change
+        # neither the payloads nor the states.
+        trace = structured_trace(seed=23, rounds=4, mode=mode)
+        params = make_params(full_batch=full_batch)
+        want = run_lockstep(trace, params)
+        real = pipeline.predict_signs
+
+        def wrong_signs(*args):
+            signs, bitmap = real(*args)
+            return SignTensor(np.ones_like(signs.values)), bitmap
+
+        monkeypatch.setattr(pipeline, "predict_signs", wrong_signs)
+        for (_, p_want, _, c_want, _), (_, p_got, _, c_got, s_got) in zip(
+            want, run_lockstep(trace, params)
+        ):
+            assert frame_payload(p_got) == frame_payload(p_want)
+            assert c_got.to_bytes() == c_want.to_bytes() == s_got.to_bytes()
+
+    def test_previous_signs_built_only_for_flip_bitmaps(self, monkeypatch):
+        calls = []
+        real = pipeline._prev_sign
+        monkeypatch.setattr(pipeline, "_prev_sign", lambda r: calls.append(1) or real(r))
+        run_lockstep(structured_trace(seed=24, rounds=3), make_params())
+        assert calls == []
+        run_lockstep(
+            structured_trace(seed=24, rounds=3, mode="full_batch"), make_params(full_batch=True)
+        )
+        assert calls
+
     def test_decode_payload_describes_the_blobs_it_parsed(self):
         trace = structured_trace(seed=10, rounds=3)
         params = make_params()
@@ -294,6 +335,29 @@ class TestProtocolErrors:
         )
         with pytest.raises((IntegrityError, FormatError)):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
+
+    @pytest.mark.parametrize("variant", [VARIANT_FLIP, VARIANT_KERNEL])
+    def test_round_one_sign_bitmap_rejected(self, variant):
+        # Round 1 has no previous signs, so the client never sends a bitmap
+        # then; one on the wire is tampering, not a prediction to use.
+        trace = structured_trace(seed=22, rounds=1)
+        params = make_params(backend="store")
+        payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
+        n = trace.layers[0].kernel_count
+        bitmap = SignBitmap(variant, flip=True, kernel_count=n,
+                            level1=np.ones(n, bool), level2=np.ones(n, bool))
+        # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
+        # the bitmap's tag byte ("none").
+        blob = payload.blobs[0]
+        assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
+        tampered = CompressedPayload(
+            payload.client_id, payload.round, payload.spec_digest,
+            [blob[:19] + encode_bitmap(bitmap) + blob[20:]] + payload.blobs[1:],
+        )
+        with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
+            decompress_round(tampered, SyncState.initial(trace.layers), params)
+        with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
+            describe_payload(tampered, trace.layers)
 
     def test_describe_blob_checks_literals_like_decode(self):
         # A bound far below float32 resolution turns every element into a
