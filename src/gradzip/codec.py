@@ -9,11 +9,20 @@ stores the element's ORIGINAL float32 value, not the residual, so it
 reconstructs with zero error and the bound holds unconditionally. Bins are
 entropy coded with a canonical Huffman code and the result is passed through
 a general lossless backend (DEFLATE by default, raw store as a fallback).
+
+The Huffman decoder is a byte-oriented automaton (Choueka, Klein and Perl,
+1985) over the internal nodes of the code tree: one table lookup per 8- or
+4-bit chunk gives the next node and the codes the chunk completes. Its state
+at every chunk boundary is found at once, because canonical codes
+self-synchronize (Klein and Wiseman, 2003): each state is guessed from a
+short run from the root, then every guess is checked against its
+predecessor and repaired until all agree, which makes the result exact.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -34,18 +43,25 @@ BACKEND_DEFAULT = "default"
 BACKEND_STORE = "store"
 _BACKEND_TAGS = {BACKEND_DEFAULT: b"Z", BACKEND_STORE: b"S"}
 
-# Widest Huffman code: a 64-bit window read at a byte still holds all of it
-# after the up-to-7-bit offset of the code's first bit.
+# Widest Huffman code the wire format accepts. It is a format limit: the
+# encoder's 64-bit packing and every decoder bound below assume it.
 _MAX_CODE_LEN = 56
 # Dense symbol-table guard; quantizer output always fits 2 * DEFAULT_BIN_CAP + 1.
 _MAX_ALPHABET_RANGE = 1 << 20
-_ROOT_TABLE_BITS = 12
-# The decoder squares its next-boundary table this many times, so its Python
-# walk takes one step per 2**_JUMP_LEVELS codes.
-_JUMP_LEVELS = 4
-# Stream bytes whose per-bit code lengths are found at once (and 8x that many
-# table entries squared at once); bounds the decoder's temporaries.
-_WINDOW_CHUNK_BYTES = 1 << 13
+# The decoder accepts at most one state per 4 stream bits, plus this many.
+# Encoder output stays below that: n codes take at least n * log2(n) bits.
+_STATE_ALLOWANCE = 1 << 12
+# The decoder guesses its state at a chunk boundary by running this many
+# codes' worth of chunks from the root, as canonical codes self-synchronize.
+_SYNC_CODES = 6
+# Repair sweeps stay vectorized while at least this many states change, and
+# for at most this many state updates per chunk in all.
+_SCALAR_REPAIR = 8
+_SWEEP_WORK = 8
+# Decoder table rows built at once, and chunks whose codes are gathered at
+# once; both bound the decoder's temporaries.
+_BUILD_ROWS = 1 << 10
+_EMIT_WINDOW = 1 << 13
 # Symbols the encoder packs at once; bounds its temporaries.
 _PACK_CHUNK = 1 << 16
 
@@ -277,171 +293,223 @@ def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
 
 
 @dataclass
-class _DecodeTables:
-    """Canonical code tables: a root table for codes of up to root_bits bits,
-    and per-length starts for the longer ones."""
+class _Automaton:
+    """Table-driven decoder of one canonical code.
 
+    Its states are the internal nodes of the code tree, the root first, then
+    by depth and prefix, plus one absorbing error state for prefixes no code
+    continues. bit_* step one bit; nib_* step one 4-bit chunk and are
+    indexed by state << 4 | chunk, holding next states pre-shifted by 4.
+    """
+
+    states: int  # internal nodes; the error state is index `states`
     min_len: int
     max_len: int
-    count: np.ndarray  # codes per length
-    first_code: np.ndarray  # uint64, first canonical code of each length
-    first_rank: np.ndarray  # canonical rank of that first code
+    len_gcd: int  # greatest common divisor of the code lengths
     symbols: np.ndarray  # int64 symbols in canonical order
-    root_bits: int
-    root_len: np.ndarray  # uint8 code length per root_bits-bit prefix, 0 = longer code
-    root_sym: np.ndarray  # int64 symbol per prefix, for the codes root_len holds
+    bit_next: np.ndarray  # (states + 1, 2) next state
+    bit_rank: np.ndarray  # (states + 1, 2) canonical rank of the code completed, -1 none
+    nib_next: np.ndarray  # intp next state << 4
+    nib_count: np.ndarray  # uint8 codes completed
+    nib_emit: np.ndarray  # int64 symbols completed, `slots` per entry, first count valid
+    slots: int
 
 
-def _build_decode_tables(block: HuffmanBlock) -> _DecodeTables:
+def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
     order, lens = _canonical_order(block.lengths)
     if order.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
+    if numel is not None and order.size > numel:
+        raise IntegrityError(f"Huffman table declares {order.size} symbols for {numel} elements")
     count = np.bincount(lens)
     max_len = count.size - 1
     if sum(int(c) << (max_len - ln) for ln, c in enumerate(count)) > 1 << max_len:
         raise IntegrityError("Huffman code lengths over-subscribe the code space")
     first_code, first_rank = _canonical_starts(count)
+    first_code = first_code.astype(np.int64)
+    # Canonical codes fill the code space from 0 in (length, rank) order, so
+    # the internal nodes of each depth are the consecutive prefixes between
+    # that depth's last code and the prefix of the last code of all.
+    last = int(first_code[max_len]) + int(count[max_len]) - 1
+    lo = first_code + count
+    hi = last >> (max_len - np.arange(max_len + 1))
+    lo[max_len], hi[max_len] = 1, 0
+    width = hi - lo + 1
+    states = int(width.sum())
+    if states > (block.bit_count >> 2) + _STATE_ALLOWANCE:
+        raise IntegrityError(f"Huffman table has {states} internal nodes for {block.bit_count} bits")
+    base = np.cumsum(width) - width
+    depth = np.repeat(np.arange(max_len), width[:max_len])
+    child = ((np.arange(states) - base[depth] + lo[depth]) << 1)[:, None] + np.array([0, 1])
+    below = (depth + 1)[:, None]
+    rank = child - first_code[below]
+    leaf = rank < count[below]
+    error = states
+    bit_next = np.full((states + 1, 2), error, dtype=np.intp)
+    bit_next[:states] = np.where(
+        leaf, 0, np.where(child <= hi[below], base[below] + child - lo[below], error)
+    )
+    bit_rank = np.full((states + 1, 2), -1, dtype=np.intp)
+    bit_rank[:states][leaf] = (first_rank[below] + rank)[leaf]
+    del child, below, rank, leaf
+    # Every code after the first one a chunk completes lies whole inside it.
+    slots = 1 + 3 // int(lens[0])
+    nib_next = np.empty((states + 1) << 4, dtype=np.intp)
+    nib_count = np.empty(nib_next.size, dtype=np.uint8)
+    nib_emit = np.zeros(nib_next.size * slots, dtype=np.int64)
+    flat_next, flat_rank = bit_next.reshape(-1), bit_rank.reshape(-1)
     symbols = order.astype(np.int64) + block.min_symbol
-    root_bits = min(_ROOT_TABLE_BITS, max_len)
-    # Left-aligned to root_bits, canonical codes cover consecutive ranges from
-    # 0 upwards, so the short codes fill the front of the root table in order.
-    short = lens <= root_bits
-    widths = np.int64(1) << (root_bits - lens[short])
-    filled = int(widths.sum())
-    root_len = np.zeros(1 << root_bits, dtype=np.uint8)
-    root_sym = np.zeros(1 << root_bits, dtype=np.int64)
-    root_len[:filled] = np.repeat(lens[short], widths)
-    root_sym[:filled] = np.repeat(symbols[short], widths)
-    return _DecodeTables(
-        int(lens[0]), max_len, count, first_code, first_rank, symbols,
-        root_bits, root_len, root_sym,
+    for a in range(0, states + 1, _BUILD_ROWS):
+        rows = np.arange(a, min(a + _BUILD_ROWS, states + 1))
+        at = np.repeat(rows, 16)
+        chunk = np.tile(np.arange(16), rows.size)
+        done = np.zeros(at.size, dtype=np.intp)
+        for shift in (3, 2, 1, 0):
+            i = (at << 1) | ((chunk >> shift) & 1)
+            r = flat_rank[i]
+            hit = np.flatnonzero(r >= 0)
+            nib_emit[(a * 16 + hit) * slots + done[hit]] = symbols[r[hit]]
+            done[hit] += 1
+            at = flat_next[i]
+        nib_next[a * 16 : a * 16 + at.size] = at << 4
+        nib_count[a * 16 : a * 16 + at.size] = done
+    return _Automaton(
+        states, int(lens[0]), max_len, int(np.gcd.reduce(lens)), symbols, bit_next, bit_rank,
+        nib_next, nib_count, nib_emit, slots,
     )
 
 
-def _long_codes(aligned: np.ndarray, t: _DecodeTables) -> np.ndarray:
-    """Lengths of codes longer than the root table, 0 where none matches.
+def _chunk_states(step: np.ndarray, chunks: np.ndarray, window: int, period: int) -> np.ndarray:
+    """The automaton's state before each chunk and after the last, exactly.
 
-    aligned holds 64-bit windows with the code's first bit at the MSB. One
-    pass per long length: a window holds a length-ln code when its top ln
-    bits fall in that length's canonical range, and the shortest match wins.
+    step[state + chunk] is the next state; states are pre-shifted by the
+    chunk width. Each state is first guessed by running at least window
+    chunks from the root, starting at a chunk boundary where a code can
+    start: every period-th one, as the code lengths may share a divisor.
+    A state that differs from step applied to its predecessor is then
+    recomputed from it, and so is its successor whenever it changes, until
+    every state agrees with its predecessor. The first state is the root,
+    so the sequence is then the true one. The first wrong state moves right
+    on every sweep, so window affects only the speed. Sweeps are vectorized
+    while many states change; the last few, and all once a budget linear in
+    the stream is spent, are walked one at a time.
     """
-    lens = np.zeros(aligned.size, dtype=np.uint8)
-    for ln in range(t.root_bits + 1, t.max_len + 1):
-        if t.count[ln]:
-            code = (aligned >> np.uint64(64 - ln)) - t.first_code[ln]
-            lens[(lens == 0) & (code < int(t.count[ln]))] = ln
-    return lens
-
-
-def _next_boundary(wins: np.ndarray, bit_count: int, t: _DecodeTables) -> np.ndarray:
-    """nxt[p] = p + length of the code at bit p, for every bit of the stream.
-
-    wins[j] is the native 64-bit window starting at stream byte j. Index
-    bit_count of the result is the absorbing end and bit_count + 1 the
-    absorbing error node: a position with no valid code, or whose code runs
-    past bit_count, points at the error node.
-    """
-    end, error = bit_count, bit_count + 1
-    nxt = np.empty(bit_count + 2, dtype=np.int32 if error < 1 << 31 else np.int64)
-    nxt[end], nxt[error] = end, error
-    shifts = np.arange(64 - t.root_bits, 56 - t.root_bits, -1, dtype=np.uint64)
-    mask = np.uint64((1 << t.root_bits) - 1)
-    base = np.arange(min(8 * _WINDOW_CHUNK_BYTES, bit_count), dtype=nxt.dtype)
-    for j in range(0, (bit_count + 7) >> 3, _WINDOW_CHUNK_BYTES):
-        w = wins[j : j + _WINDOW_CHUNK_BYTES]
-        lens = t.root_len[((w[:, None] >> shifts) & mask).view(np.int64)]
-        lens = lens.reshape(-1)[: bit_count - 8 * j]
-        out = nxt[8 * j : 8 * j + lens.size]
-        np.add(base[: lens.size], lens, out=out)
-        out += 8 * j
-        miss = np.flatnonzero(lens == 0)
-        if miss.size:
-            long_lens = _long_codes(w[miss >> 3] << (miss & 7).view(np.uint64), t)
-            out[miss] += long_lens
-            out[miss[long_lens == 0]] = error
-    tail = nxt[max(0, end - _MAX_CODE_LEN) : end]
-    tail[tail > end] = error
-    return nxt
-
-
-def _square_in_place(nxt: np.ndarray, levels: int) -> None:
-    """Replace nxt by nxt composed with itself 2**levels times.
-
-    Every entry points at or after its own index, so a chunk can be squared
-    in place once the chunks before it are: what it reads is either inside
-    it (gathered before the write) or not yet squared.
-    """
-    for _ in range(levels):
-        for a in range(0, nxt.size, 8 * _WINDOW_CHUNK_BYTES):
-            part = nxt[a : a + 8 * _WINDOW_CHUNK_BYTES]
-            part[:] = nxt[part]
-
-
-def _codes_at(pos: np.ndarray, wins: np.ndarray, t: _DecodeTables) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol and length of the code that starts at each int64 bit position."""
-    aligned = wins[pos >> 3] << (pos & 7).view(np.uint64)
-    prefix = (aligned >> np.uint64(64 - t.root_bits)).view(np.int64)
-    symbols = t.root_sym[prefix]
-    lens = t.root_len[prefix].astype(np.int64)
-    long = np.flatnonzero(lens == 0)
-    if long.size:
-        ln = _long_codes(aligned[long], t).astype(np.int64)
-        code = (aligned[long] >> (64 - ln).view(np.uint64)) - t.first_code[ln]
-        symbols[long] = t.symbols[t.first_rank[ln] + code.view(np.int64)]
-        lens[long] = ln
-    return symbols, lens
+    n = chunks.size
+    states = np.zeros(n + 1, dtype=np.intp)
+    entry = np.empty(n, dtype=np.intp)
+    for t in range(window + period - 1):
+        np.add(states[:-1], chunks, out=entry)
+        # Every index is in range; "clip" spares the buffered write of "raise".
+        np.take(step, entry, out=states[1:], mode="clip")
+        if t < period - 1:
+            states[::period] = 0
+    np.add(states[:-1], chunks, out=entry)
+    new = step[entry]
+    todo = np.flatnonzero(new != states[1:]) + 2
+    states[1:] = new
+    del new, entry
+    todo = todo[todo <= n]
+    budget = _SWEEP_WORK * n
+    while todo.size >= _SCALAR_REPAIR and budget > 0:
+        budget -= todo.size
+        new = step[states[todo - 1] + chunks[todo - 1]]
+        moved = new != states[todo]
+        todo = todo[moved]
+        states[todo] = new[moved]
+        todo = todo[todo < n] + 1
+    todo, j = todo.tolist(), 0
+    at, row, nxt = memoryview(states), memoryview(chunks), memoryview(step)
+    while j < len(todo):
+        p = todo[j]
+        while p <= n:
+            s = nxt[at[p - 1] + row[p - 1]]
+            if s == at[p]:
+                break
+            at[p] = s
+            p += 1
+        while j < len(todo) and todo[j] <= p:
+            j += 1
+    return states
 
 
 def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     """Exact inverse of entropy_encode. Corrupt streams raise IntegrityError.
 
-    Every bit position gets the position of the next code boundary, as if a
-    code started there. _JUMP_LEVELS squarings of that table let a Python
-    walk from bit 0 visit every 2**_JUMP_LEVELS-th true boundary; the codes
-    from those heads on are then decoded for all heads at once. numel, when
-    given, is the symbol count the block must hold: a bit count that numel
-    codes cannot fill is rejected before any per-bit table is built.
+    The stream is cut into k-bit chunks, k = 8 or 4, and a decoding
+    automaton takes one table lookup per chunk (_chunk_states finds its
+    state before every chunk at once). The codes each chunk completes are
+    then gathered from the 4-bit table in one pass, and the bits after the
+    last whole chunk are walked one at a time. The path must end at the
+    root, never entering the error state. numel, when given, is the symbol
+    count the block must hold: a bit count that numel codes cannot fill, or
+    a table with more symbols than numel, is rejected before any table is
+    built.
     """
     bit_count = block.bit_count
     if bit_count == 0:
         if block.symbol_count or numel:
             raise IntegrityError("empty bitstream for a nonzero symbol count")
         return np.zeros(0, dtype=np.int64)
-    t = _build_decode_tables(block)
-    if numel is not None and not numel * t.min_len <= bit_count <= numel * t.max_len:
+    a = _build_automaton(block, numel)
+    if numel is not None and not numel * a.min_len <= bit_count <= numel * a.max_len:
         raise IntegrityError(
-            f"{bit_count} bits cannot hold {numel} codes of {t.min_len}..{t.max_len} bits"
+            f"{bit_count} bits cannot hold {numel} codes of {a.min_len}..{a.max_len} bits"
         )
-    # Bits past bit_count read as zeros, which start the first canonical code,
-    # so a decode lane parked at the end still reads a valid code.
-    padded = bytearray(block.stream[: (bit_count + 7) >> 3] + bytes(8))
-    padded[bit_count >> 3] &= 0xFF00 >> (bit_count & 7)
-    wins = np.ndarray((len(padded) - 7,), dtype=">u8", buffer=padded, strides=(1,))
-    wins = wins.astype(np.uint64)
-    jump = _next_boundary(wins, bit_count, t)
-    _square_in_place(jump, _JUMP_LEVELS)
-    heads = []
-    pos = 0
-    hop = memoryview(jump)
-    while pos < bit_count:
-        heads.append(pos)
-        pos = hop[pos]
-    del hop, jump
-    if pos != bit_count:
+    stream = block.stream
+    raw = np.frombuffer(stream, dtype=np.uint8, count=(bit_count + 7) >> 3)
+    # An 8-bit table costs 256 entries per state to compose; it pays once
+    # the stream has a few chunks for each entry.
+    if (a.states + 1) << 8 <= bit_count >> 1:
+        k, chunks = 8, raw[: bit_count >> 3]
+        pair = a.nib_next.reshape(-1, 16, 1) + np.arange(16)
+        step = (a.nib_next[pair] << 4).reshape(-1)
+        step_count = (a.nib_count[pair] + a.nib_count.reshape(-1, 16, 1)).reshape(-1)
+        del pair
+    else:
+        k, step, step_count = 4, a.nib_next, a.nib_count
+        chunks = np.empty(2 * raw.size, dtype=np.uint8)
+        np.right_shift(raw, 4, out=chunks[0::2])
+        np.bitwise_and(raw, 15, out=chunks[1::2])
+        chunks = chunks[: bit_count >> 2]
+    codes = numel or block.symbol_count
+    per_code = bit_count / codes if codes else a.max_len
+    window = min(chunks.size, math.ceil(_SYNC_CODES * per_code / k))
+    states = _chunk_states(step, chunks, window, a.len_gcd // math.gcd(a.len_gcd, k))
+    state, tail = int(states[-1]) >> k, []
+    for i in range(chunks.size * k, bit_count):
+        bit = (stream[i >> 3] >> (7 - (i & 7))) & 1
+        if a.bit_rank[state, bit] >= 0:
+            tail.append(a.bit_rank[state, bit])
+        state = int(a.bit_next[state, bit])
+    if state != 0:
         raise IntegrityError("invalid Huffman code in bitstream, or no code boundary at its end")
-    # Each head starts a run of 2**_JUMP_LEVELS codes; only the last run can
-    # reach the end early, and its lanes then stay parked at bit_count.
-    out = np.empty((len(heads), 1 << _JUMP_LEVELS), dtype=np.int64)
-    pos = np.array(heads, dtype=np.int64)
-    last_run = 0
-    for i in range(out.shape[1]):
-        last_run += int(pos[-1]) < bit_count
-        out[:, i], lens = _codes_at(pos, wins, t)
-        np.minimum(pos + lens, bit_count, out=pos)
-    symbols = out.reshape(-1)[: out.size - out.shape[1] + last_run]
-    if numel is not None and symbols.size != numel:
-        raise IntegrityError(f"decoded {symbols.size} bins for a {numel}-element layer")
-    return symbols
+    entry = states[:-1]
+    entry += chunks
+    del states
+    per_chunk = step_count[entry]
+    total = int(per_chunk.sum(dtype=np.intp)) + len(tail)
+    if numel is not None and total != numel:
+        raise IntegrityError(f"decoded {total} bins for a {numel}-element layer")
+    out = np.empty(total, dtype=np.int64)
+    offsets = np.arange(min(total, k * _EMIT_WINDOW))
+    o = 0
+    for w in range(0, chunks.size, _EMIT_WINDOW):
+        nib = entry[w : w + _EMIT_WINDOW]
+        count = per_chunk[w : w + _EMIT_WINDOW]
+        if k == 8:
+            pair = np.empty((nib.size, 2), dtype=np.intp)
+            np.right_shift(nib, 4, out=pair[:, 0])
+            np.add(a.nib_next[pair[:, 0]], chunks[w : w + nib.size] & 15, out=pair[:, 1])
+            nib = pair.reshape(-1)
+            count = a.nib_count[nib]
+        ends = np.cumsum(count, dtype=np.intp)
+        size = int(ends[-1])
+        at = np.repeat(nib * a.slots - (ends - count), count)
+        at += offsets[:size]
+        np.take(a.nib_emit, at, out=out[o : o + size], mode="clip")
+        o += size
+    out[o:] = a.symbols[tail]
+    return out
 
 
 def encode_block(block: HuffmanBlock) -> bytes:
@@ -495,6 +563,12 @@ def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
     return EncodedStream(block, mask, literals)
 
 
+def max_stream_bytes(numel: int) -> int:
+    """The largest stream encode_stream can write for numel elements: a full
+    symbol table, numel codes of the widest length and every element a literal."""
+    return 16 + _MAX_ALPHABET_RANGE + (_MAX_CODE_LEN * numel + 7) // 8 + 4 + (numel + 7) // 8 + 4 * numel
+
+
 def decode_stream(encoded: EncodedStream) -> QuantizedStream:
     """Entropy-decode the bins of a parsed stream."""
     bins = entropy_decode(encoded.block, encoded.literal_mask.size)
@@ -512,15 +586,23 @@ def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:
     return _BACKEND_TAGS[BACKEND_DEFAULT] + zlib.compress(data, 6)
 
 
-def lossless_decompress(data: bytes) -> bytes:
+def lossless_decompress(data: bytes, max_size: int | None = None) -> bytes:
+    """Undo lossless_compress. DEFLATE output past max_size bytes, when given,
+    raises IntegrityError without being inflated further."""
     if not data:
         raise FormatError("empty lossless container")
     tag, body = data[:1], data[1:]
     if tag == _BACKEND_TAGS[BACKEND_STORE]:
         return body
     if tag == _BACKEND_TAGS[BACKEND_DEFAULT]:
+        inflate = zlib.decompressobj()
         try:
-            return zlib.decompress(body)
+            out = inflate.decompress(body, 0 if max_size is None else max_size + 1)
         except zlib.error as exc:
             raise IntegrityError(f"lossless payload corrupt: {exc}") from exc
+        if max_size is not None and len(out) > max_size:
+            raise IntegrityError(f"lossless payload inflates past {max_size} bytes")
+        if not inflate.eof:
+            raise IntegrityError("lossless payload corrupt: incomplete or truncated stream")
+        return out
     raise FormatError(f"unknown lossless backend tag {tag!r}")

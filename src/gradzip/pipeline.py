@@ -39,6 +39,7 @@ from .codec import (
     encode_stream,
     lossless_compress,
     lossless_decompress,
+    max_stream_bytes,
     quantize,
     read_stream,
     resolve_bound,
@@ -280,6 +281,14 @@ class BlobInfo:
     literal_count: int = 0
 
 
+def _max_inner_bytes(numel: int) -> int:
+    """The largest inner blob a layer of numel elements can have: a lossless
+    one, or a lossy header with the largest sign bitmap and stream."""
+    bitmap = 5 + 2 * ((numel + 7) // 8)  # tag, kernel count, two bit levels
+    lossy = 1 + struct.calcsize("<Bffd") + bitmap + max_stream_bytes(numel)
+    return max(1 + 4 * numel, lossy)
+
+
 def _parse_blob(
     blob: bytes, spec: LayerSpec, first_round: bool = False
 ) -> tuple[BlobInfo, SignBitmap | None, np.ndarray | EncodedStream]:
@@ -290,7 +299,10 @@ def _parse_blob(
     stream of a lossy one. A blob of round 1 has no previous signs to
     predict from, so it may not carry a sign bitmap.
     """
-    inner = lossless_decompress(blob)
+    try:
+        inner = lossless_decompress(blob, _max_inner_bytes(spec.numel))
+    except IntegrityError as exc:
+        raise IntegrityError(f"layer {spec.name!r}: {exc}") from exc
     reader = ByteReader(inner, truncation_error=IntegrityError)
     (tag,) = reader.unpack("<B")
     if tag == TAG_LOSSLESS:

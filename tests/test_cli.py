@@ -340,9 +340,9 @@ def test_compress_inflates_each_blob_once(tmp_path, monkeypatch):
     real = pipeline.lossless_decompress
     calls = []
 
-    def counted(data):
+    def counted(data, *cap):
         calls.append(len(data))
-        return real(data)
+        return real(data, *cap)
 
     monkeypatch.setattr(pipeline, "lossless_decompress", counted)
     assert run("compress", trace, tmp_path / "t.gzp") == 0
@@ -388,6 +388,32 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
         assert run("inspect", bad) == 3
         assert "non-finite delta" in capsys.readouterr().err
         assert not (tmp_path / "r.gtrc").exists()
+
+
+def test_inflation_bomb_exits_3(tmp_path, capsys):
+    from dataclasses import replace
+
+    from gradzip.cli import _read_stream
+    from gradzip.codec import lossless_compress
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, layers="fc:8x8", rounds=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = out.read_bytes()
+    _, _, payloads = _read_stream(out)
+    frame = frame_payload(payloads[0])
+    assert data.endswith(frame)
+    bomb = replace(payloads[0], blobs=[lossless_compress(bytes(64 << 20))])
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(data[: len(data) - len(frame)] + frame_payload(bomb))
+    capsys.readouterr()
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert run("inspect", bad) == 3
+    captured = capsys.readouterr()
+    assert "inflates past" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "r.gtrc").exists()
 
 
 @pytest.mark.parametrize("backend", ["default", "store"])

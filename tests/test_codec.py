@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gradzip import codec
 from gradzip.codec import (
     DEFAULT_BIN_CAP,
     EncodedStream,
@@ -444,63 +446,91 @@ class TestHuffman:
         assert encode_block(b1) == encode_block(b2)
 
 
-class TestDecoderAgainstReference:
-    @settings(max_examples=150, deadline=None)
-    @given(bins=huffman_inputs)
-    def test_decode_matches_reference_and_input(self, bins):
-        block = entropy_encode(bins)
-        wire = decode_block(ByteReader(encode_block(block)))
-        for b in (block, wire):
-            np.testing.assert_array_equal(entropy_decode(b, bins.size), bins)
-            np.testing.assert_array_equal(reference_decode(b), bins)
+def reference_properties(schedule):
+    """The decoder properties, run with the decoder constants in schedule.
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        depth=st.integers(33, 45),
-        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=300),
-        min_symbol=st.integers(-30000, 30000),
-    )
-    def test_codes_longer_than_32_bits(self, depth, picks, min_symbol):
-        # Fibonacci counts make the deepest Huffman chain; pick symbols
-        # mostly from its long end, so codes cross 32- and 64-bit words.
-        lengths = fibonacci_code_lengths(depth + 1)
-        assert int(lengths.max()) == depth
-        message = np.array([int(p * p * lengths.size) for p in picks]) + min_symbol
-        stream, bit_count = pack_bits(lengths, min_symbol, message)
-        block = HuffmanBlock(min_symbol, lengths, bit_count, stream, 0)
-        np.testing.assert_array_equal(entropy_decode(block, message.size), message)
-        np.testing.assert_array_equal(reference_decode(block), message)
-        lens = lengths.astype(np.int64)
-        index = message - min_symbol
-        assert _pack_codes(index, _canonical_codes(lens), lens, bit_count) == stream
+    Each call defines the tests anew, as hypothesis wants one test function
+    per class.
+    """
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        bins=huffman_inputs,
-        where=st.floats(0.0, 1.0, exclude_max=True),
-        flip=st.booleans(),
-        bit_count=st.integers(0, 1 << 16),
-    )
-    def test_tampered_blocks_fail_alike(self, bins, where, flip, bit_count):
-        # One flipped bit anywhere in the serialized block, or a different
-        # bit count: both decoders return the same symbols or both raise.
-        raw = bytearray(encode_block(entropy_encode(bins)))
-        if flip:
-            at = int(where * 8 * len(raw))
-            raw[at // 8] ^= 0x80 >> (at % 8)
-        try:
-            block = decode_block(ByteReader(bytes(raw), truncation_error=IntegrityError))
-        except IntegrityError:
-            return
-        if not flip:
-            block = HuffmanBlock(
-                block.min_symbol, block.lengths, bit_count % (8 * len(block.stream) + 1),
-                block.stream, 0,
-            )
-        assert outcome(entropy_decode, block) == outcome(reference_decode, block)
-        assert outcome(entropy_decode, block, bins.size) == outcome(
-            reference_decode_count, block, bins.size
+    class DecoderProperties:
+        @settings(max_examples=150, deadline=None)
+        @example(bins=np.arange(3) % 2)  # 3 bits: no whole 4-bit chunk
+        @example(bins=np.arange(1027) % 2)  # 8-bit chunks and a 3-bit tail
+        @given(bins=huffman_inputs)
+        def test_decode_matches_reference_and_input(self, bins):
+            block = entropy_encode(bins)
+            wire = decode_block(ByteReader(encode_block(block)))
+            with mock.patch.multiple(codec, **schedule):
+                for b in (block, wire):
+                    np.testing.assert_array_equal(entropy_decode(b, bins.size), bins)
+                    np.testing.assert_array_equal(reference_decode(b), bins)
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            depth=st.integers(33, 45),
+            picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=300),
+            min_symbol=st.integers(-30000, 30000),
         )
+        def test_codes_longer_than_32_bits(self, depth, picks, min_symbol):
+            # Fibonacci counts make the deepest Huffman chain; pick symbols
+            # mostly from its long end, so codes cross 32- and 64-bit words. Every
+            # symbol also appears once, as the table declares no unused symbol.
+            lengths = fibonacci_code_lengths(depth + 1)
+            assert int(lengths.max()) == depth
+            picked = [int(p * p * lengths.size) for p in picks]
+            message = np.array(picked + list(range(lengths.size))) + min_symbol
+            stream, bit_count = pack_bits(lengths, min_symbol, message)
+            block = HuffmanBlock(min_symbol, lengths, bit_count, stream, 0)
+            with mock.patch.multiple(codec, **schedule):
+                np.testing.assert_array_equal(entropy_decode(block, message.size), message)
+            np.testing.assert_array_equal(reference_decode(block), message)
+            lens = lengths.astype(np.int64)
+            index = message - min_symbol
+            assert _pack_codes(index, _canonical_codes(lens), lens, bit_count) == stream
+
+        @settings(max_examples=300, deadline=None)
+        # Codes "0", "10", "11": 4 bits end inside the last code, 3 bits one code short.
+        @example(bins=np.array([2, 0, 1]), where=0.0, flip=False, bit_count=4)
+        @example(bins=np.array([2, 0, 1]), where=0.0, flip=False, bit_count=3)
+        # A single-symbol code "0": the flipped stream bit 16 is an invalid "1".
+        @example(bins=np.zeros(20, dtype=np.int64), where=0.95, flip=True, bit_count=0)
+        @given(
+            bins=huffman_inputs,
+            where=st.floats(0.0, 1.0, exclude_max=True),
+            flip=st.booleans(),
+            bit_count=st.integers(0, 1 << 16),
+        )
+        def test_tampered_blocks_fail_alike(self, bins, where, flip, bit_count):
+            # One flipped bit anywhere in the serialized block, or a different
+            # bit count: both decoders return the same symbols or both raise.
+            raw = bytearray(encode_block(entropy_encode(bins)))
+            if flip:
+                at = int(where * 8 * len(raw))
+                raw[at // 8] ^= 0x80 >> (at % 8)
+            try:
+                block = decode_block(ByteReader(bytes(raw), truncation_error=IntegrityError))
+            except IntegrityError:
+                return
+            if not flip:
+                block = HuffmanBlock(
+                    block.min_symbol, block.lengths, bit_count % (8 * len(block.stream) + 1),
+                    block.stream, 0,
+                )
+            with mock.patch.multiple(codec, **schedule):
+                assert outcome(entropy_decode, block) == outcome(reference_decode, block)
+                assert outcome(entropy_decode, block, bins.size) == outcome(
+                    reference_decode_count, block, bins.size
+                )
+
+    return DecoderProperties
+
+
+TestDecoderAgainstReference = reference_properties({"_SYNC_CODES": codec._SYNC_CODES})
+# No sync window: nearly every guessed state is wrong, and the vectorized
+# repair sweeps alone mend them; or the one-at-a-time walk alone does.
+TestDecoderRepairSweeps = reference_properties({"_SYNC_CODES": 0, "_SCALAR_REPAIR": 1})
+TestDecoderRepairWalk = reference_properties({"_SYNC_CODES": 0, "_SCALAR_REPAIR": 1 << 62})
 
 
 class TestBlockSerialization:
@@ -551,9 +581,62 @@ class TestBlockSerialization:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_more_symbols_than_elements_rejected_before_allocating(self):
+        # 4096 twelve-bit codes form a complete code, but a 10-element layer
+        # cannot use them all: decode_stream refuses before building a table.
+        block = HuffmanBlock(0, np.full(4096, 12, dtype=np.uint8), 120, bytes(15), 0)
+        encoded = EncodedStream(block, np.zeros(10, dtype=bool), np.zeros(0, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            with pytest.raises(IntegrityError, match="4096 symbols for 10 elements"):
+                decode_stream(encoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_bit_count_beyond_stream(self):
         with pytest.raises(IntegrityError):
             HuffmanBlock(0, np.array([1], dtype=np.uint8), 64, b"\x00", 1)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak, in bytes, of the call."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDecoderMemory:
+    def test_complete_16_bit_code(self):
+        # Each of 65536 symbols once as a 16-bit code: 65535 decoder states,
+        # so the decoder keeps to 4-bit chunks. Its tables take most of the
+        # stated 32 MiB.
+        rng = np.random.default_rng(53)
+        lens = np.full(1 << 16, 16, dtype=np.int64)
+        message = rng.permutation(1 << 16)
+        stream = _pack_codes(message, _canonical_codes(lens), lens, 16 << 16)
+        block = HuffmanBlock(0, lens, 16 << 16, stream, 0)
+        out, peak = traced_peak(entropy_decode, block, message.size)
+        np.testing.assert_array_equal(out, message)
+        np.testing.assert_array_equal(reference_decode(block), message)
+        assert peak < 32 << 20
+
+    def test_largest_conv_layer_peak(self):
+        # The size of the largest conv-minibatch layer: 589824 bins at about
+        # 1.8 bits each. 9.4 MB is the peak of the per-bit-table decoder this
+        # one replaced, so decompress memory cannot creep up through it.
+        rng = np.random.default_rng(59)
+        n = 589824
+        bins = (rng.geometric(0.67, size=n) - 1) * rng.choice((-1, 1), size=n)
+        block = entropy_encode(bins)
+        assert 1.7 < block.bit_count / n < 1.9
+        out, peak = traced_peak(entropy_decode, block, n)
+        np.testing.assert_array_equal(out, bins)
+        assert peak <= 9.4e6
 
 
 class TestStreamSerialization:
@@ -605,6 +688,18 @@ class TestLosslessBackend:
         blob[5] ^= 0xFF
         with pytest.raises(IntegrityError):
             lossless_decompress(bytes(blob))
+
+    def test_inflation_capped(self):
+        blob = lossless_compress(bytes(1 << 20))
+        assert lossless_decompress(blob, 1 << 20) == bytes(1 << 20)
+        with pytest.raises(IntegrityError, match="inflates past"):
+            lossless_decompress(blob, (1 << 20) - 1)
+
+    def test_truncated_deflate_stream(self):
+        blob = lossless_compress(bytes(range(256)) * 64)
+        for cap in (None, 1 << 20):
+            with pytest.raises(IntegrityError, match="truncated"):
+                lossless_decompress(blob[:-4], cap)
 
     def test_unknown_tag(self):
         with pytest.raises(FormatError):

@@ -1,11 +1,12 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gradzip import pipeline
-from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig
+from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig, lossless_compress
 from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError
 from gradzip.pipeline import (
     CompressedPayload,
@@ -396,6 +397,30 @@ class TestProtocolErrors:
             describe_blob(bytes(blob), spec)
         with pytest.raises(IntegrityError, match="delta"):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
+
+
+    def test_inflation_bomb_rejected_within_memory(self):
+        # 64 MiB of zeros deflate to about 65 KB. A 64-element layer's inner
+        # blob holds at most about 1 MiB, so inflation stops there.
+        layers = (LayerSpec("fc", (8, 8)),)
+        trace = synth_trace(SynthConfig(seed=20, layers=layers, rounds=1))
+        params = make_params()
+        payload, _ = compress_round(trace.rounds[0], SyncState.initial(layers), params)
+        bomb = lossless_compress(bytes(64 << 20))
+        assert len(bomb) < 70_000
+        tampered = CompressedPayload(payload.client_id, payload.round, payload.spec_digest, [bomb])
+        for decode in (
+            lambda: describe_blob(bomb, layers[0]),
+            lambda: decompress_round(tampered, SyncState.initial(layers), params),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(IntegrityError, match="'fc'.*inflates past"):
+                    decode()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
 
 
 class TestFullBatchPath:
