@@ -58,10 +58,9 @@ _SYNC_CODES = 6
 # for at most this many state updates per chunk in all.
 _SCALAR_REPAIR = 8
 _SWEEP_WORK = 8
-# Decoder table rows built at once, and chunks whose codes are gathered at
-# once; both bound the decoder's temporaries.
-_BUILD_ROWS = 1 << 10
-_EMIT_WINDOW = 1 << 13
+# Decoder table entries built, and stream chunks expanded into codes, at
+# once; bounds the decoder's temporaries.
+_DECODE_BLOCK = 1 << 13
 # Symbols the encoder packs at once; bounds its temporaries.
 _PACK_CHUNK = 1 << 16
 
@@ -303,7 +302,6 @@ class _Automaton:
     """
 
     states: int  # internal nodes; the error state is index `states`
-    min_len: int
     max_len: int
     len_gcd: int  # greatest common divisor of the code lengths
     symbols: np.ndarray  # int64 symbols in canonical order
@@ -322,7 +320,11 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
     if numel is not None and order.size > numel:
         raise IntegrityError(f"Huffman table declares {order.size} symbols for {numel} elements")
     count = np.bincount(lens)
-    max_len = count.size - 1
+    min_len, max_len = int(lens[0]), count.size - 1
+    if numel is not None and not numel * min_len <= block.bit_count <= numel * max_len:
+        raise IntegrityError(
+            f"{block.bit_count} bits cannot hold {numel} codes of {min_len}..{max_len} bits"
+        )
     if sum(int(c) << (max_len - ln) for ln, c in enumerate(count)) > 1 << max_len:
         raise IntegrityError("Huffman code lengths over-subscribe the code space")
     first_code, first_rank = _canonical_starts(count)
@@ -353,14 +355,14 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
     bit_rank[:states][leaf] = (first_rank[below] + rank)[leaf]
     del child, below, rank, leaf
     # Every code after the first one a chunk completes lies whole inside it.
-    slots = 1 + 3 // int(lens[0])
+    slots = 1 + 3 // min_len
     nib_next = np.empty((states + 1) << 4, dtype=np.intp)
     nib_count = np.empty(nib_next.size, dtype=np.uint8)
     nib_emit = np.zeros(nib_next.size * slots, dtype=np.int64)
     flat_next, flat_rank = bit_next.reshape(-1), bit_rank.reshape(-1)
     symbols = order.astype(np.int64) + block.min_symbol
-    for a in range(0, states + 1, _BUILD_ROWS):
-        rows = np.arange(a, min(a + _BUILD_ROWS, states + 1))
+    for a in range(0, states + 1, _DECODE_BLOCK >> 4):
+        rows = np.arange(a, min(a + (_DECODE_BLOCK >> 4), states + 1))
         at = np.repeat(rows, 16)
         chunk = np.tile(np.arange(16), rows.size)
         done = np.zeros(at.size, dtype=np.intp)
@@ -374,7 +376,7 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
         nib_next[a * 16 : a * 16 + at.size] = at << 4
         nib_count[a * 16 : a * 16 + at.size] = done
     return _Automaton(
-        states, int(lens[0]), max_len, int(np.gcd.reduce(lens)), symbols, bit_next, bit_rank,
+        states, max_len, int(np.gcd.reduce(lens)), symbols, bit_next, bit_rank,
         nib_next, nib_count, nib_emit, slots,
     )
 
@@ -451,10 +453,6 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
             raise IntegrityError("empty bitstream for a nonzero symbol count")
         return np.zeros(0, dtype=np.int64)
     a = _build_automaton(block, numel)
-    if numel is not None and not numel * a.min_len <= bit_count <= numel * a.max_len:
-        raise IntegrityError(
-            f"{bit_count} bits cannot hold {numel} codes of {a.min_len}..{a.max_len} bits"
-        )
     stream = block.stream
     raw = np.frombuffer(stream, dtype=np.uint8, count=(bit_count + 7) >> 3)
     # An 8-bit table costs 256 entries per state to compose; it pays once
@@ -491,11 +489,11 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     if numel is not None and total != numel:
         raise IntegrityError(f"decoded {total} bins for a {numel}-element layer")
     out = np.empty(total, dtype=np.int64)
-    offsets = np.arange(min(total, k * _EMIT_WINDOW))
+    offsets = np.arange(min(total, k * _DECODE_BLOCK))
     o = 0
-    for w in range(0, chunks.size, _EMIT_WINDOW):
-        nib = entry[w : w + _EMIT_WINDOW]
-        count = per_chunk[w : w + _EMIT_WINDOW]
+    for w in range(0, chunks.size, _DECODE_BLOCK):
+        nib = entry[w : w + _DECODE_BLOCK]
+        count = per_chunk[w : w + _DECODE_BLOCK]
         if k == 8:
             pair = np.empty((nib.size, 2), dtype=np.intp)
             np.right_shift(nib, 4, out=pair[:, 0])
