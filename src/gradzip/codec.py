@@ -54,10 +54,10 @@ _STATE_ALLOWANCE = 1 << 12
 # The decoder guesses its state at a chunk boundary by running this many
 # codes' worth of chunks from the root, as canonical codes self-synchronize.
 _SYNC_CODES = 6
-# Repair sweeps stay vectorized while at least this many states change, and
-# for at most this many state updates per chunk in all.
+# Repair stays vectorized while at least this many states change, and for
+# at most this many state updates per chunk in all.
 _SCALAR_REPAIR = 8
-_SWEEP_WORK = 8
+_REPAIR_WORK = 64
 # Decoder table entries built, and stream chunks expanded into codes, at
 # once; bounds the decoder's temporaries.
 _DECODE_BLOCK = 1 << 13
@@ -385,19 +385,19 @@ def _chunk_states(step: np.ndarray, chunks: np.ndarray, window: int, period: int
     """The automaton's state before each chunk and after the last, exactly.
 
     step[state + chunk] is the next state; states are pre-shifted by the
-    chunk width. Each state is first guessed by running at least window
-    chunks from the root, starting at a chunk boundary where a code can
-    start: every period-th one, as the code lengths may share a divisor.
-    A state that differs from step applied to its predecessor is then
-    recomputed from it, and so is its successor whenever it changes, until
-    every state agrees with its predecessor. The first state is the root,
-    so the sequence is then the true one. The first wrong state moves right
-    on every sweep, so window affects only the speed. Sweeps are vectorized
-    while many states change; the last few, and all once a budget linear in
-    the stream is spent, are walked one at a time.
+    chunk width. Each state is first guessed by running window chunks from
+    the root, starting at a chunk boundary where a code can start: every
+    period-th one, as the code lengths may share a divisor. Then every state
+    is recomputed from its predecessor, in whole passes while many states
+    still change and then in sweeps over the successors of the changed ones,
+    until every state agrees with its predecessor. The first state is the
+    root, so the sequence is then the true one. The first wrong state moves
+    right on every pass, so window affects only the speed. Once a budget
+    linear in the stream is spent, or few states are left, the rest is
+    walked one state at a time.
     """
     n = chunks.size
-    states = np.zeros(n + 1, dtype=np.intp)
+    states, new = np.zeros(n + 1, dtype=np.intp), np.zeros(n + 1, dtype=np.intp)
     entry = np.empty(n, dtype=np.intp)
     for t in range(window + period - 1):
         np.add(states[:-1], chunks, out=entry)
@@ -405,13 +405,17 @@ def _chunk_states(step: np.ndarray, chunks: np.ndarray, window: int, period: int
         np.take(step, entry, out=states[1:], mode="clip")
         if t < period - 1:
             states[::period] = 0
-    np.add(states[:-1], chunks, out=entry)
-    new = step[entry]
-    todo = np.flatnonzero(new != states[1:]) + 2
-    states[1:] = new
+    budget = _REPAIR_WORK * n
+    while True:
+        budget -= n
+        np.add(states[:-1], chunks, out=entry)
+        np.take(step, entry, out=new[1:], mode="clip")
+        moved = new[1:] != states[1:]
+        states, new = new, states
+        if np.count_nonzero(moved) <= n >> 3 or budget <= 0:
+            break
     del new, entry
-    todo = todo[todo <= n]
-    budget = _SWEEP_WORK * n
+    todo = np.flatnonzero(moved[:-1]) + 2
     while todo.size >= _SCALAR_REPAIR and budget > 0:
         budget -= todo.size
         new = step[states[todo - 1] + chunks[todo - 1]]
