@@ -459,9 +459,10 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     a = _build_automaton(block, numel)
     stream = block.stream
     raw = np.frombuffer(stream, dtype=np.uint8, count=(bit_count + 7) >> 3)
-    # An 8-bit table costs 256 entries per state to compose; it pays once
-    # the stream has a few chunks for each entry.
-    if (a.states + 1) << 8 <= bit_count >> 1:
+    # An 8-bit table costs 256 entries per state to compose. Up to 16
+    # entries per stream byte it pays, as it halves the chunks every pass
+    # over the stream visits.
+    if (a.states + 1) << 7 <= bit_count:
         k, chunks = 8, raw[: bit_count >> 3]
         pair = a.nib_next.reshape(-1, 16, 1) + np.arange(16)
         step = (a.nib_next[pair] << 4).reshape(-1)
