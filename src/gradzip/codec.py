@@ -43,8 +43,8 @@ BACKEND_DEFAULT = "default"
 BACKEND_STORE = "store"
 _BACKEND_TAGS = {BACKEND_DEFAULT: b"Z", BACKEND_STORE: b"S"}
 
-# Widest Huffman code the wire format accepts. It is a format limit: the
-# encoder's 64-bit packing and every decoder bound below assume it.
+# Widest Huffman code the wire format accepts: a format limit, which
+# max_stream_bytes and the size checks on a parsed block rely on.
 _MAX_CODE_LEN = 56
 # Dense symbol-table guard; quantizer output always fits 2 * DEFAULT_BIN_CAP + 1.
 _MAX_ALPHABET_RANGE = 1 << 20
