@@ -1,10 +1,16 @@
 """Command-line front end: compress, decompress, simulate, synth, inspect, bench.
 
 Payload stream files written by ``compress`` start with a small header
-(magic ``GZPS``, version, training mode, layer table, round count) followed
-by one framed payload per round. The header carries the layer table so that
-``decompress`` and ``inspect`` are self contained; the per-round frames are
-exactly what a federated client would put on the wire.
+(magic ``GZPS``, version u16 = 2, training mode u8, layer count u32, layer
+table, round count u32, predictor parameters beta f64, tau f64 and
+full_batch u8, then an 8-byte blake2b digest of all of these) followed by
+one framed payload per round. The header carries the layer table and the
+predictor parameters so that ``decompress`` and ``inspect`` are self
+contained; the per-round frames are exactly what a federated client would
+put on the wire. ``compress`` writes those frames straight from the client
+and does not decode its own output: every byte that can change a
+reconstruction is checked by ``decompress``, and ``decompress --reference``
+checks the result against the original trace.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
@@ -14,11 +20,14 @@ deterministic: identical invocations produce byte-identical artifacts.
 
 import argparse
 import csv
+import functools
 import io
 import os
+import struct
 import sys
 import tempfile
 import time
+from hashlib import blake2b
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +51,9 @@ from .flsim import (
     RoundReport,
     SimConfig,
     check_bounds,
+    client_rounds,
     reports_to_csv,
     run_simulation,
-    verified_rounds,
 )
 from .pipeline import (
     DEFAULT_LOSSY_THRESHOLD,
@@ -73,7 +82,8 @@ from .trace import (
 )
 
 STREAM_MAGIC = b"GZPS"
-STREAM_VERSION = 1
+STREAM_VERSION = 2
+_STREAM_PARAMS = "<ddB"  # beta, tau, full_batch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,15 +186,31 @@ def _params_from_args(args, trace_mode: str) -> PipelineParams:
     )
 
 
-def _read_stream(path):
-    """Header and payload frames of a stream file, with the round count checked.
+def _stream_header(mode: str, layers: list[LayerSpec], nrounds: int, predict: PredictParams) -> bytes:
+    head = encode_header(STREAM_MAGIC, STREAM_VERSION, mode, layers, nrounds)
+    head += struct.pack(_STREAM_PARAMS, predict.beta, predict.tau, predict.full_batch)
+    return head + blake2b(head, digest_size=8).digest()
 
-    Every frame is checked against the header's layer table before anything
-    is sized from that table, so a corrupted axis cannot drive an allocation.
+
+def _read_stream(path):
+    """((mode, predictor parameters), layers, payload frames) of a stream
+    file, with the header digest and the round count checked.
+
+    The header digest is checked before anything is sized from the layer
+    table, and every frame against that table before any decoding.
     """
     data = Path(path).read_bytes()
     reader = ByteReader(data)
     mode, layers, nrounds = decode_header(reader, STREAM_MAGIC, STREAM_VERSION, "payload stream")
+    beta, tau, full_batch = reader.unpack(_STREAM_PARAMS)
+    if reader.take(8) != blake2b(data[: reader.pos - 8], digest_size=8).digest():
+        raise IntegrityError("payload stream: header digest mismatch")
+    if full_batch > 1:
+        raise FormatError(f"payload stream: full_batch byte must be 0 or 1, got {full_batch}")
+    try:
+        predict = PredictParams(beta, tau, bool(full_batch))
+    except UsageError as exc:
+        raise FormatError(f"payload stream: {exc}") from exc
     payloads = list(iter_payloads(data[reader.pos:]))
     if len(payloads) != nrounds:
         raise IntegrityError(
@@ -192,7 +218,7 @@ def _read_stream(path):
         )
     for payload in payloads:
         check_payload(payload, layers)
-    return mode, layers, payloads
+    return (mode, predict), layers, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +247,9 @@ def cmd_synth(args) -> int:
 def cmd_compress(args) -> int:
     trace = load_trace(args.input)
     params = _params_from_args(args, trace.mode)
-    out = bytearray(
-        encode_header(STREAM_MAGIC, STREAM_VERSION, trace.mode, trace.layers, trace.num_rounds)
-    )
+    out = bytearray(_stream_header(trace.mode, trace.layers, trace.num_rounds, params.predict))
     reports = []
-    for wire, _, row in verified_rounds(trace.layers, trace.rounds, params, fixed_times=(0.0, 0.0)):
+    for wire, row, _ in client_rounds(trace.layers, trace.rounds, params, fixed_times=(0.0, 0.0)):
         reports.append(RoundReport(len(reports) + 1, [row], row.cr, []))
         out += wire
     _atomic_write_bytes(args.output, bytes(out))
@@ -245,8 +269,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    mode, layers, payloads = _read_stream(args.input)
-    predict = PredictParams(beta=args.beta)
+    (mode, predict), layers, payloads = _read_stream(args.input)
     server = SyncState.initial(layers)
     rounds = []
     infos = []
@@ -300,8 +323,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    mode, layers, payloads = _read_stream(args.input)
-    lines = [f"stream: {len(layers)} layers, mode {mode}, {len(payloads)} rounds"]
+    (mode, predict), layers, payloads = _read_stream(args.input)
+    lines = [
+        f"stream: {len(layers)} layers, mode {mode}, {len(payloads)} rounds",
+        f"predict beta {predict.beta:.9g} tau {predict.tau:.9g} "
+        f"full_batch {int(predict.full_batch)}",
+    ]
     for spec in layers:
         shape = "x".join(str(d) for d in spec.shape)
         lines.append(f"layer {spec.name} kind {spec.kind} shape {shape}")
@@ -414,7 +441,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    help="gradient prediction stage (default on)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="gradzip",
         description="Error-bounded lossy compression for federated gradient "
@@ -453,8 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reconstruct a trace from a payload stream")
     p.add_argument("input", help="payload stream file")
     p.add_argument("output", help="reconstructed trace to write")
-    p.add_argument("--beta", type=float, default=0.5, metavar="REAL",
-                   help="magnitude predictor weight; must match compression")
     p.add_argument("--reference", default=None, metavar="TRACE",
                    help="original trace; verify every error bound against it")
     p.set_defaults(func=cmd_decompress)

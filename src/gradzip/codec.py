@@ -151,23 +151,39 @@ def quantize(
     Returns the stream and the float32 reconstruction dequantize will
     compute. The check runs against that exact float32 value, so float32
     rounding can never push an element past the bound: offenders carry their
-    original value.
+    original value. Works _PACK_CHUNK elements at a time in reused buffers.
     """
     if not 0.0 < 2.0 * float(delta) < np.inf:
         raise UsageError(f"delta must be positive with a finite bin width 2 * delta, got {delta}")
     original = np.asarray(original).reshape(-1)
     if not np.all(np.isfinite(original)):
         raise DataError("quantizer input contains non-finite values")
-    g64 = original.astype(np.float64)
-    binsf = np.rint((g64 - ghat) / (2.0 * delta))
-    ok = np.isfinite(binsf) & (np.abs(binsf) <= DEFAULT_BIN_CAP)
-    bins = np.where(ok, binsf, 0.0).astype(np.int32)
-    recon64 = _bin_centers(bins, ghat, delta)
-    recon32 = recon64.astype(np.float32)
-    ok &= np.isfinite(recon32)
-    ok &= np.abs(recon64 - g64) <= delta
-    ok &= np.abs(recon32.astype(np.float64) - g64) <= delta
-    mask = ~ok
+    n = original.size
+    bins = np.empty(n, dtype=np.int32)
+    recon32 = np.empty(n, dtype=np.float32)
+    ok = np.empty(n, dtype=bool)
+    g64, t = np.empty(min(n, _PACK_CHUNK)), np.empty(min(n, _PACK_CHUNK))
+    for a in range(0, n, _PACK_CHUNK):
+        b = min(a + _PACK_CHUNK, n)
+        g, w, h, o = g64[: b - a], t[: b - a], ghat[a:b], ok[a:b]
+        np.copyto(g, original[a:b])
+        np.subtract(g, h, out=w)
+        w /= 2.0 * delta
+        np.rint(w, out=w)
+        # NaN and infinite bins fail the cap test too.
+        np.less_equal(w, DEFAULT_BIN_CAP, out=o)
+        o &= w >= -DEFAULT_BIN_CAP
+        w[~o] = 0.0
+        np.copyto(bins[a:b], w, casting="unsafe")
+        _bin_centers(bins[a:b], h, delta, out=w)
+        np.copyto(recon32[a:b], w, casting="same_kind")
+        o &= np.isfinite(recon32[a:b])
+        w -= g
+        o &= np.abs(w, out=w) <= delta
+        np.copyto(w, recon32[a:b])
+        w -= g
+        o &= np.abs(w, out=w) <= delta
+    mask = np.logical_not(ok, out=ok)
     bins[mask] = 0
     literals = original[mask]
     recon32[mask] = literals
@@ -176,15 +192,24 @@ def quantize(
 
 def dequantize(stream: QuantizedStream, ghat: np.ndarray, delta: float) -> np.ndarray:
     """Invert quantize: the same float32 reconstruction, literals restored exactly."""
-    recon32 = _bin_centers(stream.bins, ghat, delta).astype(np.float32)
+    n = stream.bins.size
+    recon32 = np.empty(n, dtype=np.float32)
+    t = np.empty(min(n, _PACK_CHUNK))
+    for a in range(0, n, _PACK_CHUNK):
+        b = min(a + _PACK_CHUNK, n)
+        _bin_centers(stream.bins[a:b], ghat[a:b], delta, out=t[: b - a])
+        np.copyto(recon32[a:b], t[: b - a], casting="same_kind")
     recon32[stream.literal_mask] = stream.literals
     return recon32
 
 
-def _bin_centers(bins: np.ndarray, ghat: np.ndarray, delta: float) -> np.ndarray:
-    """The float64 value each bin stands for. quantize and dequantize both
-    build it from the integer bins, so even a zero's sign agrees."""
-    return ghat + bins.astype(np.float64) * (2.0 * delta)
+def _bin_centers(bins: np.ndarray, ghat: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+    """The float64 value each bin stands for, written to out. quantize and
+    dequantize both build it from the integer bins, so even a zero's sign
+    agrees."""
+    np.multiply(bins, 2.0 * delta, out=out)
+    out += ghat
+    return out
 
 
 def _huffman_code_lengths(counts: np.ndarray) -> np.ndarray:
@@ -521,6 +546,11 @@ def encode_block(block: HuffmanBlock) -> bytes:
     return head + block.lengths.tobytes() + block.stream
 
 
+def block_bit_count(encoded: bytes) -> int:
+    """The bit count of the block encode_block wrote at the start of encoded."""
+    return struct.unpack_from("<Q", encoded, 8)[0]
+
+
 def decode_block(reader: ByteReader) -> HuffmanBlock:
     min_symbol, span, bit_count = reader.unpack("<iIQ")
     if span > _MAX_ALPHABET_RANGE:
@@ -581,31 +611,43 @@ def decode_stream(encoded: EncodedStream) -> QuantizedStream:
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:
-    """Final whole-blob stage: tagged DEFLATE by default, or a raw store."""
+    """Final whole-blob stage: tagged DEFLATE by default, or a raw store.
+
+    A stored blob ends in the CRC32 of its data. A DEFLATE blob needs none:
+    its zlib wrapper already ends in an Adler-32 of the data (RFC 1950).
+    """
     if backend not in _BACKEND_TAGS:
         raise UsageError(f"unknown lossless backend {backend!r}")
     if backend == BACKEND_STORE:
-        return _BACKEND_TAGS[BACKEND_STORE] + data
+        return _BACKEND_TAGS[BACKEND_STORE] + data + struct.pack("<I", zlib.crc32(data))
     return _BACKEND_TAGS[BACKEND_DEFAULT] + zlib.compress(data, 6)
 
 
 def lossless_decompress(data: bytes, max_size: int | None = None) -> bytes:
-    """Undo lossless_compress. DEFLATE output past max_size bytes, when given,
-    raises IntegrityError without being inflated further."""
+    """Undo lossless_compress, checking the blob's checksum. DEFLATE output
+    past max_size bytes, when given, raises IntegrityError without being
+    inflated further."""
     if not data:
         raise FormatError("empty lossless container")
-    tag, body = data[:1], data[1:]
+    tag = data[:1]
     if tag == _BACKEND_TAGS[BACKEND_STORE]:
-        return body
+        if len(data) < 5:
+            raise IntegrityError("stored payload too short for its checksum")
+        (crc,) = struct.unpack_from("<I", data, len(data) - 4)
+        if zlib.crc32(memoryview(data)[1:-4]) != crc:
+            raise IntegrityError("stored payload corrupt: CRC32 mismatch")
+        return data[1:-4]
     if tag == _BACKEND_TAGS[BACKEND_DEFAULT]:
         inflate = zlib.decompressobj()
         try:
-            out = inflate.decompress(body, 0 if max_size is None else max_size + 1)
+            out = inflate.decompress(memoryview(data)[1:], 0 if max_size is None else max_size + 1)
         except zlib.error as exc:
             raise IntegrityError(f"lossless payload corrupt: {exc}") from exc
         if max_size is not None and len(out) > max_size:
             raise IntegrityError(f"lossless payload inflates past {max_size} bytes")
         if not inflate.eof:
             raise IntegrityError("lossless payload corrupt: incomplete or truncated stream")
+        if inflate.unused_data:
+            raise IntegrityError("lossless payload corrupt: bytes after the end of its stream")
         return out
     raise FormatError(f"unknown lossless backend tag {tag!r}")

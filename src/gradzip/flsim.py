@@ -4,7 +4,9 @@ The simulator drives the compression pipeline for several clients in
 lock-step: each round every client compresses its gradients, the server
 decompresses and mirrors the client's state, reconstructions are averaged
 FedAvg-style, and the state-sync and error-bound invariants are asserted
-before the round is reported. Transmission itself is modeled analytically:
+before the round is reported. A client on its own (client_rounds, behind
+``compress``) checks its bounds on its own reconstruction, which the wire's
+state digests tie to the server's. Transmission itself is modeled analytically:
 t_comm = t_comp + 8 * S' / B + t_decomp against a baseline of 8 * S / B.
 """
 
@@ -24,8 +26,8 @@ from .pipeline import (
     CompressedPayload,
     PipelineParams,
     SyncState,
-    compress_round,
     decode_payload,
+    encode_round,
     frame_payload,
     parse_payload,
 )
@@ -176,7 +178,8 @@ def check_bounds(
     """
     stats = []
     for g, recon, info in zip(originals, recons, infos):
-        err = float(np.abs(recon.values.astype(np.float64) - g.values.astype(np.float64)).max())
+        diff = np.subtract(recon.values, g.values, dtype=np.float64)
+        err = float(np.abs(diff, out=diff).max())
         lossy = info.tag == TAG_LOSSY
         limit = info.delta if lossy else 0.0
         if err > limit:
@@ -227,7 +230,13 @@ def verify_round(
             raise ProtocolError(
                 f"client/server state mismatch at {where}, layer {spec.name!r}"
             )
-    stats = check_bounds(originals, recons, payload, infos)
+    return _round_row(payload, check_bounds(originals, recons, payload, infos), framed_bytes, times)
+
+
+def _round_row(
+    payload: CompressedPayload, stats: list[LayerStats], framed_bytes: int,
+    times: tuple[float, float],
+) -> ClientRoundStats:
     s_bytes = sum(ls.s_bytes for ls in stats)
     return ClientRoundStats(
         client=payload.client_id,
@@ -242,6 +251,34 @@ def verify_round(
     )
 
 
+def client_rounds(
+    layers: list[LayerSpec],
+    rounds: list[list[GradientTensor]],
+    params: PipelineParams,
+    client_id: int = 0,
+    fixed_times: tuple[float, float] | None = None,
+):
+    """Run one client on its own, one round per step.
+
+    Each round the client compresses and frames its payload, and
+    check_bounds checks its own reconstruction, which is bitwise the one the
+    server will decode: the payload carries a digest of the client's state
+    that the server checks. Yields (framed bytes, ClientRoundStats row,
+    client state after the round). The row's compress time is measured and
+    its decompress time is 0, unless fixed_times gives both.
+    """
+    client = SyncState.initial(layers)
+    for tensors in rounds:
+        t0 = time.perf_counter()
+        payload, infos, client = encode_round(tensors, client, params, client_id)
+        t1 = time.perf_counter()
+        wire = frame_payload(payload)
+        recons = [GradientTensor(spec, r) for spec, r in zip(layers, client.prev_recon)]
+        stats = check_bounds(tensors, recons, payload, infos)
+        times = (t1 - t0, 0.0) if fixed_times is None else fixed_times
+        yield wire, _round_row(payload, stats, len(wire), times), client
+
+
 def verified_rounds(
     layers: list[LayerSpec],
     rounds: list[list[GradientTensor]],
@@ -251,23 +288,18 @@ def verified_rounds(
 ):
     """Run one client and the server's mirror of it, one round per step.
 
-    Each round the client compresses and frames its payload, the server
+    Each round client_rounds compresses and frames the payload, the server
     parses that frame and decodes it, and verify_round checks the round.
     Yields (framed bytes, server reconstructions, ClientRoundStats row). The
     row's codec times are measured unless fixed_times gives them.
     """
-    client = SyncState.initial(layers)
     server = SyncState.initial(layers)
-    for tensors in rounds:
-        t0 = time.perf_counter()
-        payload, client = compress_round(tensors, client, params, client_id=client_id)
-        t1 = time.perf_counter()
-        wire = frame_payload(payload)
+    for tensors, (wire, row, client) in zip(rounds, client_rounds(layers, rounds, params, client_id)):
         parsed = parse_payload(wire)
         t2 = time.perf_counter()
         recons, infos, server = decode_payload(parsed, server, params.predict)
         t3 = time.perf_counter()
-        times = (t1 - t0, t3 - t2) if fixed_times is None else fixed_times
+        times = (row.t_comp_s, t3 - t2) if fixed_times is None else fixed_times
         row = verify_round(tensors, recons, parsed, infos, len(wire), client, server, times)
         yield wire, recons, row
 

@@ -7,13 +7,23 @@ server will compute and feeds the predictors from it, and both sides derive
 each prediction through one step from the blob's wire fields, so they evolve
 bitwise-identical state using only the framed payload as a channel.
 
-Wire formats (little-endian):
+Every byte that can change a reconstruction is checked on the wire: a
+DEFLATE blob by its zlib Adler-32, a stored blob by its CRC32, and a lossy
+blob's result by the CRC32 of the client's state after the round, which the
+server recomputes from its own. A client therefore needs no mirror of the
+server to know that the server will decode what it sent.
+
+Wire formats (little-endian), version 2:
 
     layer blob (before the lossless backend wrap):
         tag u8: 0 = lossless_only, 1 = lossy
         lossless_only: raw float32 values
         lossy: flags u8 (bit 0 = prediction used), mu f32, sigma f32,
-               delta f64, sign bitmap, Huffman block, literal section
+               delta f64, sign bitmap, Huffman block, literal section,
+               state digest u32: CRC32 of the layer's magnitude memory
+               (f64) and then its reconstruction (f32) after the round
+
+    wrapped blob: "Z" + zlib stream, or "S" + layer blob + CRC32 u32
 
     payload frame:
         magic "GEBC", version u16, client u32, round u32,
@@ -24,6 +34,7 @@ Wire formats (little-endian):
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -34,6 +45,7 @@ from .codec import (
     BACKEND_STORE,
     EncodedStream,
     ErrorBoundConfig,
+    block_bit_count,
     decode_stream,
     dequantize,
     encode_stream,
@@ -62,7 +74,7 @@ from .predictor import (
 from .trace import ByteReader, GradientTensor, LayerSpec, abs_stats, encode_layer_table
 
 PAYLOAD_MAGIC = b"GEBC"
-PAYLOAD_VERSION = 1
+PAYLOAD_VERSION = 2
 DEFAULT_LOSSY_THRESHOLD = 1024
 
 TAG_LOSSLESS = 0
@@ -149,12 +161,21 @@ def _predict(
     spec, prev_recon = state.layers[i], state.prev_recon[i]
     if not flags & _FLAG_PREDICTION:
         return np.zeros(spec.numel, dtype=np.float64), state.mag[i]
+    prev_abs = prev_recon.astype(np.float64)
     pred_abs, new_mag = predict_magnitude(
-        np.abs(prev_recon).astype(np.float64), float(mu32), float(sigma32), state.mag[i], params
+        np.abs(prev_abs, out=prev_abs), float(mu32), float(sigma32), state.mag[i], params
     )
+    del prev_abs
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
-    return signs.values.astype(np.float64) * pred_abs, new_mag
+    return np.multiply(pred_abs, signs.values, out=pred_abs), new_mag
+
+
+def _state_crc(mag: MagPredictorState, recon: np.ndarray) -> int:
+    """CRC32 of one layer's state after a round: its magnitude memory, then
+    its reconstruction, read in place."""
+    crc = zlib.crc32(mag.memory.astype("<f8", copy=False))
+    return zlib.crc32(recon.astype("<f4", copy=False), crc)
 
 
 def _client_bitmap(
@@ -171,15 +192,16 @@ def _client_bitmap(
 
 def _encode_layer(
     g: GradientTensor, state: SyncState, i: int, params: PipelineParams
-) -> tuple[bytes, MagPredictorState, np.ndarray]:
+) -> tuple[bytes, MagPredictorState, np.ndarray, "BlobInfo"]:
     """Layer i of a client round: (wrapped blob, next magnitude state, the
-    reconstruction the server will compute)."""
+    reconstruction the server will compute, the blob's description)."""
     spec = state.layers[i]
     if g.spec != spec:
         raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
     if spec.numel <= params.lossy_threshold:
         inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
-        return lossless_compress(inner, params.backend), state.mag[i], g.values.copy()
+        blob = lossless_compress(inner, params.backend)
+        return blob, state.mag[i], g.values.copy(), BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
     mu, sigma = abs_stats(g)
     mu32, sigma32 = np.float32(mu), np.float32(sigma)
     flags = _FLAG_PREDICTION if params.prediction_enabled else 0
@@ -187,9 +209,47 @@ def _encode_layer(
     ghat, mag = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict)
     delta = resolve_bound(params.bound, g)
     stream, recon32 = quantize(g.values, ghat, delta)
-    inner = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
-    inner += encode_bitmap(bitmap) + encode_stream(stream)
-    return lossless_compress(inner, params.backend), mag, recon32
+    del ghat
+    crc = _state_crc(mag, recon32)
+    bitmap_raw, body = encode_bitmap(bitmap), encode_stream(stream)
+    head = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
+    inner = b"".join((head, bitmap_raw, body, struct.pack("<I", crc)))
+    blob = lossless_compress(inner, params.backend)
+    info = BlobInfo(
+        tag=TAG_LOSSY,
+        wire_bytes=len(blob),
+        inner_bytes=len(inner),
+        flags=flags,
+        mu=float(mu32),
+        sigma=float(sigma32),
+        delta=delta,
+        bitmap_variant=bitmap.variant,
+        bitmap_bytes=len(bitmap_raw),
+        bitmap_bits=bitmap_wire_bits(bitmap),
+        kernel_count=bitmap.kernel_count,
+        predicted_kernels=bitmap.predicted_count,
+        huffman_bits=block_bit_count(body),
+        literal_count=stream.literals.size,
+        state_crc=crc,
+    )
+    return blob, mag, recon32, info
+
+
+def encode_round(
+    tensors: list[GradientTensor],
+    state: SyncState,
+    params: PipelineParams,
+    client_id: int = 0,
+) -> tuple[CompressedPayload, list["BlobInfo"], SyncState]:
+    """Compress one round of gradients; returns the payload, the description
+    of each blob it wrote, and the advanced state. The state's
+    reconstructions are bitwise the ones the server will decode."""
+    if len(tensors) != len(state.layers):
+        raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
+    out = [_encode_layer(g, state, i, params) for i, g in enumerate(tensors)]
+    blobs, mags, recons, infos = ([row[k] for row in out] for k in range(4))
+    payload = CompressedPayload(client_id, state.round + 1, spec_digest(state.layers), blobs)
+    return payload, infos, SyncState(state.layers, mags, recons, payload.round)
 
 
 def compress_round(
@@ -199,12 +259,8 @@ def compress_round(
     client_id: int = 0,
 ) -> tuple[CompressedPayload, SyncState]:
     """Compress one round of gradients; returns the payload and advanced state."""
-    if len(tensors) != len(state.layers):
-        raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
-    out = [_encode_layer(g, state, i, params) for i, g in enumerate(tensors)]
-    blobs, mags, recons = ([row[k] for row in out] for k in range(3))
-    payload = CompressedPayload(client_id, state.round + 1, spec_digest(state.layers), blobs)
-    return payload, SyncState(state.layers, mags, recons, payload.round)
+    payload, _, next_state = encode_round(tensors, state, params, client_id)
+    return payload, next_state
 
 
 def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
@@ -234,14 +290,22 @@ def _decode_layer(
     blob: bytes, state: SyncState, i: int, params: PredictParams
 ) -> tuple["BlobInfo", MagPredictorState, np.ndarray]:
     """Layer i of a server round: (blob description, next magnitude state,
-    reconstruction)."""
-    info, bitmap, body = _parse_blob(blob, state.layers[i], state.round == 0)
+    reconstruction). A lossy layer whose state after the round differs from
+    the client's, by the blob's state digest, raises ProtocolError."""
+    spec = state.layers[i]
+    info, bitmap, body = _parse_blob(blob, spec, state.round == 0)
     if info.tag == TAG_LOSSLESS:
         return info, state.mag[i], body
     stream = decode_stream(body)
     mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
     ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params)
-    return info, mag, dequantize(stream, ghat, info.delta)
+    recon = dequantize(stream, ghat, info.delta)
+    if _state_crc(mag, recon) != info.state_crc:
+        raise ProtocolError(
+            f"client/server state mismatch at round {state.round + 1}, layer {spec.name!r}: "
+            f"the payload's state digest differs from the server's"
+        )
+    return info, mag, recon
 
 
 def decode_payload(
@@ -249,7 +313,9 @@ def decode_payload(
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
     parsed blob, and the advanced state. ``predict`` is all the decoder reads
-    of the pipeline parameters: the rest is on the wire."""
+    of the pipeline parameters (a stream carries it in its header): the rest
+    is in the payload. A lossy layer whose state after the round differs
+    from the client's raises ProtocolError naming the round and the layer."""
     check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
@@ -263,7 +329,9 @@ def decode_payload(
 
 @dataclass
 class BlobInfo:
-    """Header-level description of one layer blob, without full decoding."""
+    """Header-level description of one layer blob: what describe_blob reads
+    without decoding the bins, and what the encoder knows of each blob it
+    writes."""
 
     tag: int
     wire_bytes: int
@@ -279,13 +347,15 @@ class BlobInfo:
     predicted_kernels: int = 0
     huffman_bits: int = 0
     literal_count: int = 0
+    state_crc: int = 0
 
 
 def _max_inner_bytes(numel: int) -> int:
     """The largest inner blob a layer of numel elements can have: a lossless
-    one, or a lossy header with the largest sign bitmap and stream."""
+    one, or a lossy header with the largest sign bitmap and stream, and the
+    state digest."""
     bitmap = 5 + 2 * ((numel + 7) // 8)  # tag, kernel count, two bit levels
-    lossy = 1 + struct.calcsize("<Bffd") + bitmap + max_stream_bytes(numel)
+    lossy = 1 + struct.calcsize("<Bffd") + bitmap + max_stream_bytes(numel) + 4
     return max(1 + 4 * numel, lossy)
 
 
@@ -327,6 +397,7 @@ def _parse_blob(
             raise IntegrityError(f"layer {spec.name!r}: sign bitmap in round 1")
         bitmap_bytes = reader.pos - bitmap_start
         body = read_stream(reader, spec.numel)
+        (state_crc,) = reader.unpack("<I")
         info = BlobInfo(
             tag=tag,
             wire_bytes=len(blob),
@@ -342,6 +413,7 @@ def _parse_blob(
             predicted_kernels=bitmap.predicted_count,
             huffman_bits=body.block.bit_count,
             literal_count=body.literals.size,
+            state_crc=state_crc,
         )
     else:
         raise FormatError(f"layer {spec.name!r}: unknown blob tag {tag}")

@@ -199,10 +199,18 @@ def predict_magnitude(
     if x.size and float(x.min()) < 0.0:
         raise UsageError("prev_recon_abs must be nonnegative")
     mean = float(x.mean())
-    std = float(x.std())
-    z_prev = (x - mean) / max(std, SIGMA_FLOOR)
-    z_pred = (1.0 - params.beta) * state.memory + params.beta * z_prev
-    pred_abs = z_pred * max(float(sigma_curr), 0.0) + float(mu_curr)
+    # Two buffers, each built in place: z_prev then the prediction, and the
+    # squared deviations then z_pred. The deviation is x.std()'s, from the
+    # same squares summed the same way.
+    pred_abs = np.subtract(x, mean)
+    z_pred = np.square(pred_abs)
+    std = math.sqrt(float(z_pred.sum()) / x.size)
+    pred_abs /= max(std, SIGMA_FLOOR)
+    pred_abs *= params.beta
+    np.multiply(state.memory, 1.0 - params.beta, out=z_pred)
+    z_pred += pred_abs
+    np.multiply(z_pred, max(float(sigma_curr), 0.0), out=pred_abs)
+    pred_abs += float(mu_curr)
     np.maximum(pred_abs, 0.0, out=pred_abs)
     return pred_abs, MagPredictorState(memory=z_pred, initialized=True)
 

@@ -185,9 +185,16 @@ class SynthConfig:
 
 
 def abs_stats(t: GradientTensor) -> tuple[float, float]:
-    """Mean and population standard deviation of the elementwise magnitudes."""
-    a = np.abs(t.values.astype(np.float64))
-    return float(a.mean()), float(a.std())
+    """Mean and population standard deviation of the elementwise magnitudes.
+
+    Built in one buffer; the deviation is a.std()'s, from the same squared
+    deviations summed the same way.
+    """
+    a = t.values.astype(np.float64)
+    np.abs(a, out=a)
+    mean = float(a.mean())
+    a -= mean
+    return mean, math.sqrt(float(np.square(a, out=a).sum()) / a.size)
 
 
 def encode_layer_table(layers: list[LayerSpec]) -> bytes:

@@ -20,26 +20,26 @@ LAYERS = "conv1:16x8x3x3,conv2:16x16x3x3,fc:40x40,b:10"
 
 # name -> sha256 of the artifact's bytes (files) or of its stdout (text).
 EXPECTED = {
-    "abs.gzs": "79898d87b2d988cb340ef871fd9b5e69af7444e71e3fb4df3cd39501de0ece8c",
-    "abs.gzs.csv": "5a6618191bb3b1b7b8a698da12c3c65806915bbaae18f5f11c97aebdfc0a32c6",
+    "abs.gzs": "dff073030ae1ebdfea6fc7179e6a2ab5bb06202bad39634ae1bf9f432f24fb30",
+    "abs.gzs.csv": "a058181ee01f32194b78046479a6aafeb3696d3199d1992132155eb94378f2de",
     "abs.rec": "0c6687130c249e3e118e1fcfdeb1d68c95d8fab61573651f787a4ad278c42b6f",
-    "default.gzs": "e2028b367153045de11b81ffc803188d5252e89c930883c9856473cafaf09b03",
-    "default.gzs.csv": "b1b46f8e37fb42e737d2fb299df17a5f8be047eb7c3eb54f44f355168f0e25fd",
+    "default.gzs": "44089a2c554f7205a21c34cb34fb7255a6eda4d113db99388f4259b7745e97f5",
+    "default.gzs.csv": "f80dc65f2322bc9388105c3c75b5163a72bb3e0517c4e9f8ef807f95d83616b2",
     "default.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
     "fb-reference": "93bba05131c95c55a4be56b0aade5aa5cb19c619d62cfc18d94e163166528002",
     "fb.gtrc": "654f0d97bf438c3ba1c46580200980b79357fe9b9946a920cd770cc1e663946d",
-    "fb.gzs": "2a865b6e7c734964399daa7dd89a8a888857bd5fda3204eda79a7c6a0cfe55c7",
-    "fb.gzs.csv": "eb433fd7f128d6cfb166912bdafebda4b8590efccacbaf12e072f511e55e7b5d",
+    "fb.gzs": "6e4dd910ceaecf7826f01e3a459dabb3efa45ae5bd8cef2d94970978e6806a8c",
+    "fb.gzs.csv": "002af92d5993c6a4669a9020159ecf682f5079889d8ff9018a9229eee8c21f02",
     "fb.rec": "f17fc89271cb21f880753e15c67f9b2f57b91aee6f23cd5a57e0f831e3571253",
-    "inspect-default": "47550d35e8cea67252c614a32ba652adbd7244fe9914307f2f290fff7c5cde7f",
-    "inspect-fb": "4af579b03f0cb375c3d0e74a119d5bef8b549b99293d181ded283a5677966d81",
+    "inspect-default": "3ae633f376657dcabf772329ab23394489d534906dbcafe3028b6aa1a01263f4",
+    "inspect-fb": "624ff717456e2aa1a38ea5e970776fe0a0940e718855650e773ad61f77cadc20",
     "mb.gtrc": "6d86c4a7bcc43bb710d1ae888f80b04f151235db34614b96c6ee24d794805373",
     "mb2.gtrc": "5177b731a0a41441a5bc0afc925d83c2e4c59b7bc0213a2cd6a0ef0a7286ef23",
-    "off.gzs": "14aaa18ceef2e607f33f8519adb922444dffeb2b545dc1d7de41fecaceaa0d7e",
-    "off.gzs.csv": "81dd946b8ab52bc1b7941f39aa678e84f8cbfdcdc61c8e5ecb54329e872c9103",
-    "sim.csv": "e27e4df847af71d713adaf08ab9b78811176cb788f40e4dd5a1218dad2bba1d1",
-    "store.gzs": "9610da0d8636a752c30f609bfdbd780a1946811de6da84318b582c7de8946b04",
-    "store.gzs.csv": "3a18837e8dac29a37927c07d53c6eafa122b70a3bfb1c391dfffba746b702d6c",
+    "off.gzs": "826591964b710a5b6a5e5a76ddedfca286ae2611c9768a37a4ae51d7085b598b",
+    "off.gzs.csv": "8eef371f64be70af982cfb447da67bad4022338346c1104fcc1f6f41d77aaeea",
+    "sim.csv": "63635aa00c7df44fb81d835ff9ad89da7ba475edabd1aecd6943eed7cddaa04d",
+    "store.gzs": "6cebb63fa84d0e448995c81cb4659b01289143dda5ab95d64a06cb5821eda5f2",
+    "store.gzs.csv": "d2fcc4ea8d99774fde4a4e1cef154d37c75582dad14c39bc4ea571eac9b9572f",
     "store.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
 }
 
@@ -86,7 +86,7 @@ def build_artifacts(d) -> dict[str, bytes]:
 
     decompress("default.rec", "default.gzs")
     decompress("store.rec", "store.gzs")
-    decompress("abs.rec", "abs.gzs", "--beta", 0.3)
+    decompress("abs.rec", "abs.gzs")
     arts["fb-reference"] = decompress(
         "fb.rec", "fb.gzs", "--reference", d / "fb.gtrc").encode()
 

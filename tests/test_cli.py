@@ -331,8 +331,11 @@ def test_console_entry_point_separates_streams(tmp_path):
     assert proc.stdout.startswith(",".join(CSV_COLUMNS[:3]))
 
 
-def test_compress_inflates_each_blob_once(tmp_path, monkeypatch):
-    # The server's decode parses each blob; the verify step reuses that parse.
+def test_compress_inflates_nothing(tmp_path, monkeypatch):
+    # The client describes the blobs it writes and checks the bound on its
+    # own reconstruction; the wire's checksums and state digests stand in
+    # for a server mirror, so compress inflates no blob. decompress, through
+    # the same counter, inflates each blob once.
     from gradzip import pipeline
 
     rounds, nlayers = 3, len(LAYERS.split(","))
@@ -346,6 +349,8 @@ def test_compress_inflates_each_blob_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "lossless_decompress", counted)
     assert run("compress", trace, tmp_path / "t.gzp") == 0
+    assert calls == []
+    assert run("decompress", tmp_path / "t.gzp", tmp_path / "r.gtrc") == 0
     assert len(calls) == rounds * nlayers
 
 
@@ -369,6 +374,7 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
     import struct
 
     from gradzip.cli import _read_stream
+    from gradzip.codec import lossless_compress
 
     trace = make_trace(tmp_path, rounds=2)
     out = tmp_path / "t.gzp"
@@ -377,11 +383,14 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
     _, _, payloads = _read_stream(out)
     blob = payloads[1].blobs[0]
     # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
+    # The crafted blob carries a valid CRC.
     assert blob[:2] == b"S\x01"
-    at = data.find(blob) + 11
+    at = data.find(blob)
     # 1e308 is finite, but its bin width 2 * delta is not.
     for delta in (float("inf"), 1e308):
-        data[at:at + 8] = struct.pack("<d", delta)
+        inner = bytearray(blob[1:-4])
+        inner[10:18] = struct.pack("<d", delta)
+        data[at:at + len(blob)] = lossless_compress(bytes(inner), "store")
         bad = tmp_path / "bad.gzp"
         bad.write_bytes(bytes(data))
         assert run("decompress", bad, tmp_path / "r.gtrc") == 3
@@ -438,6 +447,7 @@ def test_corrupt_layer_table_exits_2_or_3(tmp_path, backend):
 
 def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     from gradzip.cli import _read_stream
+    from gradzip.codec import lossless_compress
     from gradzip.pipeline import CompressedPayload, frame_payload
     from gradzip.predictor import VARIANT_FLIP, SignBitmap, encode_bitmap
 
@@ -449,10 +459,12 @@ def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
     first = payloads[0]
     # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
-    # the bitmap's tag byte ("none"), which becomes a flip bit.
+    # the bitmap's tag byte ("none"), which becomes a flip bit. The crafted
+    # blob carries a valid CRC.
     blob = first.blobs[0]
     assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
-    blob = blob[:19] + encode_bitmap(SignBitmap(VARIANT_FLIP, flip=True)) + blob[20:]
+    inner = blob[1:19] + encode_bitmap(SignBitmap(VARIANT_FLIP, flip=True)) + blob[20:-4]
+    blob = lossless_compress(inner, "store")
     tampered = CompressedPayload(
         first.client_id, first.round, first.spec_digest, [blob] + first.blobs[1:]
     )
@@ -475,3 +487,131 @@ def test_bad_seed_or_symbol_count_exits_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("gradzip: usage error:")
     assert "Traceback" not in err
+
+
+FUZZ_LAYERS = "conv:8x4x3x3,fc:40x40,b:10"
+
+
+@pytest.mark.parametrize("backend", ["default", "store"])
+def test_stream_fuzz_never_decodes_silently(tmp_path, backend):
+    # Every single-byte mutation (0x01 and xor 0x80) and every truncation of
+    # a valid stream: decompress exits 2 or 3, or exits 0 with the untampered
+    # output. No other exception may escape. A stored stream decodes only
+    # when the byte is a frame's client id, which no reconstruction reads.
+    import contextlib
+    import io
+
+    from gradzip.cli import _read_stream
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, layers=FUZZ_LAYERS, rounds=3)
+    out, rec = tmp_path / "t.gzp", tmp_path / "r.gtrc"
+    assert run("compress", trace, out, "--backend", backend) == 0
+    assert run("decompress", out, rec) == 0
+    data, want = out.read_bytes(), rec.read_bytes()
+    _, _, payloads = _read_stream(out)
+    client_ids, at = set(), len(data) - sum(len(frame_payload(p)) for p in payloads)
+    for p in payloads:
+        client_ids |= set(range(at + 6, at + 10))  # after magic and version
+        at += len(frame_payload(p))
+    cases = [
+        (off, data[:off] + bytes([byte]) + data[off + 1:])
+        for off in range(len(data))
+        for byte in sorted({0x01, data[off] ^ 0x80} - {data[off]})
+    ]
+    cases += [(None, data[:cut]) for cut in range(len(data))]
+    bad, problems, decoded = tmp_path / "bad.gzp", [], set()
+    for off, case in cases:
+        bad.write_bytes(case)
+        rec.unlink(missing_ok=True)
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = run("decompress", bad, rec)
+        except Exception as exc:
+            problems.append((off, len(case), repr(exc)))
+            continue
+        if code == 0:
+            decoded.add(off)
+            if rec.read_bytes() != want:
+                problems.append((off, len(case), "exit 0 with a changed reconstruction"))
+        elif code not in (2, 3):
+            problems.append((off, len(case), f"exit {code}"))
+    assert problems == []
+    assert 6 not in decoded  # the stream header's mode byte
+    if backend == "store":
+        assert decoded <= client_ids
+
+
+def test_predictor_params_travel_in_the_header(tmp_path, capsys):
+    trace = make_trace(tmp_path, rounds=4)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--beta", "0.3", "--tau", "0.9") == 0
+    assert run("decompress", out, tmp_path / "r.gtrc", "--reference", trace) == 0
+    assert capsys.readouterr().out.startswith("bound OK")
+    assert run("inspect", out) == 0
+    assert "predict beta 0.3 tau 0.9 full_batch 0" in capsys.readouterr().out
+    # There is nothing left for decompress to be told.
+    assert run("decompress", out, tmp_path / "x.gtrc", "--beta", "0.5") == 1
+    assert "--beta" in capsys.readouterr().err
+    assert not (tmp_path / "x.gtrc").exists()
+
+
+def test_version_1_stream_exits_2(tmp_path, capsys):
+    import struct
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = bytearray(out.read_bytes())
+    assert data[4:6] == struct.pack("<H", 2)
+    data[4:6] = struct.pack("<H", 1)
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 2
+    assert run("inspect", bad) == 2
+    err = capsys.readouterr().err
+    assert err.count("unsupported version 1") == 2
+
+
+def test_mode_byte_flip_exits_3(tmp_path, capsys):
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = bytearray(out.read_bytes())
+    data[6] ^= 0x01  # magic 4, version u16, then the mode byte
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert "header digest" in capsys.readouterr().err
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    (0, 1.5, "beta"),
+    (0, float("nan"), "beta"),
+    (1, -0.1, "tau"),
+    (2, 2, "full_batch"),
+])
+def test_out_of_range_wire_params_exit_2(tmp_path, capsys, field, value, message):
+    # A crafted header with a valid digest still cannot carry parameters the
+    # predictor rejects: that is a malformed file, not a usage error.
+    import struct
+    from hashlib import blake2b
+
+    trace = make_trace(tmp_path, rounds=2, layers="fc:64x16")
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = out.read_bytes()
+    table = encode_layer_table(load_trace(trace).layers)
+    start = 4 + 2 + 1 + 4 + len(table) + 4  # then beta f64, tau f64, full_batch u8
+    params = list(struct.unpack_from("<ddB", data, start))
+    assert params == [0.5, 0.5, 0]
+    params[field] = value
+    head = data[:start] + struct.pack("<ddB", *params)
+    end = start + struct.calcsize("<ddB")
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(head + blake2b(head, digest_size=8).digest() + data[end + 8:])
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 2
+    assert run("inspect", bad) == 2
+    err = capsys.readouterr().err
+    assert err.count("format error") == 2 and message in err

@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 import zlib
 from unittest import mock
@@ -638,6 +639,24 @@ class TestDecoderMemory:
         np.testing.assert_array_equal(out, bins)
         assert peak <= 9.4e6
 
+    def test_largest_conv_layer_encode_peak(self):
+        # The client's side of the same layer at round 2, with magnitude and
+        # kernel sign prediction: the elementwise stages work in place and the
+        # quantizer in blocks. 38.5 MB is the peak when each stage built new
+        # arrays.
+        from gradzip.pipeline import PipelineParams, SyncState, _encode_layer, compress_round
+        from gradzip.predictor import PredictParams
+        from gradzip.trace import SynthConfig, synth_trace
+
+        spec = LayerSpec("conv5", (256, 256, 3, 3))
+        assert spec.numel == 589824
+        trace = synth_trace(SynthConfig(seed=61, layers=(spec,), rounds=2))
+        params = PipelineParams(PredictParams(), ErrorBoundConfig("relative", 1e-2))
+        _, state = compress_round(trace.rounds[0], SyncState.initial([spec]), params)
+        (_, _, _, info), peak = traced_peak(_encode_layer, trace.rounds[1][0], state, 0, params)
+        assert info.bitmap_variant == "kernel_maps" and info.predicted_kernels
+        assert peak <= 26e6
+
 
 class TestStreamSerialization:
     def test_roundtrip_with_literals(self):
@@ -677,11 +696,28 @@ class TestLosslessBackend:
         out = lossless_compress(data)
         assert len(out) < 0.05 * len(data)
 
-    def test_store_is_identity_plus_header(self):
+    def test_store_is_identity_plus_header_and_crc(self):
         data = b"hello world"
         out = lossless_compress(data, "store")
-        assert out[1:] == data
-        assert len(out) == len(data) + 1
+        assert out[:1] == b"S" and out[1:-4] == data
+        assert out[-4:] == struct.pack("<I", zlib.crc32(data))
+
+    def test_store_checksum_catches_every_flip_and_cut(self):
+        blob = lossless_compress(bytes(range(40)), "store")
+        for at in range(1, len(blob)):
+            for bit in (0x01, 0x80):
+                bad = bytearray(blob)
+                bad[at] ^= bit
+                with pytest.raises(IntegrityError):
+                    lossless_decompress(bytes(bad))
+        for cut in range(1, len(blob)):
+            with pytest.raises(IntegrityError):
+                lossless_decompress(blob[:cut])
+
+    def test_bytes_after_deflate_stream_rejected(self):
+        blob = lossless_compress(b"some payload" * 100)
+        with pytest.raises(IntegrityError, match="after the end"):
+            lossless_decompress(blob + b"\x00")
 
     def test_corrupt_payload(self):
         blob = bytearray(lossless_compress(b"some payload" * 100))

@@ -9,6 +9,7 @@ from gradzip.flsim import (
     CommModel,
     SimConfig,
     break_even_bandwidth,
+    client_rounds,
     comm_times,
     compare_modes,
     fedavg_mean,
@@ -315,6 +316,48 @@ class TestVerifiedRounds:
         trace = cfg.traces[0]
         for _, _, row in verified_rounds(trace.layers, trace.rounds, cfg.params):
             assert row.t_comp_s > 0.0 and row.t_decomp_s > 0.0
+
+
+class TestClientRounds:
+    def test_frames_rows_and_states_match_the_verified_driver(self):
+        # The client alone writes the same frames, and its rows (bounds
+        # checked on its own reconstruction) equal the verified driver's.
+        cfg = make_cfg(nclients=1, rounds=3)
+        trace = cfg.traces[0]
+        fixed = (0.5, 0.25)
+        alone = list(client_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed))
+        mirrored = list(verified_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed))
+        assert len(alone) == len(mirrored) == 3
+        for (wire, row, client), (want_wire, recons, want_row) in zip(alone, mirrored):
+            assert wire == want_wire
+            assert row == want_row
+            assert [r.tobytes() for r in client.prev_recon] == [
+                r.values.tobytes() for r in recons
+            ]
+
+    def test_bound_violation_names_round_and_layer(self, monkeypatch):
+        # The bound is checked on the client's reconstruction, as compress
+        # checks it: a reconstruction past its bound raises IntegrityError.
+        from gradzip import pipeline
+
+        cfg = make_cfg(nclients=1, rounds=2)
+        trace = cfg.traces[0]
+        real = pipeline.quantize
+
+        def off_by_much(original, ghat, delta):
+            stream, recon32 = real(original, ghat, delta)
+            recon32[0] += np.float32(4 * delta)
+            return stream, recon32
+
+        monkeypatch.setattr(pipeline, "quantize", off_by_much)
+        with pytest.raises(IntegrityError, match=r"round 1, client 0, layer 'conv1'"):
+            list(client_rounds(trace.layers, trace.rounds, cfg.params))
+
+    def test_compress_time_measured_decompress_time_zero(self):
+        cfg = make_cfg(nclients=1, rounds=2)
+        trace = cfg.traces[0]
+        for _, row, _ in client_rounds(trace.layers, trace.rounds, cfg.params):
+            assert row.t_comp_s > 0.0 and row.t_decomp_s == 0.0
 
 
 class TestFedavgMean:

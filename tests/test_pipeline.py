@@ -348,12 +348,13 @@ class TestProtocolErrors:
         bitmap = SignBitmap(variant, flip=True, kernel_count=n,
                             level1=np.ones(n, bool), level2=np.ones(n, bool))
         # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
-        # the bitmap's tag byte ("none").
+        # the bitmap's tag byte ("none"). The crafted blob carries a valid CRC.
         blob = payload.blobs[0]
         assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
+        inner = blob[1:19] + encode_bitmap(bitmap) + blob[20:-4]
         tampered = CompressedPayload(
             payload.client_id, payload.round, payload.spec_digest,
-            [blob[:19] + encode_bitmap(bitmap) + blob[20:]] + payload.blobs[1:],
+            [lossless_compress(inner, "store")] + payload.blobs[1:],
         )
         with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
@@ -362,13 +363,17 @@ class TestProtocolErrors:
 
     def test_describe_blob_checks_literals_like_decode(self):
         # A bound far below float32 resolution turns every element into a
-        # literal; the last four bytes of a stored blob are then a literal.
+        # literal; the four bytes before a stored blob's state digest and CRC
+        # are then a literal. The crafted blob carries a valid CRC.
         trace = structured_trace(seed=18, rounds=1)
         params = make_params(value=1e-30, backend="store")
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
         spec = trace.layers[0]
         assert describe_blob(payload.blobs[0], spec).literal_count == spec.numel
-        blob = payload.blobs[0][:-4] + np.array([np.nan], dtype="<f4").tobytes()
+        inner = payload.blobs[0][1:-4]
+        blob = lossless_compress(
+            inner[:-8] + np.array([np.nan], dtype="<f4").tobytes() + inner[-4:], "store"
+        )
         tampered = CompressedPayload(
             payload.client_id, payload.round, payload.spec_digest,
             [blob] + payload.blobs[1:],
@@ -386,9 +391,11 @@ class TestProtocolErrors:
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
         spec = trace.layers[0]
         # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
-        blob = bytearray(payload.blobs[0])
-        assert blob[:2] == b"S\x01"
-        blob[11:19] = struct.pack("<d", delta)
+        # The crafted blob carries a valid CRC.
+        inner = bytearray(payload.blobs[0][1:-4])
+        assert payload.blobs[0][:2] == b"S\x01"
+        inner[10:18] = struct.pack("<d", delta)
+        blob = lossless_compress(bytes(inner), "store")
         tampered = CompressedPayload(
             payload.client_id, payload.round, payload.spec_digest,
             [bytes(blob)] + payload.blobs[1:],
@@ -458,3 +465,71 @@ class TestStoreBackend:
             for g, r in zip(tensors, recons):
                 err = float(np.abs(r.values.astype(np.float64) - g.values.astype(np.float64)).max())
                 assert err <= 1e-2
+
+
+class TestStateDigest:
+    @pytest.mark.parametrize("part", ["mag", "prev_recon"])
+    def test_server_state_bit_flip_names_round_and_layer(self, part):
+        # One bit of the server's state, flipped before round 2, makes its
+        # state after round 2 differ from the client's: the blob's state
+        # digest catches it in decode_payload, without a client to compare.
+        trace = structured_trace(seed=25, rounds=2)
+        params = make_params()
+        client = SyncState.initial(trace.layers)
+        server = SyncState.initial(trace.layers)
+        p1, client = compress_round(trace.rounds[0], client, params)
+        p2, client = compress_round(trace.rounds[1], client, params)
+        _, _, server = decode_payload(p1, server, params.predict)
+        layer = 1  # "fc", a lossy layer
+        arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
+        # The exponent's top bit: 0.0 becomes 2.0, so the change cannot round away.
+        arr.view(np.uint8)[arr.itemsize - 1] ^= 0x40
+        with pytest.raises(ProtocolError, match=r"round 2, layer 'fc'"):
+            decode_payload(p2, server, params.predict)
+
+    def test_wrong_beta_is_a_state_mismatch(self):
+        # The predictor parameters travel in the stream header; a server that
+        # decodes with another beta disagrees with the client on the state.
+        trace = structured_trace(seed=26, rounds=2)
+        params = make_params()
+        client = SyncState.initial(trace.layers)
+        server = SyncState.initial(trace.layers)
+        wrong = PredictParams(beta=0.3)
+        for r, tensors in enumerate(trace.rounds):
+            payload, client = compress_round(tensors, client, params)
+            if r == 0:
+                _, _, server = decode_payload(payload, server, wrong)
+                continue
+            with pytest.raises(ProtocolError, match=r"round 2, layer 'conv1'"):
+                decode_payload(payload, server, wrong)
+
+    @pytest.mark.parametrize("mode,full_batch,prediction,backend", [
+        ("mini_batch", False, True, "default"),
+        ("mini_batch", False, True, "store"),
+        ("mini_batch", False, False, "default"),
+        ("full_batch", True, True, "default"),
+    ])
+    def test_encoder_blob_info_equals_describe_blob(self, mode, full_batch, prediction, backend):
+        trace = structured_trace(seed=27, rounds=4, mode=mode)
+        params = make_params(full_batch=full_batch, prediction=prediction, backend=backend)
+        state = SyncState.initial(trace.layers)
+        for tensors in trace.rounds:
+            payload, infos, state = pipeline.encode_round(tensors, state, params)
+            assert infos == describe_payload(payload, trace.layers)
+            for blob, spec, info in zip(payload.blobs, trace.layers, infos):
+                assert describe_blob(blob, spec) == info
+        assert {i.tag for i in infos} == {pipeline.TAG_LOSSLESS, pipeline.TAG_LOSSY}
+
+    def test_lossy_blob_ends_in_the_state_digest(self):
+        import zlib
+
+        from gradzip.codec import lossless_decompress
+
+        trace = structured_trace(seed=28, rounds=2)
+        params = make_params()
+        state = SyncState.initial(trace.layers)
+        for tensors in trace.rounds:
+            payload, state = compress_round(tensors, state, params)
+            inner = lossless_decompress(payload.blobs[0])
+            crc = zlib.crc32(state.prev_recon[0].tobytes(), zlib.crc32(state.mag[0].to_bytes()))
+            assert inner[-4:] == struct.pack("<I", crc)
