@@ -1,16 +1,14 @@
 """Command-line front end: compress, decompress, simulate, synth, inspect, bench.
 
 Payload stream files written by ``compress`` start with a small header
-(magic ``GZPS``, version u16 = 2, training mode u8, layer count u32, layer
-table, round count u32, predictor parameters beta f64, tau f64 and
-full_batch u8, then an 8-byte blake2b digest of all of these) followed by
-one framed payload per round. The header carries the layer table and the
-predictor parameters so that ``decompress`` and ``inspect`` are self
-contained; the per-round frames are exactly what a federated client would
-put on the wire. ``compress`` writes those frames straight from the client
-and does not decode its own output: every byte that can change a
-reconstruction is checked by ``decompress``, and ``decompress --reference``
-checks the result against the original trace.
+(magic ``GZPS``, version 2, training mode, layer table, round count,
+predictor parameters beta f64, tau f64 and full_batch u8, then an 8-byte
+blake2b digest of all of these) followed by one framed payload per round.
+The header makes ``decompress`` and ``inspect`` self contained; the frames
+are exactly what a federated client would put on the wire. ``compress``
+writes them straight from the client and decodes nothing: the wire checks
+itself (see pipeline), and ``decompress --reference`` checks the result
+against the original trace.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written

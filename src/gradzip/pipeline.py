@@ -215,22 +215,9 @@ def _encode_layer(
     head = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
     inner = b"".join((head, bitmap_raw, body, struct.pack("<I", crc)))
     blob = lossless_compress(inner, params.backend)
-    info = BlobInfo(
-        tag=TAG_LOSSY,
-        wire_bytes=len(blob),
-        inner_bytes=len(inner),
-        flags=flags,
-        mu=float(mu32),
-        sigma=float(sigma32),
-        delta=delta,
-        bitmap_variant=bitmap.variant,
-        bitmap_bytes=len(bitmap_raw),
-        bitmap_bits=bitmap_wire_bits(bitmap),
-        kernel_count=bitmap.kernel_count,
-        predicted_kernels=bitmap.predicted_count,
-        huffman_bits=block_bit_count(body),
-        literal_count=stream.literals.size,
-        state_crc=crc,
+    info = BlobInfo.lossy(
+        len(blob), len(inner), flags, float(mu32), float(sigma32), delta, bitmap,
+        len(bitmap_raw), block_bit_count(body), stream.literals.size, crc,
     )
     return blob, mag, recon32, info
 
@@ -349,6 +336,18 @@ class BlobInfo:
     literal_count: int = 0
     state_crc: int = 0
 
+    @classmethod
+    def lossy(
+        cls, wire_bytes: int, inner_bytes: int, flags: int, mu: float, sigma: float,
+        delta: float, bitmap: SignBitmap, bitmap_bytes: int, huffman_bits: int,
+        literal_count: int, state_crc: int,
+    ) -> "BlobInfo":
+        return cls(
+            TAG_LOSSY, wire_bytes, inner_bytes, flags, mu, sigma, delta, bitmap.variant,
+            bitmap_bytes, bitmap_wire_bits(bitmap), bitmap.kernel_count,
+            bitmap.predicted_count, huffman_bits, literal_count, state_crc,
+        )
+
 
 def _max_inner_bytes(numel: int) -> int:
     """The largest inner blob a layer of numel elements can have: a lossless
@@ -398,22 +397,9 @@ def _parse_blob(
         bitmap_bytes = reader.pos - bitmap_start
         body = read_stream(reader, spec.numel)
         (state_crc,) = reader.unpack("<I")
-        info = BlobInfo(
-            tag=tag,
-            wire_bytes=len(blob),
-            inner_bytes=len(inner),
-            flags=flags,
-            mu=mu,
-            sigma=sigma,
-            delta=delta,
-            bitmap_variant=bitmap.variant,
-            bitmap_bytes=bitmap_bytes,
-            bitmap_bits=bitmap_wire_bits(bitmap),
-            kernel_count=bitmap.kernel_count,
-            predicted_kernels=bitmap.predicted_count,
-            huffman_bits=body.block.bit_count,
-            literal_count=body.literals.size,
-            state_crc=state_crc,
+        info = BlobInfo.lossy(
+            len(blob), len(inner), flags, mu, sigma, delta, bitmap,
+            bitmap_bytes, body.block.bit_count, body.literals.size, state_crc,
         )
     else:
         raise FormatError(f"layer {spec.name!r}: unknown blob tag {tag}")
