@@ -99,7 +99,7 @@ class QuantizedStream:
             )
         if mask.any() and bins[mask].any():
             raise IntegrityError("bins under the literal mask must be zero")
-        if bins.size and int(np.abs(bins).max()) > DEFAULT_BIN_CAP:
+        if bins.size and max(-int(bins.min()), int(bins.max())) > DEFAULT_BIN_CAP:
             raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
         self.bins = bins
         self.literal_mask = mask

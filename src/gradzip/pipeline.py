@@ -161,11 +161,10 @@ def _predict(
     spec, prev_recon = state.layers[i], state.prev_recon[i]
     if not flags & _FLAG_PREDICTION:
         return np.zeros(spec.numel, dtype=np.float64), state.mag[i]
-    prev_abs = prev_recon.astype(np.float64)
+    pred_abs = np.abs(prev_recon, dtype=np.float64)
     pred_abs, new_mag = predict_magnitude(
-        np.abs(prev_abs, out=prev_abs), float(mu32), float(sigma32), state.mag[i], params
+        pred_abs, float(mu32), float(sigma32), state.mag[i], params, out=pred_abs
     )
-    del prev_abs
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
     return np.multiply(pred_abs, signs.values, out=pred_abs), new_mag

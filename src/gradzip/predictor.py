@@ -35,6 +35,8 @@ _TAG_KERNEL = 2
 
 # Floor on the deviation that standardizes the previous magnitudes.
 SIGMA_FLOOR = 1e-12
+# Elements the magnitude predictor works on at once; bounds its working set.
+_BLOCK = 1 << 16
 
 class UndefinedCorrelationError(DataError):
     """Correlation is undefined because one input has zero norm."""
@@ -82,8 +84,7 @@ class SignTensor:
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.int8).reshape(-1)
-        bad = (values < -1) | (values > 1)
-        if bad.any():
+        if values.size and not -1 <= int(values.min()) <= int(values.max()) <= 1:
             raise UsageError("sign values must lie in {-1, 0, +1}")
         self.values = values
 
@@ -184,6 +185,7 @@ def predict_magnitude(
     sigma_curr: float,
     state: MagPredictorState,
     params: PredictParams,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """EMA prediction of elementwise magnitudes in normalized space.
 
@@ -191,7 +193,9 @@ def predict_magnitude(
     population deviation (floored at SIGMA_FLOOR), blends with the memory as
     z_pred = (1 - beta) * memory + beta * z_prev, then de-normalizes with the
     current round's transmitted statistics. The returned prediction is clamped
-    to be nonnegative; the new memory keeps the unclamped z_pred.
+    to be nonnegative; the new memory keeps the unclamped z_pred. The
+    prediction is written to out when given: a float64 array of the input's
+    length, which may be the input itself.
     """
     x = np.asarray(prev_recon_abs, dtype=np.float64).reshape(-1)
     if x.size != state.memory.size:
@@ -199,19 +203,29 @@ def predict_magnitude(
     if x.size and float(x.min()) < 0.0:
         raise UsageError("prev_recon_abs must be nonnegative")
     mean = float(x.mean())
-    # Two buffers, each built in place: z_prev then the prediction, and the
-    # squared deviations then z_pred. The deviation is x.std()'s, from the
-    # same squares summed the same way.
-    pred_abs = np.subtract(x, mean)
-    z_pred = np.square(pred_abs)
-    std = math.sqrt(float(z_pred.sum()) / x.size)
-    pred_abs /= max(std, SIGMA_FLOOR)
-    pred_abs *= params.beta
-    np.multiply(state.memory, 1.0 - params.beta, out=z_pred)
-    z_pred += pred_abs
-    np.multiply(z_pred, max(float(sigma_curr), 0.0), out=pred_abs)
-    pred_abs += float(mu_curr)
-    np.maximum(pred_abs, 0.0, out=pred_abs)
+    n, beta = x.size, params.beta
+    sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
+    # Two buffers, each built in place a block at a time, so every step reads
+    # the previous one's output from cache: x - mean, then z_prev, then the
+    # prediction; the squared deviations, then z_pred. The deviation is
+    # x.std()'s, from the same squares summed the same way.
+    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
+        raise UsageError(f"out must be a float64 array of {n} elements")
+    pred_abs = np.empty(n) if out is None else out
+    z_pred = np.empty(n)
+    for a in range(0, n, _BLOCK):
+        np.square(np.subtract(x[a:a + _BLOCK], mean, out=pred_abs[a:a + _BLOCK]),
+                  out=z_pred[a:a + _BLOCK])
+    scale = max(math.sqrt(float(z_pred.sum()) / n), SIGMA_FLOOR)
+    for a in range(0, n, _BLOCK):
+        p, z = pred_abs[a:a + _BLOCK], z_pred[a:a + _BLOCK]
+        p /= scale
+        p *= beta
+        np.multiply(state.memory[a:a + _BLOCK], 1.0 - beta, out=z)
+        z += p
+        np.multiply(z, sigma, out=p)
+        p += mu
+        np.maximum(p, 0.0, out=p)
     return pred_abs, MagPredictorState(memory=z_pred, initialized=True)
 
 

@@ -73,6 +73,19 @@ class TestPredictMagnitude:
                 np.ones(4), 1.0, 1.0, MagPredictorState.fresh(3), PredictParams()
             )
 
+    def test_out_may_alias_the_input(self):
+        rng = np.random.default_rng(5)
+        x = np.abs(rng.normal(size=200_000))
+        state = MagPredictorState(rng.normal(size=x.size), initialized=True)
+        want, want_state = predict_magnitude(x.copy(), 0.7, 0.4, state, PredictParams(beta=0.3))
+        buf = x.copy()
+        got, got_state = predict_magnitude(buf, 0.7, 0.4, state, PredictParams(beta=0.3), out=buf)
+        assert got is buf
+        assert got.tobytes() == want.tobytes()
+        assert got_state.to_bytes() == want_state.to_bytes()
+        with pytest.raises(UsageError):
+            predict_magnitude(x, 0.7, 0.4, state, PredictParams(), out=np.empty(3))
+
     def test_negative_input_rejected(self):
         with pytest.raises(UsageError):
             predict_magnitude(
