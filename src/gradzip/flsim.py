@@ -5,9 +5,10 @@ lock-step: each round every client compresses its gradients, the server
 decompresses and mirrors the client's state, reconstructions are averaged
 FedAvg-style, and the state-sync and error-bound invariants are asserted
 before the round is reported. A client on its own (client_rounds, behind
-``compress``) checks its bounds on its own reconstruction, which the wire's
-state digests tie to the server's. Transmission itself is modeled analytically:
-t_comm = t_comp + 8 * S' / B + t_decomp against a baseline of 8 * S / B.
+``compress``) checks the bounds on its own reconstruction, which the wire's
+state digests tie to the server's. Transmission itself is modeled
+analytically: t_comm = t_comp + 8 * S' / B + t_decomp against a baseline of
+8 * S / B.
 """
 
 from __future__ import annotations

@@ -202,15 +202,15 @@ def predict_magnitude(
         raise UsageError(f"predictor state holds {state.memory.size} elements, input has {x.size}")
     if x.size and float(x.min()) < 0.0:
         raise UsageError("prev_recon_abs must be nonnegative")
-    mean = float(x.mean())
     n, beta = x.size, params.beta
+    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
+        raise UsageError(f"out must be a float64 array of {n} elements")
+    mean = float(x.mean())
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
     # Two buffers, each built in place a block at a time, so every step reads
     # the previous one's output from cache: x - mean, then z_prev, then the
     # prediction; the squared deviations, then z_pred. The deviation is
     # x.std()'s, from the same squares summed the same way.
-    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
-        raise UsageError(f"out must be a float64 array of {n} elements")
     pred_abs = np.empty(n) if out is None else out
     z_pred = np.empty(n)
     for a in range(0, n, _BLOCK):

@@ -190,8 +190,7 @@ def abs_stats(t: GradientTensor) -> tuple[float, float]:
     Built in one buffer; the deviation is a.std()'s, from the same squared
     deviations summed the same way.
     """
-    a = t.values.astype(np.float64)
-    np.abs(a, out=a)
+    a = np.abs(t.values, dtype=np.float64)
     mean = float(a.mean())
     a -= mean
     return mean, math.sqrt(float(np.square(a, out=a).sum()) / a.size)
