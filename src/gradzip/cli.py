@@ -10,13 +10,21 @@ writes them straight from the client and decodes nothing: the wire checks
 itself (see pipeline), and ``decompress --reference`` checks the result
 against the original trace.
 
+``compress``, ``decompress`` and ``inspect`` stream: they read, code and
+write one round at a time, so their memory is about one round plus the
+predictor state, whatever the number of rounds. ``simulate`` still loads
+its traces whole.
+
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
-atomically (temp file plus rename). Every command except ``bench`` is
-deterministic: identical invocations produce byte-identical artifacts.
+atomically (temp file plus rename), so a failed run leaves no output file;
+under ``decompress --reference`` that includes a bound violation. Every
+command except ``bench`` is deterministic: identical invocations produce
+byte-identical artifacts.
 """
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -68,15 +76,17 @@ from .predictor import PredictParams
 from .trace import (
     MODE_FULL_BATCH,
     MODE_MINI_BATCH,
-    ByteReader,
+    FileReader,
     GradientTrace,
     LayerSpec,
     SynthConfig,
     decode_header,
     encode_header,
     load_trace,
+    open_trace,
     save_trace,
     synth_trace,
+    write_trace,
 )
 
 STREAM_MAGIC = b"GZPS"
@@ -190,33 +200,42 @@ def _stream_header(mode: str, layers: list[LayerSpec], nrounds: int, predict: Pr
     return head + blake2b(head, digest_size=8).digest()
 
 
-def _read_stream(path):
-    """((mode, predictor parameters), layers, payload frames) of a stream
-    file, with the header digest and the round count checked.
+@contextlib.contextmanager
+def _open_stream(path):
+    """Open a stream file: ((mode, predictor parameters), layers, declared
+    round count, payload frames), with the header digest checked.
 
-    The header digest is checked before anything is sized from the layer
-    table, and every frame against that table before any decoding.
+    The digest is checked before anything is sized from the layer table.
+    The frames are read one at a time as they are iterated, each checked
+    against the layer table; the declared round count is checked as the
+    last frame, or one frame too many, is reached.
     """
-    data = Path(path).read_bytes()
-    reader = ByteReader(data)
-    mode, layers, nrounds = decode_header(reader, STREAM_MAGIC, STREAM_VERSION, "payload stream")
-    beta, tau, full_batch = reader.unpack(_STREAM_PARAMS)
-    if reader.take(8) != blake2b(data[: reader.pos - 8], digest_size=8).digest():
-        raise IntegrityError("payload stream: header digest mismatch")
-    if full_batch > 1:
-        raise FormatError(f"payload stream: full_batch byte must be 0 or 1, got {full_batch}")
-    try:
-        predict = PredictParams(beta, tau, bool(full_batch))
-    except UsageError as exc:
-        raise FormatError(f"payload stream: {exc}") from exc
-    payloads = list(iter_payloads(data[reader.pos:]))
-    if len(payloads) != nrounds:
-        raise IntegrityError(
-            f"stream declares {nrounds} rounds but contains {len(payloads)}"
-        )
-    for payload in payloads:
+    with open(path, "rb") as fh:
+        reader = FileReader(fh)
+        mode, layers, nrounds = decode_header(reader, STREAM_MAGIC, STREAM_VERSION, "payload stream")
+        beta, tau, full_batch = reader.unpack(_STREAM_PARAMS)
+        head = reader.reread(0, reader.pos)
+        if reader.take(8) != blake2b(head, digest_size=8).digest():
+            raise IntegrityError("payload stream: header digest mismatch")
+        if full_batch > 1:
+            raise FormatError(f"payload stream: full_batch byte must be 0 or 1, got {full_batch}")
+        try:
+            predict = PredictParams(beta, tau, bool(full_batch))
+        except UsageError as exc:
+            raise FormatError(f"payload stream: {exc}") from exc
+        yield (mode, predict), layers, nrounds, _frames(reader, layers, nrounds)
+
+
+def _frames(reader: FileReader, layers: list[LayerSpec], nrounds: int):
+    count = 0
+    for payload in iter_payloads(reader):
+        count += 1
+        if count > nrounds:
+            raise IntegrityError(f"stream declares {nrounds} rounds but contains more")
         check_payload(payload, layers)
-    return (mode, predict), layers, payloads
+        yield payload
+    if count != nrounds:
+        raise IntegrityError(f"stream declares {nrounds} rounds but contains {count}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,23 +262,27 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    trace = load_trace(args.input)
-    params = _params_from_args(args, trace.mode)
-    out = bytearray(_stream_header(trace.mode, trace.layers, trace.num_rounds, params.predict))
-    reports = []
-    for wire, row, _ in client_rounds(trace.layers, trace.rounds, params, fixed_times=(0.0, 0.0)):
-        reports.append(RoundReport(len(reports) + 1, [row], row.cr, []))
-        out += wire
-    _atomic_write_bytes(args.output, bytes(out))
+    rows = []
+    with open_trace(args.input) as (mode, layers, nrounds, rounds):
+        params = _params_from_args(args, mode)
+
+        def write(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(_stream_header(mode, layers, nrounds, params.predict))
+                for wire, row, _ in client_rounds(layers, rounds, params, fixed_times=(0.0, 0.0)):
+                    fh.write(wire)
+                    rows.append(row)
+
+        _atomic_write(args.output, write)
     buf = io.StringIO()
-    reports_to_csv(reports, buf)
+    reports_to_csv([RoundReport(t, [row], row.cr, []) for t, row in enumerate(rows, 1)], buf)
     _atomic_write_bytes(
         args.csv or os.fspath(args.output) + ".csv", buf.getvalue().encode()
     )
-    s_total = sum(r.clients[0].s_bytes for r in reports)
-    sp_total = sum(r.clients[0].sprime_bytes for r in reports)
+    s_total = sum(row.s_bytes for row in rows)
+    sp_total = sum(row.sprime_bytes for row in rows)
     print(
-        f"compressed {trace.num_rounds} rounds: {s_total} -> {sp_total} bytes "
+        f"compressed {len(rows)} rounds: {s_total} -> {sp_total} bytes "
         f"(ratio {s_total / sp_total:.3f})",
         file=sys.stderr,
     )
@@ -267,37 +290,36 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    (mode, predict), layers, payloads = _read_stream(args.input)
-    server = SyncState.initial(layers)
-    rounds = []
-    infos = []
-    for payload in payloads:
-        recons, round_infos, server = decode_payload(payload, server, predict)
-        rounds.append(recons)
-        infos.append(round_infos)
-    _atomic_save_trace(GradientTrace(layers, rounds, mode), args.output)
+    with contextlib.ExitStack() as stack:
+        (mode, predict), layers, nrounds, frames = stack.enter_context(_open_stream(args.input))
+        originals = None
+        if args.reference:
+            _, ref_layers, ref_rounds, originals = stack.enter_context(open_trace(args.reference))
+            if ref_layers != layers:
+                raise UsageError("reference trace has a different layer table")
+            if ref_rounds != nrounds:
+                raise UsageError(f"reference has {ref_rounds} rounds, stream has {nrounds}")
+        lossy = []
+
+        def rounds():
+            server = SyncState.initial(layers)
+            for payload in frames:
+                recons, infos, server = decode_payload(payload, server, predict)
+                if originals is not None:
+                    stats = check_bounds(next(originals), recons, payload, infos)
+                    lossy.extend(ls for ls in stats if ls.lossy)
+                yield recons
+
+        _atomic_write(args.output, lambda tmp: write_trace(tmp, mode, layers, nrounds, rounds()))
     if args.reference:
-        ref = load_trace(args.reference)
-        if ref.layers != layers:
-            raise UsageError("reference trace has a different layer table")
-        if ref.num_rounds != len(rounds):
-            raise UsageError(
-                f"reference has {ref.num_rounds} rounds, stream has {len(rounds)}"
-            )
-        lossy = [
-            ls
-            for orig, recs, payload, round_infos in zip(ref.rounds, rounds, payloads, infos)
-            for ls in check_bounds(orig, recs, payload, round_infos)
-            if ls.lossy
-        ]
         worst = max((ls.max_err for ls in lossy), default=0.0)
         worst_frac = max((ls.max_err / ls.delta for ls in lossy), default=0.0)
         print(
-            f"bound OK: {len(rounds)} rounds verified, worst error {worst:.6g} "
+            f"bound OK: {nrounds} rounds verified, worst error {worst:.6g} "
             f"({100.0 * worst_frac:.1f}% of its bound)"
         )
     else:
-        print(f"wrote {len(rounds)} reconstructed rounds", file=sys.stderr)
+        print(f"wrote {nrounds} reconstructed rounds", file=sys.stderr)
     return 0
 
 
@@ -321,39 +343,39 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    (mode, predict), layers, payloads = _read_stream(args.input)
-    lines = [
-        f"stream: {len(layers)} layers, mode {mode}, {len(payloads)} rounds",
-        f"predict beta {predict.beta:.9g} tau {predict.tau:.9g} "
-        f"full_batch {int(predict.full_batch)}",
-    ]
-    for spec in layers:
-        shape = "x".join(str(d) for d in spec.shape)
-        lines.append(f"layer {spec.name} kind {spec.kind} shape {shape}")
-    total_wire = 0
-    for payload in payloads:
-        framed = len(frame_payload(payload))
-        total_wire += framed
-        lines.append(
-            f"payload client {payload.client_id} round {payload.round} "
-            f"bytes {framed}"
-        )
-        for spec, info in zip(layers, describe_payload(payload, layers)):
-            if info.tag != TAG_LOSSY:
-                lines.append(
-                    f"  {spec.name}: tag lossless_only wire {info.wire_bytes} "
-                    f"inner {info.inner_bytes}"
-                )
-                continue
+    with _open_stream(args.input) as ((mode, predict), layers, nrounds, frames):
+        lines = [
+            f"stream: {len(layers)} layers, mode {mode}, {nrounds} rounds",
+            f"predict beta {predict.beta:.9g} tau {predict.tau:.9g} "
+            f"full_batch {int(predict.full_batch)}",
+        ]
+        for spec in layers:
+            shape = "x".join(str(d) for d in spec.shape)
+            lines.append(f"layer {spec.name} kind {spec.kind} shape {shape}")
+        total_wire = 0
+        for payload in frames:
+            framed = len(frame_payload(payload))
+            total_wire += framed
             lines.append(
-                f"  {spec.name}: tag lossy wire {info.wire_bytes} "
-                f"inner {info.inner_bytes} delta {info.delta:.9g} "
-                f"mu {info.mu:.9g} sigma {info.sigma:.9g} "
-                f"bitmap {info.bitmap_variant} bitmap_bits {info.bitmap_bits} "
-                f"kernels {info.kernel_count} predicted {info.predicted_kernels} "
-                f"huffman_bits {info.huffman_bits} literals {info.literal_count}"
+                f"payload client {payload.client_id} round {payload.round} "
+                f"bytes {framed}"
             )
-    original = 4 * sum(s.numel for s in layers) * len(payloads)
+            for spec, info in zip(layers, describe_payload(payload, layers)):
+                if info.tag != TAG_LOSSY:
+                    lines.append(
+                        f"  {spec.name}: tag lossless_only wire {info.wire_bytes} "
+                        f"inner {info.inner_bytes}"
+                    )
+                    continue
+                lines.append(
+                    f"  {spec.name}: tag lossy wire {info.wire_bytes} "
+                    f"inner {info.inner_bytes} delta {info.delta:.9g} "
+                    f"mu {info.mu:.9g} sigma {info.sigma:.9g} "
+                    f"bitmap {info.bitmap_variant} bitmap_bits {info.bitmap_bits} "
+                    f"kernels {info.kernel_count} predicted {info.predicted_kernels} "
+                    f"huffman_bits {info.huffman_bits} literals {info.literal_count}"
+                )
+    original = 4 * sum(s.numel for s in layers) * nrounds
     lines.append(
         f"total wire {total_wire} bytes, original {original} bytes, "
         f"ratio {original / total_wire:.4f}"

@@ -63,6 +63,10 @@ _REPAIR_WORK = 64
 _DECODE_BLOCK = 1 << 13
 # Symbols the encoder packs at once; bounds its temporaries.
 _PACK_CHUNK = 1 << 16
+# The encoder merges codes pairwise only while more than this many remain:
+# a merge pass has a fixed cost of a few numpy calls, which fewer codes do
+# not repay.
+_MERGE_MIN = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -271,15 +275,26 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
 def _pack_codes(index: np.ndarray, codes: np.ndarray, lens: np.ndarray, total: int) -> bytes:
     """Pack the codes of the symbols ``index`` MSB-first into 64-bit words.
 
-    A code that crosses a word boundary puts its head in its own word and the
-    rest, its spill, at the top of the next one. Symbols are packed a chunk
-    at a time, so the temporaries stay bounded; total is the bit count.
+    Symbols are packed a chunk at a time, so the temporaries stay bounded;
+    total is the bit count. Within a chunk of more than _MERGE_MIN codes,
+    adjacent codes are first merged pairwise, as long as the longest merged
+    code still fits in a word, so there are fewer codes to place. A code that crosses a word boundary puts
+    its head in its own word and the rest, its spill, at the top of the next
+    one.
     """
     words = np.zeros((total + 63) >> 6, dtype=np.uint64)
     bit = 0
     for a in range(0, index.size, _PACK_CHUNK):
         sym = index[a : a + _PACK_CHUNK]
         code, ln = codes[sym], lens[sym]
+        while ln.size > _MERGE_MIN:
+            n = ln.size & ~1  # an odd last code is carried over unmerged
+            merged = ln[0:n:2] + ln[1:n:2]
+            if merged.max() > 64:
+                break
+            # Every code has at least one bit, so the shift stays below 64.
+            pairs = (code[0:n:2] << ln[1:n:2].astype(np.uint64)) | code[1:n:2]
+            code, ln = np.concatenate((pairs, code[n:])), np.concatenate((merged, ln[n:]))
         offsets = np.cumsum(ln)
         bit, offsets = bit + int(offsets[-1]), offsets - ln + bit
         word = offsets >> 6

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -221,6 +222,14 @@ def verify_round(
     check_bounds). ``times`` is the (compress, decompress) time recorded in
     the row.
     """
+    check_sync(client, server, payload)
+    return _round_row(payload, check_bounds(originals, recons, payload, infos), framed_bytes, times)
+
+
+def check_sync(client: SyncState, server: SyncState, payload: CompressedPayload) -> None:
+    """Require bitwise-identical client and server state after ``payload``'s
+    round; a difference raises ProtocolError naming the round, the client and
+    the first layer whose magnitude memory or reconstruction differs."""
     where = f"round {payload.round}, client {payload.client_id}"
     if client.round != server.round:
         raise ProtocolError(f"client/server round counters differ at {where}")
@@ -231,7 +240,6 @@ def verify_round(
             raise ProtocolError(
                 f"client/server state mismatch at {where}, layer {spec.name!r}"
             )
-    return _round_row(payload, check_bounds(originals, recons, payload, infos), framed_bytes, times)
 
 
 def _round_row(
@@ -254,14 +262,15 @@ def _round_row(
 
 def client_rounds(
     layers: list[LayerSpec],
-    rounds: list[list[GradientTensor]],
+    rounds: Iterable[list[GradientTensor]],
     params: PipelineParams,
     client_id: int = 0,
     fixed_times: tuple[float, float] | None = None,
 ):
     """Run one client on its own, one round per step.
 
-    Each round the client compresses and frames its payload, and
+    ``rounds`` is read one round per step, so it may be open_trace's. Each
+    round the client compresses and frames its payload, and
     check_bounds checks its own reconstruction, which is bitwise the one the
     server will decode: the payload carries a digest of the client's state
     that the server checks. Yields (framed bytes, ClientRoundStats row,
@@ -278,6 +287,9 @@ def client_rounds(
         stats = check_bounds(tensors, recons, payload, infos)
         times = (t1 - t0, 0.0) if fixed_times is None else fixed_times
         yield wire, _round_row(payload, stats, len(wire), times), client
+        # Free this round before the next one is read into a fresh buffer
+        # (see trace.open_trace).
+        del tensors, recons, payload, wire, infos, stats
 
 
 def verified_rounds(
@@ -289,19 +301,22 @@ def verified_rounds(
 ):
     """Run one client and the server's mirror of it, one round per step.
 
-    Each round client_rounds compresses and frames the payload, the server
-    parses that frame and decodes it, and verify_round checks the round.
-    Yields (framed bytes, server reconstructions, ClientRoundStats row). The
-    row's codec times are measured unless fixed_times gives them.
+    Each round client_rounds compresses and frames the payload and checks
+    the bounds on the client's reconstruction, the server parses that frame
+    and decodes it, and check_sync requires the two states bitwise equal, so
+    the client's row holds for the server too. Yields (framed bytes, server
+    reconstructions, ClientRoundStats row). The row's codec times are
+    measured unless fixed_times gives them.
     """
     server = SyncState.initial(layers)
-    for tensors, (wire, row, client) in zip(rounds, client_rounds(layers, rounds, params, client_id)):
+    for wire, row, client in client_rounds(layers, rounds, params, client_id, fixed_times):
         parsed = parse_payload(wire)
         t2 = time.perf_counter()
-        recons, infos, server = decode_payload(parsed, server, params.predict)
+        recons, _, server = decode_payload(parsed, server, params.predict)
         t3 = time.perf_counter()
-        times = (row.t_comp_s, t3 - t2) if fixed_times is None else fixed_times
-        row = verify_round(tensors, recons, parsed, infos, len(wire), client, server, times)
+        check_sync(client, server, parsed)
+        if fixed_times is None:
+            row = replace(row, t_decomp_s=t3 - t2)
         yield wire, recons, row
 
 

@@ -422,15 +422,15 @@ def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> lis
 def frame_payload(payload: CompressedPayload) -> bytes:
     if len(payload.spec_digest) != 8:
         raise UsageError("spec digest must be 8 bytes")
-    out = bytearray()
-    out += PAYLOAD_MAGIC
-    out += struct.pack("<HII", payload.version, payload.client_id, payload.round)
-    out += payload.spec_digest
-    out += struct.pack("<I", len(payload.blobs))
+    parts = [
+        PAYLOAD_MAGIC,
+        struct.pack("<HII", payload.version, payload.client_id, payload.round),
+        payload.spec_digest,
+        struct.pack("<I", len(payload.blobs)),
+    ]
     for blob in payload.blobs:
-        out += struct.pack("<I", len(blob))
-        out += blob
-    return bytes(out)
+        parts += (struct.pack("<I", len(blob)), blob)
+    return b"".join(parts)
 
 
 def parse_payload(data: bytes) -> CompressedPayload:
@@ -458,8 +458,9 @@ def _parse_one(reader: ByteReader) -> CompressedPayload:
     return CompressedPayload(client_id, round_idx, digest, blobs, version)
 
 
-def iter_payloads(data: bytes):
-    """Yield consecutive payload frames from a concatenated stream."""
-    reader = ByteReader(data)
+def iter_payloads(data):
+    """Yield consecutive payload frames from a concatenated stream, given as
+    bytes or as a ByteReader (a FileReader reads one frame per step)."""
+    reader = data if isinstance(data, ByteReader) else ByteReader(data)
     while reader.remaining:
         yield _parse_one(reader)

@@ -18,14 +18,18 @@ Trace file format (little-endian):
         axes     u32 * naxes
     nrounds u32
     data: nrounds * nlayers arrays of raw little-endian float32 values
+
+:func:`open_trace` reads such a file one round at a time, so a pass over a
+trace holds about one round of it; :func:`load_trace` collects its rounds.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -232,6 +236,52 @@ class ByteReader:
         return len(self.data) - self.pos
 
 
+class FileReader(ByteReader):
+    """ByteReader over an open binary file, read as it goes.
+
+    Every read is checked against the bytes left in the file before anything
+    is read or allocated for it, so a declared length that runs past the end
+    raises the truncation error at no cost.
+    """
+
+    def __init__(self, fh, truncation_error=FormatError):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.pos = fh.tell()
+        self._err = truncation_error
+
+    def _check(self, n: int) -> None:
+        if self.pos + n > self.size:
+            raise self._err(f"truncated input: wanted {n} bytes at offset {self.pos}")
+
+    def take(self, n: int) -> bytes:
+        self._check(n)
+        chunk = self.fh.read(n)
+        self._advance(n, len(chunk))
+        return chunk
+
+    def readinto(self, buf: np.ndarray) -> None:
+        """Fill buf, a contiguous array, with the next buf.nbytes bytes."""
+        self._check(buf.nbytes)
+        self._advance(buf.nbytes, self.fh.readinto(buf))
+
+    def _advance(self, wanted: int, got: int) -> None:
+        if got != wanted:  # the file shrank after it was opened
+            raise self._err(f"truncated input: wanted {wanted} bytes at offset {self.pos}")
+        self.pos += got
+
+    def reread(self, start: int, stop: int) -> bytes:
+        """Bytes [start, stop) of the file, already passed over; the position stays."""
+        self.fh.seek(start)
+        data = self.fh.read(stop - start)
+        self.fh.seek(self.pos)
+        return data
+
+    @property
+    def remaining(self) -> int:
+        return self.size - self.pos
+
+
 def decode_layer_table(reader: ByteReader, nlayers: int) -> list[LayerSpec]:
     layers = []
     for _ in range(nlayers):
@@ -278,35 +328,60 @@ def decode_header(reader: ByteReader, magic: bytes, version: int, what: str):
     return _MODE_NAMES[mode_code], layers, nrounds
 
 
+def write_trace(path, mode: str, layers: list[LayerSpec], nrounds: int, rounds) -> None:
+    """Write a GTRC file from an iterable of nrounds rounds, one round at a
+    time. Byte-deterministic for equal rounds."""
+    with open(path, "wb") as fh:
+        fh.write(encode_header(TRACE_MAGIC, TRACE_VERSION, mode, layers, nrounds))
+        for tensors in rounds:
+            for tensor in tensors:
+                fh.write(tensor.values.astype("<f4", copy=False).data)
+
+
 def save_trace(trace: GradientTrace, path) -> None:
     """Write a trace in the GTRC format. Byte-deterministic for equal traces."""
-    header = encode_header(TRACE_MAGIC, TRACE_VERSION, trace.mode, trace.layers, trace.num_rounds)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for tensors in trace.rounds:
-            for tensor in tensors:
-                fh.write(tensor.values.astype("<f4", copy=False).tobytes())
+    write_trace(path, trace.mode, trace.layers, trace.num_rounds, trace.rounds)
+
+
+@contextlib.contextmanager
+def open_trace(path):
+    """Open a GTRC trace file to read one round at a time: (mode, layers,
+    round count, rounds).
+
+    The header, and the file size against the size it declares, are checked
+    before any gradient data is read. Iterating ``rounds`` (once) yields each
+    round as a list of GradientTensors: one read into a fresh float32 buffer
+    per round, of which each tensor is a view, with every value checked
+    finite.
+    """
+    with open(path, "rb") as fh:
+        reader = FileReader(fh)
+        mode, layers, nrounds = decode_header(reader, TRACE_MAGIC, TRACE_VERSION, f"{path}: trace file")
+        expected = 4 * sum(spec.numel for spec in layers) * nrounds
+        if reader.remaining != expected:
+            raise IntegrityError(f"{path}: payload holds {reader.remaining} bytes, header declares {expected}")
+        yield mode, layers, nrounds, _rounds(reader, layers, nrounds)
+
+
+def _rounds(reader: FileReader, layers: list[LayerSpec], nrounds: int):
+    size = sum(spec.numel for spec in layers)
+    for _ in range(nrounds):
+        buf = np.empty(size, dtype="<f4")
+        reader.readinto(buf)
+        tensors, at = [], 0
+        for spec in layers:
+            tensors.append(GradientTensor(spec, buf[at : at + spec.numel]))
+            at += spec.numel
+        yield tensors
+        # Free this round before the next buffer is allocated, so the
+        # allocator can reuse its space instead of growing the heap.
+        del buf, tensors
 
 
 def load_trace(path) -> GradientTrace:
-    """Read a GTRC trace file, validating structure and value finiteness."""
-    data = Path(path).read_bytes()
-    reader = ByteReader(data)
-    mode, layers, nrounds = decode_header(reader, TRACE_MAGIC, TRACE_VERSION, f"{path}: trace file")
-    expected = 4 * sum(spec.numel for spec in layers) * nrounds
-    if reader.remaining != expected:
-        raise IntegrityError(
-            f"{path}: payload holds {reader.remaining} bytes, header declares {expected}"
-        )
-    rounds = []
-    for _ in range(nrounds):
-        tensors = []
-        for spec in layers:
-            raw = reader.take(4 * spec.numel)
-            values = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-            tensors.append(GradientTensor(spec, values))
-        rounds.append(tensors)
-    return GradientTrace(layers, rounds, mode)
+    """Read a whole GTRC trace file, validating structure and value finiteness."""
+    with open_trace(path) as (mode, layers, _, rounds):
+        return GradientTrace(layers, list(rounds), mode)
 
 
 def _kernel_flip_probability(target: float, kernel_size: int) -> float:

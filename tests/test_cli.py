@@ -30,6 +30,14 @@ def make_trace(tmp_path, name="t.gtrc", seed=5, rounds=5, **kw):
     return path
 
 
+def read_frames(path):
+    """The payload frames of a stream file, through the CLI's stream reader."""
+    from gradzip.cli import _open_stream
+
+    with _open_stream(path) as (_, _, _, frames):
+        return list(frames)
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -91,6 +99,32 @@ def test_roundtrip_with_reference_verdict(tmp_path, capsys):
     assert got.layers == ref.layers
     assert got.num_rounds == ref.num_rounds
     assert got.mode == ref.mode
+
+
+def test_failed_reference_check_leaves_no_output(tmp_path, capsys):
+    trace = make_trace(tmp_path, rounds=3)
+    out = tmp_path / "t.gzp"
+    recon = tmp_path / "recon.gtrc"
+    assert run("compress", trace, out) == 0
+    # Round 2's first conv1 value moved far past any bound.
+    data = bytearray(trace.read_bytes())
+    round_bytes = 4 * (16 * 8 * 9 + 16 * 16 * 9 + 128 * 32)
+    at = len(data) - 2 * round_bytes
+    value = np.frombuffer(data, dtype="<f4", count=1, offset=at)[0]
+    data[at:at + 4] = np.float32(value + 1000.0).tobytes()
+    moved = tmp_path / "moved.gtrc"
+    moved.write_bytes(bytes(data))
+    two_rounds = make_trace(tmp_path, "two.gtrc", rounds=2)
+    other_layers = make_trace(tmp_path, "other.gtrc", rounds=3, layers="fc:64x16")
+    capsys.readouterr()
+    for reference, code, message in (
+        (moved, 3, "error bound violated at round 2, client 0, layer 'conv1'"),
+        (two_rounds, 1, "reference has 2 rounds, stream has 3"),
+        (other_layers, 1, "reference trace has a different layer table"),
+    ):
+        assert run("decompress", out, recon, "--reference", reference) == code
+        assert message in capsys.readouterr().err
+        assert not recon.exists()
 
 
 def test_roundtrip_absolute_bound_in_csv(tmp_path):
@@ -194,9 +228,8 @@ def test_round_count_mismatch_exits_3(tmp_path, capsys):
     data = out.read_bytes()
     # Drop the last payload frame, keeping the header's round count at 3.
     from gradzip.pipeline import frame_payload
-    from gradzip.cli import _read_stream
 
-    _, _, payloads = _read_stream(out)
+    payloads = read_frames(out)
     frames = [frame_payload(p) for p in payloads]
     header_len = len(data) - sum(len(f) for f in frames)
     cut = tmp_path / "cut.gzp"
@@ -373,14 +406,13 @@ def test_non_finite_bound_exits_1(tmp_path, capsys, flags):
 def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
     import struct
 
-    from gradzip.cli import _read_stream
     from gradzip.codec import lossless_compress
 
     trace = make_trace(tmp_path, rounds=2)
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out, "--backend", "store") == 0
     data = bytearray(out.read_bytes())
-    _, _, payloads = _read_stream(out)
+    payloads = read_frames(out)
     blob = payloads[1].blobs[0]
     # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
     # The crafted blob carries a valid CRC.
@@ -402,7 +434,6 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
 def test_inflation_bomb_exits_3(tmp_path, capsys):
     from dataclasses import replace
 
-    from gradzip.cli import _read_stream
     from gradzip.codec import lossless_compress
     from gradzip.pipeline import frame_payload
 
@@ -410,7 +441,7 @@ def test_inflation_bomb_exits_3(tmp_path, capsys):
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out) == 0
     data = out.read_bytes()
-    _, _, payloads = _read_stream(out)
+    payloads = read_frames(out)
     frame = frame_payload(payloads[0])
     assert data.endswith(frame)
     bomb = replace(payloads[0], blobs=[lossless_compress(bytes(64 << 20))])
@@ -446,7 +477,6 @@ def test_corrupt_layer_table_exits_2_or_3(tmp_path, backend):
 
 
 def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
-    from gradzip.cli import _read_stream
     from gradzip.codec import lossless_compress
     from gradzip.pipeline import CompressedPayload, frame_payload
     from gradzip.predictor import VARIANT_FLIP, SignBitmap, encode_bitmap
@@ -455,7 +485,7 @@ def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out, "--backend", "store") == 0
     data = out.read_bytes()
-    _, _, payloads = _read_stream(out)
+    payloads = read_frames(out)
     header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
     first = payloads[0]
     # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
@@ -501,7 +531,6 @@ def test_stream_fuzz_never_decodes_silently(tmp_path, backend):
     import contextlib
     import io
 
-    from gradzip.cli import _read_stream
     from gradzip.pipeline import frame_payload
 
     trace = make_trace(tmp_path, layers=FUZZ_LAYERS, rounds=3)
@@ -509,7 +538,7 @@ def test_stream_fuzz_never_decodes_silently(tmp_path, backend):
     assert run("compress", trace, out, "--backend", backend) == 0
     assert run("decompress", out, rec) == 0
     data, want = out.read_bytes(), rec.read_bytes()
-    _, _, payloads = _read_stream(out)
+    payloads = read_frames(out)
     client_ids, at = set(), len(data) - sum(len(frame_payload(p)) for p in payloads)
     for p in payloads:
         client_ids |= set(range(at + 6, at + 10))  # after magic and version
@@ -615,3 +644,87 @@ def test_out_of_range_wire_params_exit_2(tmp_path, capsys, field, value, message
     assert run("inspect", bad) == 2
     err = capsys.readouterr().err
     assert err.count("format error") == 2 and message in err
+
+
+def traced_run(*argv):
+    """Exit code and tracemalloc peak, in bytes, of one command."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = run(*argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_at_about_one_round(tmp_path, capsys):
+    # compress and decompress hold one round at a time, so four times the
+    # rounds may not raise their peak by as much as one more round would.
+    layers = "conv:32x16x3x3,fc:256x128,b:10"
+    round_bytes = 4 * (32 * 16 * 9 + 256 * 128 + 10)
+    peaks = {}
+    for rounds in (3, 12):
+        trace = make_trace(tmp_path, f"t{rounds}.gtrc", rounds=rounds, layers=layers)
+        out = tmp_path / f"t{rounds}.gzp"
+        code, peaks["compress", rounds] = traced_run("compress", trace, out)
+        assert code == 0
+        code, peaks["decompress", rounds] = traced_run("decompress", out, tmp_path / "r.gtrc")
+        assert code == 0
+    for command in ("compress", "decompress"):
+        assert abs(peaks[command, 12] - peaks[command, 3]) < round_bytes, peaks
+    capsys.readouterr()
+
+
+def test_overlong_declarations_are_rejected_before_reading(tmp_path, capsys):
+    # A declared length or count that runs past the end of the file fails
+    # with a format or integrity error before anything is read or allocated
+    # for it, and leaves no output.
+    import struct
+
+    from gradzip.pipeline import frame_payload
+
+    limit = 2 << 20
+    small = make_trace(tmp_path, "small.gtrc", rounds=3)
+    stream = tmp_path / "t.gzp"
+    assert run("compress", small, stream) == 0
+    data = stream.read_bytes()
+    frames = read_frames(stream)
+    header = len(data) - sum(len(frame_payload(p)) for p in frames)
+    # The first blob length follows magic, version u16, client u32, round
+    # u32, digest 8 bytes and the layer count u32.
+    at = header + 4 + 2 + 4 + 4 + 8 + 4
+    assert struct.unpack_from("<I", data, at)[0] == len(frames[0].blobs[0])
+    long_blob = data[:at] + struct.pack("<I", 0xFFFFFFFF) + data[at + 4:]
+    extra_frame = data + frame_payload(frames[-1])
+    # An 8 MB trace whose header declares one round more than it holds.
+    big = make_trace(tmp_path, "big.gtrc", rounds=8, layers="fc:512x512")
+    big_stream = tmp_path / "big.gzp"
+    assert run("compress", big, big_stream) == 0
+    raw = bytearray(big.read_bytes())
+    at = raw.index(b"fc") + 2 + 1 + 4 + 4  # name, axis count u8, two u32 axes
+    assert struct.unpack_from("<I", raw, at)[0] == 8
+    struct.pack_into("<I", raw, at, 9)
+    short_trace = tmp_path / "short.gtrc"
+    short_trace.write_bytes(bytes(raw))
+    bad = tmp_path / "bad.gzp"
+    out = tmp_path / "out"
+    cases = [
+        (long_blob, ("decompress", bad, out)),
+        (long_blob, ("inspect", bad)),
+        (extra_frame, ("decompress", bad, out)),
+        (extra_frame, ("inspect", bad)),
+        (None, ("compress", short_trace, out)),
+        (None, ("decompress", big_stream, out, "--reference", short_trace)),
+        (None, ("simulate", short_trace, "--csv", out)),
+    ]
+    for case, argv in cases:
+        if case is not None:
+            bad.write_bytes(case)
+        code, peak = traced_run(*argv)
+        assert code in (2, 3), argv
+        assert peak < limit, (argv, peak)
+        assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err.count("declares 3 rounds but contains more") == 2
+    assert captured.err.count("header declares") == 3

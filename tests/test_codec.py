@@ -534,6 +534,34 @@ TestDecoderRepairSweeps = reference_properties({"_SYNC_CODES": 0, "_SCALAR_REPAI
 TestDecoderRepairWalk = reference_properties({"_SYNC_CODES": 0, "_SCALAR_REPAIR": 1 << 62})
 
 
+class TestPackCodes:
+    @settings(max_examples=200, deadline=None)
+    # Codes of 56 bits, two of which overflow a word: no pair merges.
+    @example(lengths=fibonacci_code_lengths(57), picks=[0.0, 0.02, 0.0, 0.02, 0.0], chunk=3,
+             merge_min=1)
+    # A 33-bit and a 32-bit code: one bit too long to merge.
+    @example(lengths=fibonacci_code_lengths(35), picks=[0.06, 0.09], chunk=1 << 16, merge_min=1)
+    @given(
+        lengths=st.one_of(
+            st.lists(st.integers(1, 5000), min_size=1, max_size=60).map(
+                lambda c: _huffman_code_lengths(np.array(c, dtype=np.int64))
+            ),
+            st.integers(2, 57).map(fibonacci_code_lengths),
+        ),
+        picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=600),
+        chunk=st.sampled_from([1, 2, 3, 5, 63, 65, 255, 1 << 16]),
+        merge_min=st.sampled_from([1, 2, 5, codec._MERGE_MIN]),
+    )
+    def test_matches_bit_string_packer(self, lengths, picks, chunk, merge_min):
+        # Merged or not, and whatever the chunk size, the words hold the codes
+        # one after another, MSB first.
+        lens = lengths.astype(np.int64)
+        index = np.array([int(p * lens.size) for p in picks], dtype=np.int64)
+        stream, bit_count = pack_bits(lengths, 0, index)
+        with mock.patch.multiple(codec, _PACK_CHUNK=chunk, _MERGE_MIN=merge_min):
+            assert _pack_codes(index, _canonical_codes(lens), lens, bit_count) == stream
+
+
 class TestBlockSerialization:
     def test_roundtrip(self):
         rng = np.random.default_rng(43)

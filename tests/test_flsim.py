@@ -317,6 +317,35 @@ class TestVerifiedRounds:
         for _, _, row in verified_rounds(trace.layers, trace.rounds, cfg.params):
             assert row.t_comp_s > 0.0 and row.t_decomp_s > 0.0
 
+    def test_server_state_divergence_names_round_and_layer(self, monkeypatch):
+        from gradzip import flsim
+
+        real = flsim.decode_payload
+
+        def diverging(payload, state, predict):
+            recons, infos, server = real(payload, state, predict)
+            server.mag[0].memory.view(np.uint8)[3] ^= 0x01
+            return recons, infos, server
+
+        monkeypatch.setattr(flsim, "decode_payload", diverging)
+        cfg = make_cfg(nclients=1, rounds=2)
+        trace = cfg.traces[0]
+        with pytest.raises(ProtocolError, match=r"round 1, client 0, layer 'conv1'"):
+            list(verified_rounds(trace.layers, trace.rounds, cfg.params))
+
+    def test_bounds_checked_once_per_round(self, monkeypatch):
+        # The client checks its own reconstruction; the state comparison
+        # proves the server's bitwise the same, so it is not checked again.
+        from gradzip import flsim
+
+        calls = []
+        real = flsim.check_bounds
+        monkeypatch.setattr(flsim, "check_bounds", lambda *a: calls.append(a) or real(*a))
+        cfg = make_cfg(nclients=1, rounds=3)
+        trace = cfg.traces[0]
+        assert len(list(verified_rounds(trace.layers, trace.rounds, cfg.params))) == 3
+        assert len(calls) == 3
+
 
 class TestClientRounds:
     def test_frames_rows_and_states_match_the_verified_driver(self):

@@ -11,6 +11,7 @@ from gradzip.trace import (
     SynthConfig,
     abs_stats,
     load_trace,
+    open_trace,
     save_trace,
     synth_trace,
 )
@@ -102,6 +103,23 @@ class TestTraceFileRoundtrip:
         for got, want in zip(back.rounds, trace.rounds):
             for g, w in zip(got, want):
                 assert np.array_equal(g.values, w.values)
+
+    def test_reader_yields_each_round_as_views_of_one_buffer(self, tmp_path):
+        cfg = SynthConfig(seed=13, layers=small_layers(), rounds=3)
+        trace = synth_trace(cfg)
+        p = tmp_path / "t.gtrc"
+        save_trace(trace, p)
+        with open_trace(p) as (mode, layers, nrounds, reader):
+            assert (mode, layers, nrounds) == (trace.mode, trace.layers, 3)
+            rounds = list(reader)
+        assert len(rounds) == 3
+        buffers = set()
+        for got, want in zip(rounds, trace.rounds):
+            base = got[0].values.base
+            assert base is not None and all(g.values.base is base for g in got)
+            buffers.add(id(base))
+            assert [g.values.tobytes() for g in got] == [w.values.tobytes() for w in want]
+        assert len(buffers) == 3
 
     def test_byte_determinism(self, tmp_path):
         cfg = SynthConfig(seed=5, layers=small_layers(), rounds=3, mode="full_batch")
