@@ -12,8 +12,9 @@ against the original trace.
 
 ``compress``, ``decompress`` and ``inspect`` stream: they read, code and
 write one round at a time, so their memory is about one round plus the
-predictor state, whatever the number of rounds. ``simulate`` still loads
-its traces whole.
+predictor state, whatever the number of rounds; ``decompress`` decodes
+each round into the state arrays of two rounds back. ``simulate`` still
+loads its traces whole.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
@@ -206,9 +207,10 @@ def _open_stream(path):
     round count, payload frames), with the header digest checked.
 
     The digest is checked before anything is sized from the layer table.
-    The frames are read one at a time as they are iterated, each checked
-    against the layer table; the declared round count is checked as the
-    last frame, or one frame too many, is reached.
+    Then every frame's framing, the declared round count and every frame's
+    check_payload are checked, in that order, passing over the blobs, so a
+    fault anywhere in the file is found before the first decode. The frames
+    are then read one at a time as they are iterated.
     """
     with open(path, "rb") as fh:
         reader = FileReader(fh)
@@ -223,10 +225,29 @@ def _open_stream(path):
             predict = PredictParams(beta, tau, bool(full_batch))
         except UsageError as exc:
             raise FormatError(f"payload stream: {exc}") from exc
+        start = reader.pos
+        _check_frames(reader, layers, nrounds)
+        reader.seek(start)
         yield (mode, predict), layers, nrounds, _frames(reader, layers, nrounds)
 
 
+def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> None:
+    count, fault = 0, None
+    for head in iter_payloads(reader, headers_only=True):
+        count += 1
+        if fault is None:
+            try:
+                check_payload(head, layers)
+            except GradzipError as exc:
+                fault = exc
+    if count != nrounds:
+        raise IntegrityError(f"stream declares {nrounds} rounds but contains {count}")
+    if fault is not None:
+        raise fault
+
+
 def _frames(reader: FileReader, layers: list[LayerSpec], nrounds: int):
+    # _check_frames's checks again, as the file may have changed since.
     count = 0
     for payload in iter_payloads(reader):
         count += 1
@@ -302,13 +323,16 @@ def cmd_decompress(args) -> int:
         lossy = []
 
         def rounds():
-            server = SyncState.initial(layers)
+            # Each round is decoded into the arrays of the state two rounds
+            # back, whose reconstructions are written out by then.
+            server, spare = SyncState.initial(layers), None
             for payload in frames:
-                recons, infos, server = decode_payload(payload, server, predict)
+                recons, infos, new = decode_payload(payload, server, predict, spare)
                 if originals is not None:
                     stats = check_bounds(next(originals), recons, payload, infos)
                     lossy.extend(ls for ls in stats if ls.lossy)
                 yield recons
+                server, spare = new, server
 
         _atomic_write(args.output, lambda tmp: write_trace(tmp, mode, layers, nrounds, rounds()))
     if args.reference:

@@ -194,10 +194,16 @@ def quantize(
     return QuantizedStream(bins, mask, literals), recon32
 
 
-def dequantize(stream: QuantizedStream, ghat: np.ndarray, delta: float) -> np.ndarray:
-    """Invert quantize: the same float32 reconstruction, literals restored exactly."""
+def dequantize(
+    stream: QuantizedStream, ghat: np.ndarray, delta: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Invert quantize: the same float32 reconstruction, literals restored
+    exactly. It is written to out when given, a float32 array of the
+    stream's length."""
     n = stream.bins.size
-    recon32 = np.empty(n, dtype=np.float32)
+    if out is not None and (out.dtype != np.float32 or out.shape != (n,)):
+        raise UsageError(f"out must be a float32 array of {n} elements")
+    recon32 = np.empty(n, dtype=np.float32) if out is None else out
     t = np.empty(min(n, _PACK_CHUNK))
     for a in range(0, n, _PACK_CHUNK):
         b = min(a + _PACK_CHUNK, n)

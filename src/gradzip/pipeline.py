@@ -150,6 +150,7 @@ def _prev_sign(recon: np.ndarray) -> SignTensor:
 def _predict(
     state: SyncState, i: int, flags: int, bitmap: SignBitmap,
     mu32: np.float32, sigma32: np.float32, params: PredictParams,
+    memory_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """The prediction step for layer i's lossy blob, run by client and server.
 
@@ -163,7 +164,8 @@ def _predict(
         return np.zeros(spec.numel, dtype=np.float64), state.mag[i]
     pred_abs = np.abs(prev_recon, dtype=np.float64)
     pred_abs, new_mag = predict_magnitude(
-        pred_abs, float(mu32), float(sigma32), state.mag[i], params, out=pred_abs
+        pred_abs, float(mu32), float(sigma32), state.mag[i], params, out=pred_abs,
+        memory_out=memory_out,
     )
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
@@ -273,19 +275,26 @@ def decompress_round(
 
 
 def _decode_layer(
-    blob: bytes, state: SyncState, i: int, params: PredictParams
+    blob: bytes, state: SyncState, i: int, params: PredictParams, spare: SyncState | None
 ) -> tuple["BlobInfo", MagPredictorState, np.ndarray]:
     """Layer i of a server round: (blob description, next magnitude state,
     reconstruction). A lossy layer whose state after the round differs from
-    the client's, by the blob's state digest, raises ProtocolError."""
+    the client's, by the blob's state digest, raises ProtocolError. The
+    arrays of spare's layer i are written over unless state shares them."""
     spec = state.layers[i]
     info, bitmap, body = _parse_blob(blob, spec, state.round == 0)
     if info.tag == TAG_LOSSLESS:
         return info, state.mag[i], body
     stream = decode_stream(body)
     mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
-    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params)
-    recon = dequantize(stream, ghat, info.delta)
+    memory_out = recon_out = None
+    if spare is not None:
+        if spare.mag[i].memory is not state.mag[i].memory:
+            memory_out = spare.mag[i].memory
+        if spare.prev_recon[i] is not state.prev_recon[i]:
+            recon_out = spare.prev_recon[i]
+    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params, memory_out)
+    recon = dequantize(stream, ghat, info.delta, recon_out)
     if _state_crc(mag, recon) != info.state_crc:
         raise ProtocolError(
             f"client/server state mismatch at round {state.round + 1}, layer {spec.name!r}: "
@@ -295,19 +304,26 @@ def _decode_layer(
 
 
 def decode_payload(
-    payload: CompressedPayload, state: SyncState, predict: PredictParams
+    payload: CompressedPayload, state: SyncState, predict: PredictParams,
+    spare: SyncState | None = None,
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
     parsed blob, and the advanced state. ``predict`` is all the decoder reads
     of the pipeline parameters (a stream carries it in its header): the rest
     is in the payload. A lossy layer whose state after the round differs
-    from the client's raises ProtocolError naming the round and the layer."""
+    from the client's raises ProtocolError naming the round and the layer.
+
+    spare, when given, is an earlier state the caller no longer reads, nor
+    any reconstruction of its round: the new state is written into its
+    arrays where ``state`` does not share them, so a long run of rounds
+    reuses the same memory instead of allocating a new state every round.
+    """
     check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
-    out = [_decode_layer(blob, state, i, predict) for i, blob in enumerate(payload.blobs)]
+    out = [_decode_layer(blob, state, i, predict, spare) for i, blob in enumerate(payload.blobs)]
     infos, mags, recons = ([row[k] for row in out] for k in range(3))
     tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, recons)]
     return tensors, infos, SyncState(state.layers, mags, recons, payload.round)
@@ -441,7 +457,7 @@ def parse_payload(data: bytes) -> CompressedPayload:
     return payload
 
 
-def _parse_one(reader: ByteReader) -> CompressedPayload:
+def _parse_one(reader: ByteReader, headers_only: bool = False) -> CompressedPayload:
     if reader.take(4) != PAYLOAD_MAGIC:
         raise FormatError("not a payload frame (bad magic)")
     version, client_id, round_idx = reader.unpack("<HII")
@@ -451,16 +467,19 @@ def _parse_one(reader: ByteReader) -> CompressedPayload:
     (nlayers,) = reader.unpack("<I")
     if nlayers == 0:
         raise FormatError("payload declares zero layers")
+    read = reader.skip if headers_only else reader.take
     blobs = []
     for _ in range(nlayers):
         (blen,) = reader.unpack("<I")
-        blobs.append(reader.take(blen))
+        blobs.append(read(blen))
     return CompressedPayload(client_id, round_idx, digest, blobs, version)
 
 
-def iter_payloads(data):
+def iter_payloads(data, headers_only: bool = False):
     """Yield consecutive payload frames from a concatenated stream, given as
-    bytes or as a ByteReader (a FileReader reads one frame per step)."""
+    bytes or as a ByteReader (a FileReader reads one frame per step). With
+    headers_only, each blob's length is checked and the blob passed over,
+    so every blob of the yielded frames is None."""
     reader = data if isinstance(data, ByteReader) else ByteReader(data)
     while reader.remaining:
-        yield _parse_one(reader)
+        yield _parse_one(reader, headers_only)

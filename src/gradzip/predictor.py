@@ -186,6 +186,7 @@ def predict_magnitude(
     state: MagPredictorState,
     params: PredictParams,
     out: np.ndarray | None = None,
+    memory_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """EMA prediction of elementwise magnitudes in normalized space.
 
@@ -195,7 +196,9 @@ def predict_magnitude(
     current round's transmitted statistics. The returned prediction is clamped
     to be nonnegative; the new memory keeps the unclamped z_pred. The
     prediction is written to out when given: a float64 array of the input's
-    length, which may be the input itself.
+    length, which may be the input itself. The new memory is written to
+    memory_out when given: a float64 array of that length, distinct from
+    out and from the state's memory.
     """
     x = np.asarray(prev_recon_abs, dtype=np.float64).reshape(-1)
     if x.size != state.memory.size:
@@ -203,8 +206,9 @@ def predict_magnitude(
     if x.size and float(x.min()) < 0.0:
         raise UsageError("prev_recon_abs must be nonnegative")
     n, beta = x.size, params.beta
-    if out is not None and (out.dtype != np.float64 or out.shape != (n,)):
-        raise UsageError(f"out must be a float64 array of {n} elements")
+    for buf in (out, memory_out):
+        if buf is not None and (buf.dtype != np.float64 or buf.shape != (n,)):
+            raise UsageError(f"out and memory_out must be float64 arrays of {n} elements")
     mean = float(x.mean())
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
     # Two buffers, each built in place a block at a time, so every step reads
@@ -212,7 +216,7 @@ def predict_magnitude(
     # prediction; the squared deviations, then z_pred. The deviation is
     # x.std()'s, from the same squares summed the same way.
     pred_abs = np.empty(n) if out is None else out
-    z_pred = np.empty(n)
+    z_pred = np.empty(n) if memory_out is None else memory_out
     for a in range(0, n, _BLOCK):
         np.square(np.subtract(x[a:a + _BLOCK], mean, out=pred_abs[a:a + _BLOCK]),
                   out=z_pred[a:a + _BLOCK])

@@ -228,6 +228,12 @@ class ByteReader:
         self.pos += n
         return chunk
 
+    def skip(self, n: int) -> None:
+        """Pass over the next n bytes, which must be there."""
+        if self.pos + n > len(self.data):
+            raise self._err(f"truncated input: wanted {n} bytes at offset {self.pos}")
+        self.pos += n
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -241,14 +247,14 @@ class FileReader(ByteReader):
 
     Every read is checked against the bytes left in the file before anything
     is read or allocated for it, so a declared length that runs past the end
-    raises the truncation error at no cost.
+    raises FormatError at no cost.
     """
 
-    def __init__(self, fh, truncation_error=FormatError):
+    def __init__(self, fh):
         self.fh = fh
         self.size = os.fstat(fh.fileno()).st_size
         self.pos = fh.tell()
-        self._err = truncation_error
+        self._err = FormatError
 
     def _check(self, n: int) -> None:
         if self.pos + n > self.size:
@@ -259,6 +265,14 @@ class FileReader(ByteReader):
         chunk = self.fh.read(n)
         self._advance(n, len(chunk))
         return chunk
+
+    def skip(self, n: int) -> None:
+        self._check(n)
+        self.seek(self.pos + n)
+
+    def seek(self, pos: int) -> None:
+        self.fh.seek(pos)
+        self.pos = pos
 
     def readinto(self, buf: np.ndarray) -> None:
         """Fill buf, a contiguous array, with the next buf.nbytes bytes."""

@@ -726,5 +726,42 @@ def test_overlong_declarations_are_rejected_before_reading(tmp_path, capsys):
         assert peak < limit, (argv, peak)
         assert not out.exists()
     captured = capsys.readouterr()
-    assert captured.err.count("declares 3 rounds but contains more") == 2
+    assert captured.err.count("declares 3 rounds but contains 4") == 2
     assert captured.err.count("header declares") == 3
+
+
+def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monkeypatch):
+    # Every frame's framing, then the round count, then every frame against
+    # the layer table: a fault in the last frame stops the command before
+    # any frame is decoded, and a framing fault outranks a layer-table
+    # mismatch in an earlier frame.
+    import gradzip.cli as cli
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, rounds=3)
+    stream = tmp_path / "t.gzp"
+    assert run("compress", trace, stream) == 0
+    data = stream.read_bytes()
+    frames = read_frames(stream)
+    header = len(data) - sum(len(frame_payload(p)) for p in frames)
+    digest_at = header + 4 + 2 + 4 + 4  # magic, version u16, client u32, round u32
+    wrong_digest = bytearray(data)
+    wrong_digest[digest_at] ^= 0xFF
+    decodes = []
+    monkeypatch.setattr(cli, "decode_payload", lambda *a: decodes.append(a) or 1 / 0)
+    bad = tmp_path / "bad.gzp"
+    out = tmp_path / "out"
+    cases = [
+        (data[:-1], 2, "truncated input"),
+        (bytes(wrong_digest[:-1]), 2, "truncated input"),
+        (data + frame_payload(frames[-1]), 3, "declares 3 rounds but contains 4"),
+        (bytes(wrong_digest) + frame_payload(frames[-1]), 3, "declares 3 rounds but contains 4"),
+        (bytes(wrong_digest), 3, "does not match the layer table"),
+    ]
+    for case, code, message in cases:
+        bad.write_bytes(case)
+        for argv in (("decompress", bad, out), ("inspect", bad)):
+            assert run(*argv) == code, (message, argv)
+            assert message in capsys.readouterr().err, (message, argv)
+            assert not out.exists()
+    assert decodes == []

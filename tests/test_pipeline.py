@@ -215,6 +215,33 @@ class TestSynchronization:
             for a, b in zip(got, recons):
                 assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("mode,full_batch", [("mini_batch", False), ("full_batch", True)])
+    def test_decoding_into_the_state_two_rounds_back(self, mode, full_batch):
+        # Each round written over the state two rounds back decodes to the
+        # bytes of a fresh decode, and a lossy layer reuses that state's
+        # arrays. Arrays the current state shares with the spare are left
+        # alone: a memory carried over a round without prediction, or every
+        # array when the spare is the current state itself.
+        trace = structured_trace(seed=12, rounds=8, mode=mode)
+        schedule = [True, False, True, True, False, False, True, True]
+        client = server = SyncState.initial(trace.layers)
+        spare = None
+        for tensors, prediction in zip(trace.rounds, schedule):
+            params = make_params(full_batch=full_batch, prediction=prediction)
+            payload, client = compress_round(tensors, client, params)
+            before = server.to_bytes()
+            got, _, same = decode_payload(payload, server, params.predict, server)
+            assert server.to_bytes() == before
+            assert same.to_bytes() == client.to_bytes()
+            got, _, new = decode_payload(payload, server, params.predict, spare)
+            assert new.to_bytes() == client.to_bytes()
+            for a, b in zip(got, client.prev_recon):
+                assert a.values.tobytes() == b.tobytes()
+            for i, spec in enumerate(trace.layers):
+                if spare is not None and spec.numel > params.lossy_threshold:
+                    assert new.prev_recon[i] is spare.prev_recon[i]
+            server, spare = new, server
+
 
 class TestPredictionOffEquivalence:
     def test_matches_plain_quantizer_oracle(self):
