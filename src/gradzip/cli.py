@@ -228,7 +228,7 @@ def _open_stream(path):
         start = reader.pos
         _check_frames(reader, layers, nrounds)
         reader.seek(start)
-        yield (mode, predict), layers, nrounds, _frames(reader, layers, nrounds)
+        yield (mode, predict), layers, nrounds, _frames(reader, nrounds)
 
 
 def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> None:
@@ -246,14 +246,14 @@ def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> 
         raise fault
 
 
-def _frames(reader: FileReader, layers: list[LayerSpec], nrounds: int):
-    # _check_frames's checks again, as the file may have changed since.
+def _frames(reader: FileReader, nrounds: int):
+    # The round count again, as the file may have changed since
+    # _check_frames; decode_payload and describe_payload run check_payload.
     count = 0
     for payload in iter_payloads(reader):
         count += 1
         if count > nrounds:
             raise IntegrityError(f"stream declares {nrounds} rounds but contains more")
-        check_payload(payload, layers)
         yield payload
     if count != nrounds:
         raise IntegrityError(f"stream declares {nrounds} rounds but contains {count}")
