@@ -230,9 +230,7 @@ class ByteReader:
 
     def skip(self, n: int) -> None:
         """Pass over the next n bytes, which must be there."""
-        if self.pos + n > len(self.data):
-            raise self._err(f"truncated input: wanted {n} bytes at offset {self.pos}")
-        self.pos += n
+        self.take(n)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
