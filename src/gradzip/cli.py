@@ -11,10 +11,11 @@ itself (see pipeline), and ``decompress --reference`` checks the result
 against the original trace.
 
 ``compress``, ``decompress`` and ``inspect`` stream: they read, code and
-write one round at a time, so their memory is about one round plus the
-predictor state, whatever the number of rounds; ``decompress`` decodes
-each round into the state arrays of two rounds back. ``simulate`` still
-loads its traces whole.
+write one round at a time, so their memory is about one round plus one
+predictor state, whatever the number of rounds. ``compress`` and
+``decompress`` advance that state in place, and ``compress`` writes each
+round's CSV rows as the round comes. ``simulate`` still loads its traces
+whole.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
@@ -106,14 +107,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # small helpers
 
-def _atomic_write(path, write) -> None:
-    """Run write(tmp) on a temp file beside path, then rename it into place."""
+@contextlib.contextmanager
+def _atomic_path(path):
+    """Yield a temp file beside path, renamed into place when the block
+    ends without an error and removed when it raises."""
     target = os.fspath(path)
     directory = os.path.dirname(target) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gradzip-")
     os.close(fd)
     try:
-        write(tmp)
+        yield tmp
         # mkstemp files come out 0600; give them the mode a plain open() would.
         umask = os.umask(0)
         os.umask(umask)
@@ -126,11 +129,13 @@ def _atomic_write(path, write) -> None:
 
 
 def _atomic_write_bytes(path, data: bytes) -> None:
-    _atomic_write(path, lambda tmp: Path(tmp).write_bytes(data))
+    with _atomic_path(path) as tmp:
+        Path(tmp).write_bytes(data)
 
 
 def _atomic_save_trace(trace: GradientTrace, path) -> None:
-    _atomic_write(path, lambda tmp: save_trace(trace, tmp))
+    with _atomic_path(path) as tmp:
+        save_trace(trace, tmp)
 
 
 def _emit_text(text: str, path) -> None:
@@ -283,27 +288,25 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    rows = []
-    with open_trace(args.input) as (mode, layers, nrounds, rounds):
+    done = s_total = sp_total = 0
+    with contextlib.ExitStack() as stack:
+        mode, layers, nrounds, rounds = stack.enter_context(open_trace(args.input))
         params = _params_from_args(args, mode)
-
-        def write(tmp):
-            with open(tmp, "wb") as fh:
-                fh.write(_stream_header(mode, layers, nrounds, params.predict))
-                for wire, row, _ in client_rounds(layers, rounds, params, fixed_times=(0.0, 0.0)):
-                    fh.write(wire)
-                    rows.append(row)
-
-        _atomic_write(args.output, write)
-    buf = io.StringIO()
-    reports_to_csv([RoundReport(t, [row], row.cr, []) for t, row in enumerate(rows, 1)], buf)
-    _atomic_write_bytes(
-        args.csv or os.fspath(args.output) + ".csv", buf.getvalue().encode()
-    )
-    s_total = sum(row.s_bytes for row in rows)
-    sp_total = sum(row.sprime_bytes for row in rows)
+        # Entered after the CSV's, the stream's temp file is renamed first.
+        csv_tmp = stack.enter_context(_atomic_path(args.csv or os.fspath(args.output) + ".csv"))
+        stream_tmp = stack.enter_context(_atomic_path(args.output))
+        with open(stream_tmp, "wb") as fh, \
+                open(csv_tmp, "w", encoding="utf-8", newline="") as csv_fh:
+            fh.write(_stream_header(mode, layers, nrounds, params.predict))
+            reports_to_csv([], csv_fh)
+            for wire, row, _ in client_rounds(layers, rounds, params, fixed_times=(0.0, 0.0)):
+                fh.write(wire)
+                done += 1
+                reports_to_csv([RoundReport(done, [row], row.cr, [])], csv_fh, header=False)
+                s_total += row.s_bytes
+                sp_total += row.sprime_bytes
     print(
-        f"compressed {len(rows)} rounds: {s_total} -> {sp_total} bytes "
+        f"compressed {done} rounds: {s_total} -> {sp_total} bytes "
         f"(ratio {s_total / sp_total:.3f})",
         file=sys.stderr,
     )
@@ -323,18 +326,18 @@ def cmd_decompress(args) -> int:
         lossy = []
 
         def rounds():
-            # Each round is decoded into the arrays of the state two rounds
-            # back, whose reconstructions are written out by then.
-            server, spare = SyncState.initial(layers), None
+            # Each round is decoded over the state, whose reconstructions
+            # are written out before the next round is.
+            server = SyncState.initial(layers)
             for payload in frames:
-                recons, infos, new = decode_payload(payload, server, predict, spare)
+                recons, infos, server = decode_payload(payload, server, predict, in_place=True)
                 if originals is not None:
                     stats = check_bounds(next(originals), recons, payload, infos)
                     lossy.extend(ls for ls in stats if ls.lossy)
                 yield recons
-                server, spare = new, server
 
-        _atomic_write(args.output, lambda tmp: write_trace(tmp, mode, layers, nrounds, rounds()))
+        with _atomic_path(args.output) as tmp:
+            write_trace(tmp, mode, layers, nrounds, rounds())
     if args.reference:
         worst = max((ls.max_err for ls in lossy), default=0.0)
         worst_frac = max((ls.max_err / ls.delta for ls in lossy), default=0.0)

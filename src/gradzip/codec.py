@@ -148,12 +148,13 @@ def resolve_bound(cfg: ErrorBoundConfig, original: GradientTensor) -> float:
 
 
 def quantize(
-    original: np.ndarray, ghat: np.ndarray, delta: float
+    original: np.ndarray, ghat: np.ndarray, delta: float, out: np.ndarray | None = None
 ) -> tuple[QuantizedStream, np.ndarray]:
     """Quantize original - ghat, demoting bound violators to exact literals.
 
     Returns the stream and the float32 reconstruction dequantize will
-    compute. The check runs against that exact float32 value, so float32
+    compute, written to out when given, a float32 array of the input's
+    length. The check runs against that exact float32 value, so float32
     rounding can never push an element past the bound: offenders carry their
     original value. Works _PACK_CHUNK elements at a time in reused buffers.
     """
@@ -163,8 +164,8 @@ def quantize(
     if not np.all(np.isfinite(original)):
         raise DataError("quantizer input contains non-finite values")
     n = original.size
+    recon32 = _float32_out(out, n)
     bins = np.empty(n, dtype=np.int32)
-    recon32 = np.empty(n, dtype=np.float32)
     ok = np.empty(n, dtype=bool)
     g64, t = np.empty(min(n, _PACK_CHUNK)), np.empty(min(n, _PACK_CHUNK))
     for a in range(0, n, _PACK_CHUNK):
@@ -201,9 +202,7 @@ def dequantize(
     exactly. It is written to out when given, a float32 array of the
     stream's length."""
     n = stream.bins.size
-    if out is not None and (out.dtype != np.float32 or out.shape != (n,)):
-        raise UsageError(f"out must be a float32 array of {n} elements")
-    recon32 = np.empty(n, dtype=np.float32) if out is None else out
+    recon32 = _float32_out(out, n)
     t = np.empty(min(n, _PACK_CHUNK))
     for a in range(0, n, _PACK_CHUNK):
         b = min(a + _PACK_CHUNK, n)
@@ -211,6 +210,15 @@ def dequantize(
         np.copyto(recon32[a:b], t[: b - a], casting="same_kind")
     recon32[stream.literal_mask] = stream.literals
     return recon32
+
+
+def _float32_out(out: np.ndarray | None, n: int) -> np.ndarray:
+    """out, checked to be a float32 array of n elements, or a new one."""
+    if out is None:
+        return np.empty(n, dtype=np.float32)
+    if out.dtype != np.float32 or out.shape != (n,):
+        raise UsageError(f"out must be a float32 array of {n} elements")
+    return out
 
 
 def _bin_centers(bins: np.ndarray, ghat: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
@@ -350,12 +358,12 @@ class _Automaton:
     states: int  # internal nodes; the error state is index `states`
     max_len: int
     len_gcd: int  # greatest common divisor of the code lengths
-    symbols: np.ndarray  # int64 symbols in canonical order
+    symbols: np.ndarray  # int32 symbols in canonical order
     bit_next: np.ndarray  # (states + 1, 2) next state
     bit_rank: np.ndarray  # (states + 1, 2) canonical rank of the code completed, -1 none
     nib_next: np.ndarray  # intp next state << 4
     nib_count: np.ndarray  # uint8 codes completed
-    nib_emit: np.ndarray  # int64 symbols completed, `slots` per entry, first count valid
+    nib_emit: np.ndarray  # int32 symbols completed, `slots` per entry, first count valid
     slots: int
 
 
@@ -373,6 +381,9 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
         )
     if sum(int(c) << (max_len - ln) for ln, c in enumerate(count)) > 1 << max_len:
         raise IntegrityError("Huffman code lengths over-subscribe the code space")
+    lo, hi = block.min_symbol + int(order.min()), block.min_symbol + int(order.max())
+    if lo < -(1 << 31) or hi >= 1 << 31:
+        raise IntegrityError("Huffman table declares symbols outside the 32-bit range")
     first_code, first_rank = _canonical_starts(count)
     first_code = first_code.astype(np.int64)
     # Canonical codes fill the code space from 0 in (length, rank) order, so
@@ -404,9 +415,9 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
     slots = 1 + 3 // min_len
     nib_next = np.empty((states + 1) << 4, dtype=np.intp)
     nib_count = np.empty(nib_next.size, dtype=np.uint8)
-    nib_emit = np.zeros(nib_next.size * slots, dtype=np.int64)
+    nib_emit = np.zeros(nib_next.size * slots, dtype=np.int32)
     flat_next, flat_rank = bit_next.reshape(-1), bit_rank.reshape(-1)
-    symbols = order.astype(np.int64) + block.min_symbol
+    symbols = (order + block.min_symbol).astype(np.int32)
     for a in range(0, states + 1, _DECODE_BLOCK >> 4):
         rows = np.arange(a, min(a + (_DECODE_BLOCK >> 4), states + 1))
         at = np.repeat(rows, 16)
@@ -495,13 +506,14 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     root, never entering the error state. numel, when given, is the symbol
     count the block must hold: a bit count that numel codes cannot fill, or
     a table with more symbols than numel, is rejected before any table is
-    built.
+    built. The symbols come out as int32: a table declaring one outside that
+    range raises IntegrityError.
     """
     bit_count = block.bit_count
     if bit_count == 0:
         if block.symbol_count or numel:
             raise IntegrityError("empty bitstream for a nonzero symbol count")
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int32)
     a = _build_automaton(block, numel)
     stream = block.stream
     raw = np.frombuffer(stream, dtype=np.uint8, count=(bit_count + 7) >> 3)
@@ -539,7 +551,7 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     total = int(per_chunk.sum(dtype=np.intp)) + len(tail)
     if numel is not None and total != numel:
         raise IntegrityError(f"decoded {total} bins for a {numel}-element layer")
-    out = np.empty(total, dtype=np.int64)
+    out = np.empty(total, dtype=np.int32)
     offsets = np.arange(min(total, k * _DECODE_BLOCK))
     o = 0
     for w in range(0, chunks.size, _DECODE_BLOCK):
@@ -606,7 +618,7 @@ def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
     block = decode_block(reader)
     (lit_count,) = reader.unpack("<I")
     mask_raw = reader.take((numel + 7) // 8)
-    mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8), count=numel, bitorder="little").astype(bool)
+    mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8), count=numel, bitorder="little").view(bool)
     if int(mask.sum()) != lit_count:
         raise IntegrityError(
             f"literal mask marks {int(mask.sum())} elements, header says {lit_count}"
@@ -626,9 +638,7 @@ def max_stream_bytes(numel: int) -> int:
 def decode_stream(encoded: EncodedStream) -> QuantizedStream:
     """Entropy-decode the bins of a parsed stream."""
     bins = entropy_decode(encoded.block, encoded.literal_mask.size)
-    if bins.size and (int(bins.min()) < -(1 << 31) or int(bins.max()) >= 1 << 31):
-        raise IntegrityError("decoded bins outside the 32-bit range")
-    return QuantizedStream(bins.astype(np.int32), encoded.literal_mask, encoded.literals)
+    return QuantizedStream(bins, encoded.literal_mask, encoded.literals)
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:

@@ -165,6 +165,10 @@ def fedavg_mean(per_client: list[list[GradientTensor]]) -> list[np.ndarray]:
     return out
 
 
+# Elements check_bounds compares at once; bounds its buffer.
+_CHECK_BLOCK = 1 << 16
+
+
 def check_bounds(
     originals: list[GradientTensor],
     recons: list[GradientTensor],
@@ -176,12 +180,22 @@ def check_bounds(
     ``infos`` describes the payload's blobs, as decode_payload returns them.
     A lossy layer may be off by at most its wire delta, a lossless layer not
     at all. A violation raises IntegrityError naming the round, the client and
-    the layer.
+    the layer. The errors are taken _CHECK_BLOCK elements at a time, in one
+    reused buffer.
     """
     stats = []
     for g, recon, info in zip(originals, recons, infos):
-        diff = np.subtract(recon.values, g.values, dtype=np.float64)
-        err = float(np.abs(diff, out=diff).max())
+        n = g.values.size
+        diff = np.empty(min(n, _CHECK_BLOCK))
+        worst = np.empty(-(-n // _CHECK_BLOCK))
+        for k, a in enumerate(range(0, n, _CHECK_BLOCK)):
+            d = diff[: min(n - a, _CHECK_BLOCK)]
+            np.subtract(
+                recon.values[a:a + _CHECK_BLOCK], g.values[a:a + _CHECK_BLOCK],
+                out=d, dtype=np.float64,
+            )
+            worst[k] = np.abs(d, out=d).max()
+        err = float(worst.max())
         lossy = info.tag == TAG_LOSSY
         limit = info.delta if lossy else 0.0
         if err > limit:
@@ -276,11 +290,15 @@ def client_rounds(
     that the server checks. Yields (framed bytes, ClientRoundStats row,
     client state after the round). The row's compress time is measured and
     its decompress time is 0, unless fixed_times gives both.
+
+    The client holds one state, which each round advances in place: the
+    state it yields, and the reconstructions in it, are valid until its
+    next step. A round that raises ends it.
     """
     client = SyncState.initial(layers)
     for tensors in rounds:
         t0 = time.perf_counter()
-        payload, infos, client = encode_round(tensors, client, params, client_id)
+        payload, infos, client = encode_round(tensors, client, params, client_id, in_place=True)
         t1 = time.perf_counter()
         wire = frame_payload(payload)
         recons = [GradientTensor(spec, r) for spec, r in zip(layers, client.prev_recon)]
@@ -372,12 +390,13 @@ CSV_COLUMNS = [
 ]
 
 
-def reports_to_csv(reports: list[RoundReport], fh) -> None:
-    """Write per-layer, per-client and per-bandwidth rows for every round,
-    then the break-even rows, to an open text file. Columns a row does not
-    name stay empty."""
+def reports_to_csv(reports: list[RoundReport], fh, header: bool = True) -> None:
+    """Write the header unless told not to, then per-layer, per-client and
+    per-bandwidth rows for every round, then the break-even rows, to an open
+    text file. Columns a row does not name stay empty."""
     w = csv.DictWriter(fh, CSV_COLUMNS, restval="", lineterminator="\n")
-    w.writeheader()
+    if header:
+        w.writeheader()
 
     def row(rnd, client, layer, **cols):
         w.writerow({"round": rnd, "client": client, "layer": layer, **cols})

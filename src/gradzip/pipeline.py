@@ -149,27 +149,35 @@ def _prev_sign(recon: np.ndarray) -> SignTensor:
 
 def _predict(
     state: SyncState, i: int, flags: int, bitmap: SignBitmap,
-    mu32: np.float32, sigma32: np.float32, params: PredictParams,
-    memory_out: np.ndarray | None = None,
+    mu32: np.float32, sigma32: np.float32, params: PredictParams, in_place: bool,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """The prediction step for layer i's lossy blob, run by client and server.
 
     Takes the blob's wire fields (flags, sign bitmap, mu and sigma) and the
-    layer's shared history, and returns ghat and the next magnitude state.
-    Signs come only from the bitmap, so the client predicts exactly what the
-    server rebuilds from the same blob.
+    layer's shared history, and returns ghat and the next magnitude state,
+    whose memory is written over the current one's with in_place. Signs come
+    only from the bitmap, so the client predicts exactly what the server
+    rebuilds from the same blob.
     """
-    spec, prev_recon = state.layers[i], state.prev_recon[i]
+    spec, prev_recon, mag = state.layers[i], state.prev_recon[i], state.mag[i]
     if not flags & _FLAG_PREDICTION:
-        return np.zeros(spec.numel, dtype=np.float64), state.mag[i]
+        return np.zeros(spec.numel, dtype=np.float64), mag
     pred_abs = np.abs(prev_recon, dtype=np.float64)
     pred_abs, new_mag = predict_magnitude(
-        pred_abs, float(mu32), float(sigma32), state.mag[i], params, out=pred_abs,
-        memory_out=memory_out,
+        pred_abs, float(mu32), float(sigma32), mag, params, out=pred_abs,
+        memory_out=mag.memory if in_place else None, recon=prev_recon,
     )
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
     return np.multiply(pred_abs, signs.values, out=pred_abs), new_mag
+
+
+def _stored(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """A float32 copy of values: out when given, else a new array."""
+    if out is None:
+        return np.array(values, dtype=np.float32)
+    np.copyto(out, values)
+    return out
 
 
 def _state_crc(mag: MagPredictorState, recon: np.ndarray) -> int:
@@ -192,24 +200,27 @@ def _client_bitmap(
 
 
 def _encode_layer(
-    g: GradientTensor, state: SyncState, i: int, params: PipelineParams
+    g: GradientTensor, state: SyncState, i: int, params: PipelineParams, in_place: bool = False
 ) -> tuple[bytes, MagPredictorState, np.ndarray, "BlobInfo"]:
     """Layer i of a client round: (wrapped blob, next magnitude state, the
-    reconstruction the server will compute, the blob's description)."""
+    reconstruction the server will compute, the blob's description). With
+    in_place, the state's arrays of layer i hold the new ones."""
     spec = state.layers[i]
     if g.spec != spec:
         raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
+    recon_out = state.prev_recon[i] if in_place else None
     if spec.numel <= params.lossy_threshold:
         inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
         blob = lossless_compress(inner, params.backend)
-        return blob, state.mag[i], g.values.copy(), BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
+        info = BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
+        return blob, state.mag[i], _stored(g.values, recon_out), info
     mu, sigma = abs_stats(g)
     mu32, sigma32 = np.float32(mu), np.float32(sigma)
     flags = _FLAG_PREDICTION if params.prediction_enabled else 0
     bitmap = _client_bitmap(g, state.prev_recon[i], state.round == 0, params)
-    ghat, mag = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict)
+    ghat, mag = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict, in_place)
     delta = resolve_bound(params.bound, g)
-    stream, recon32 = quantize(g.values, ghat, delta)
+    stream, recon32 = quantize(g.values, ghat, delta, recon_out)
     del ghat
     crc = _state_crc(mag, recon32)
     bitmap_raw, body = encode_bitmap(bitmap), encode_stream(stream)
@@ -228,13 +239,20 @@ def encode_round(
     state: SyncState,
     params: PipelineParams,
     client_id: int = 0,
+    in_place: bool = False,
 ) -> tuple[CompressedPayload, list["BlobInfo"], SyncState]:
     """Compress one round of gradients; returns the payload, the description
     of each blob it wrote, and the advanced state. The state's
-    reconstructions are bitwise the ones the server will decode."""
+    reconstructions are bitwise the ones the server will decode.
+
+    With in_place, each layer's new magnitude memory and reconstruction are
+    written over the arrays of ``state``, which the advanced state shares:
+    the caller holds one state instead of two. A round that raises leaves
+    ``state`` partly advanced, so it may not be used again.
+    """
     if len(tensors) != len(state.layers):
         raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
-    out = [_encode_layer(g, state, i, params) for i, g in enumerate(tensors)]
+    out = [_encode_layer(g, state, i, params, in_place) for i, g in enumerate(tensors)]
     blobs, mags, recons, infos = ([row[k] for row in out] for k in range(4))
     payload = CompressedPayload(client_id, state.round + 1, spec_digest(state.layers), blobs)
     return payload, infos, SyncState(state.layers, mags, recons, payload.round)
@@ -275,25 +293,20 @@ def decompress_round(
 
 
 def _decode_layer(
-    blob: bytes, state: SyncState, i: int, params: PredictParams, spare: SyncState | None
+    blob: bytes, state: SyncState, i: int, params: PredictParams, in_place: bool
 ) -> tuple["BlobInfo", MagPredictorState, np.ndarray]:
     """Layer i of a server round: (blob description, next magnitude state,
     reconstruction). A lossy layer whose state after the round differs from
-    the client's, by the blob's state digest, raises ProtocolError. The
-    arrays of spare's layer i are written over unless state shares them."""
+    the client's, by the blob's state digest, raises ProtocolError. With
+    in_place, the state's arrays of layer i hold the new ones."""
     spec = state.layers[i]
+    recon_out = state.prev_recon[i] if in_place else None
     info, bitmap, body = _parse_blob(blob, spec, state.round == 0)
     if info.tag == TAG_LOSSLESS:
-        return info, state.mag[i], body
+        return info, state.mag[i], _stored(body, recon_out)
     stream = decode_stream(body)
     mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
-    memory_out = recon_out = None
-    if spare is not None:
-        if spare.mag[i].memory is not state.mag[i].memory:
-            memory_out = spare.mag[i].memory
-        if spare.prev_recon[i] is not state.prev_recon[i]:
-            recon_out = spare.prev_recon[i]
-    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params, memory_out)
+    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params, in_place)
     recon = dequantize(stream, ghat, info.delta, recon_out)
     if _state_crc(mag, recon) != info.state_crc:
         raise ProtocolError(
@@ -305,7 +318,7 @@ def _decode_layer(
 
 def decode_payload(
     payload: CompressedPayload, state: SyncState, predict: PredictParams,
-    spare: SyncState | None = None,
+    in_place: bool = False,
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
     parsed blob, and the advanced state. ``predict`` is all the decoder reads
@@ -313,17 +326,17 @@ def decode_payload(
     is in the payload. A lossy layer whose state after the round differs
     from the client's raises ProtocolError naming the round and the layer.
 
-    spare, when given, is an earlier state the caller no longer reads, nor
-    any reconstruction of its round: the new state is written into its
-    arrays where ``state`` does not share them, so a long run of rounds
-    reuses the same memory instead of allocating a new state every round.
+    With in_place, the new state is written over the arrays of ``state``,
+    which it shares, and the reconstructions are those arrays, as with
+    encode_round: a long run of rounds holds one state. A round that raises
+    leaves ``state`` partly advanced, so it may not be used again.
     """
     check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
-    out = [_decode_layer(blob, state, i, predict, spare) for i, blob in enumerate(payload.blobs)]
+    out = [_decode_layer(blob, state, i, predict, in_place) for i, blob in enumerate(payload.blobs)]
     infos, mags, recons = ([row[k] for row in out] for k in range(3))
     tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, recons)]
     return tensors, infos, SyncState(state.layers, mags, recons, payload.round)
@@ -379,8 +392,8 @@ def _parse_blob(
     """Inflate and validate one layer blob, leaving the bins entropy coded.
 
     Returns the blob's description, its sign bitmap (None for a lossless
-    blob) and its body: the float32 values of a lossless blob, or the parsed
-    stream of a lossy one. A blob of round 1 has no previous signs to
+    blob) and its body: the float32 values of a lossless blob, read in
+    place, or the parsed stream of a lossy one. A blob of round 1 has no previous signs to
     predict from, so it may not carry a sign bitmap.
     """
     try:
@@ -392,7 +405,7 @@ def _parse_blob(
     if tag == TAG_LOSSLESS:
         info = BlobInfo(tag, len(blob), len(inner))
         bitmap = None
-        body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4").astype(np.float32)
+        body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4")
     elif tag == TAG_LOSSY:
         flags, mu, sigma, delta = reader.unpack("<Bffd")
         if flags & ~_FLAG_PREDICTION:

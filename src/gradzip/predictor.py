@@ -63,7 +63,9 @@ class MagPredictorState:
     initialized: bool = False
 
     def __post_init__(self):
-        memory = np.ascontiguousarray(self.memory, dtype=np.float64).reshape(-1)
+        memory = np.ascontiguousarray(self.memory, dtype=np.float64)
+        if memory.ndim != 1:
+            memory = memory.reshape(-1)
         if not np.all(np.isfinite(memory)):
             raise DataError("predictor memory contains non-finite values")
         self.memory = memory
@@ -187,6 +189,7 @@ def predict_magnitude(
     params: PredictParams,
     out: np.ndarray | None = None,
     memory_out: np.ndarray | None = None,
+    recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """EMA prediction of elementwise magnitudes in normalized space.
 
@@ -197,8 +200,10 @@ def predict_magnitude(
     to be nonnegative; the new memory keeps the unclamped z_pred. The
     prediction is written to out when given: a float64 array of the input's
     length, which may be the input itself. The new memory is written to
-    memory_out when given: a float64 array of that length, distinct from
-    out and from the state's memory.
+    memory_out when given: a float64 array of that length other than out,
+    which may be the state's own memory. recon, when given, is the
+    reconstruction whose magnitudes the input holds: the magnitudes are read
+    again from it, so no copy of the input is kept when out is the input.
     """
     x = np.asarray(prev_recon_abs, dtype=np.float64).reshape(-1)
     if x.size != state.memory.size:
@@ -209,20 +214,31 @@ def predict_magnitude(
     for buf in (out, memory_out):
         if buf is not None and (buf.dtype != np.float64 or buf.shape != (n,)):
             raise UsageError(f"out and memory_out must be float64 arrays of {n} elements")
+    if recon is not None and recon.shape != (n,):
+        raise UsageError(f"recon must be an array of {n} elements")
     mean = float(x.mean())
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
-    # Two buffers, each built in place a block at a time, so every step reads
-    # the previous one's output from cache: x - mean, then z_prev, then the
-    # prediction; the squared deviations, then z_pred. The deviation is
-    # x.std()'s, from the same squares summed the same way.
     pred_abs = np.empty(n) if out is None else out
     z_pred = np.empty(n) if memory_out is None else memory_out
+    if recon is None and np.may_share_memory(x, pred_abs):
+        x = x.copy()
+    # Each pass works a block at a time, so every step reads the previous
+    # one's output from cache. The first writes the squared deviations over
+    # the prediction, and the deviation is x.std()'s, from the same squares
+    # summed the same way. The second derives x - mean again and builds
+    # z_prev, z_pred (which may replace the memory block it reads) and the
+    # prediction.
     for a in range(0, n, _BLOCK):
-        np.square(np.subtract(x[a:a + _BLOCK], mean, out=pred_abs[a:a + _BLOCK]),
-                  out=z_pred[a:a + _BLOCK])
-    scale = max(math.sqrt(float(z_pred.sum()) / n), SIGMA_FLOOR)
+        p = pred_abs[a:a + _BLOCK]
+        np.square(np.subtract(x[a:a + _BLOCK], mean, out=p), out=p)
+    scale = max(math.sqrt(float(pred_abs.sum()) / n), SIGMA_FLOOR)
     for a in range(0, n, _BLOCK):
         p, z = pred_abs[a:a + _BLOCK], z_pred[a:a + _BLOCK]
+        if recon is None:
+            np.subtract(x[a:a + _BLOCK], mean, out=p)
+        else:
+            np.abs(recon[a:a + _BLOCK], out=p)
+            p -= mean
         p /= scale
         p *= beta
         np.multiply(state.memory[a:a + _BLOCK], 1.0 - beta, out=z)

@@ -109,7 +109,9 @@ class GradientTensor:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float32).reshape(-1)
+        values = np.ascontiguousarray(self.values, dtype=np.float32)
+        if values.ndim != 1:
+            values = values.reshape(-1)
         if values.size != self.spec.numel:
             raise IntegrityError(
                 f"layer {self.spec.name!r}: {values.size} values for shape {self.spec.shape}"

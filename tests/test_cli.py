@@ -676,6 +676,23 @@ def test_memory_stays_at_about_one_round(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_predictor_state_at_a_time(tmp_path, capsys):
+    # compress and decompress advance one predictor state in place. The
+    # state costs 12 bytes per lossy element (an f64 memory and an f32
+    # reconstruction), so a second one would lift either peak past its
+    # budget, in bytes per element of the one large layer.
+    n = 512 * 512
+    trace = make_trace(tmp_path, rounds=3, layers="fc:512x512,b:10")
+    out = tmp_path / "t.gzp"
+    code, compress_peak = traced_run("compress", trace, out)
+    assert code == 0
+    code, decompress_peak = traced_run("decompress", out, tmp_path / "r.gtrc")
+    assert code == 0
+    assert compress_peak < 44 * n, compress_peak / n
+    assert decompress_peak < 34 * n, decompress_peak / n
+    capsys.readouterr()
+
+
 def test_overlong_declarations_are_rejected_before_reading(tmp_path, capsys):
     # A declared length or count that runs past the end of the file fails
     # with a format or integrity error before anything is read or allocated

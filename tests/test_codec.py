@@ -272,6 +272,8 @@ def reference_decode(block):
     first_index = [0] * (maxlen + 1)
     count_at = [0] * (maxlen + 1)
     canon_syms = (order + block.min_symbol).tolist()
+    if min(canon_syms) < -(1 << 31) or max(canon_syms) >= 1 << 31:
+        raise IntegrityError("Huffman table declares symbols outside the 32-bit range")
     code = prev_len = 0
     for rank, idx in enumerate(order):
         ln = int(lengths[idx])
@@ -590,6 +592,23 @@ class TestBlockSerialization:
         )
         with pytest.raises(IntegrityError):
             entropy_decode(corrupted)
+
+    def test_symbols_outside_32_bits_rejected(self):
+        # Bins decode straight to int32, so a table whose symbols run past
+        # that range, here by a flipped sign bit of its min symbol, is
+        # rejected, used symbol or not; the range's two ends still decode.
+        raw = bytearray(encode_block(entropy_encode(np.arange(-3, 4))))
+        raw[3] ^= 0x80
+        block = decode_block(ByteReader(bytes(raw)))
+        assert block.min_symbol == (1 << 31) - 3
+        with pytest.raises(IntegrityError, match="32-bit range"):
+            entropy_decode(block)
+        with pytest.raises(IntegrityError, match="32-bit range"):
+            reference_decode(block)
+        for ends in ([-(1 << 31), 1 - (1 << 31)], [(1 << 31) - 2, (1 << 31) - 1]):
+            block = entropy_encode(np.array(ends * 3, dtype=np.int64))
+            out = entropy_decode(block, 6)
+            assert out.dtype == np.int32 and out.tolist() == ends * 3
 
     def test_oversubscribed_code_lengths_rejected(self):
         # Three one-bit codes break the Kraft inequality: 3 * 2**-1 > 1.

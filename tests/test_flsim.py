@@ -354,15 +354,19 @@ class TestClientRounds:
         cfg = make_cfg(nclients=1, rounds=3)
         trace = cfg.traces[0]
         fixed = (0.5, 0.25)
-        alone = list(client_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed))
-        mirrored = list(verified_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed))
-        assert len(alone) == len(mirrored) == 3
+        # The client's state is valid until its next step, so the two are
+        # compared step by step.
+        alone = client_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed)
+        mirrored = verified_rounds(trace.layers, trace.rounds, cfg.params, 2, fixed)
+        steps = 0
         for (wire, row, client), (want_wire, recons, want_row) in zip(alone, mirrored):
+            steps += 1
             assert wire == want_wire
             assert row == want_row
             assert [r.tobytes() for r in client.prev_recon] == [
                 r.values.tobytes() for r in recons
             ]
+        assert steps == 3 and next(alone, None) is None and next(mirrored, None) is None
 
     def test_bound_violation_names_round_and_layer(self, monkeypatch):
         # The bound is checked on the client's reconstruction, as compress
@@ -373,8 +377,8 @@ class TestClientRounds:
         trace = cfg.traces[0]
         real = pipeline.quantize
 
-        def off_by_much(original, ghat, delta):
-            stream, recon32 = real(original, ghat, delta)
+        def off_by_much(original, ghat, delta, out=None):
+            stream, recon32 = real(original, ghat, delta, out)
             recon32[0] += np.float32(4 * delta)
             return stream, recon32
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gradzip import pipeline
 from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig, lossless_compress
@@ -16,6 +18,7 @@ from gradzip.pipeline import (
     decode_payload,
     decompress_round,
     describe_blob,
+    encode_round,
     describe_payload,
     frame_payload,
     iter_payloads,
@@ -217,30 +220,85 @@ class TestSynchronization:
 
     @pytest.mark.parametrize("mode,full_batch", [("mini_batch", False), ("full_batch", True)])
     def test_decoding_into_the_state_two_rounds_back(self, mode, full_batch):
-        # Each round written over the state two rounds back decodes to the
-        # bytes of a fresh decode, and a lossy layer reuses that state's
-        # arrays. Arrays the current state shares with the spare are left
-        # alone: a memory carried over a round without prediction, or every
-        # array when the spare is the current state itself.
+        # Decoding in place writes each round over the state it is given:
+        # the round decodes to the bytes of a fresh decode, and the advanced
+        # state and the reconstructions are that state's own arrays, also
+        # for a memory carried over a round without prediction. A fresh
+        # decode leaves the state it reads alone.
         trace = structured_trace(seed=12, rounds=8, mode=mode)
         schedule = [True, False, True, True, False, False, True, True]
-        client = server = SyncState.initial(trace.layers)
-        spare = None
+        client = fresh = SyncState.initial(trace.layers)
+        server = SyncState.initial(trace.layers)
         for tensors, prediction in zip(trace.rounds, schedule):
             params = make_params(full_batch=full_batch, prediction=prediction)
             payload, client = compress_round(tensors, client, params)
-            before = server.to_bytes()
-            got, _, same = decode_payload(payload, server, params.predict, server)
-            assert server.to_bytes() == before
-            assert same.to_bytes() == client.to_bytes()
-            got, _, new = decode_payload(payload, server, params.predict, spare)
-            assert new.to_bytes() == client.to_bytes()
-            for a, b in zip(got, client.prev_recon):
-                assert a.values.tobytes() == b.tobytes()
-            for i, spec in enumerate(trace.layers):
-                if spare is not None and spec.numel > params.lossy_threshold:
-                    assert new.prev_recon[i] is spare.prev_recon[i]
-            server, spare = new, server
+            before = fresh.to_bytes()
+            want, _, new_fresh = decode_payload(payload, fresh, params.predict)
+            assert fresh.to_bytes() == before
+            fresh = new_fresh
+            memories, recons = [m.memory for m in server.mag], list(server.prev_recon)
+            got, _, server = decode_payload(payload, server, params.predict, in_place=True)
+            assert server.to_bytes() == fresh.to_bytes() == client.to_bytes()
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a.values.tobytes() == b.values.tobytes()
+                assert a.values is server.prev_recon[i] is recons[i]
+                assert server.mag[i].memory is memories[i]
+
+
+class TestInPlaceRounds:
+    @settings(max_examples=25, deadline=None)
+    # Kernel maps with literals; a flip bit with prediction off in between;
+    # every layer lossless but the largest.
+    @example(seed=3, full_batch=False, schedule=[True, True, True], threshold=8, spikes=[5, 200])
+    @example(seed=4, full_batch=True, schedule=[True, False, True, True], threshold=64, spikes=[])
+    @example(seed=5, full_batch=True, schedule=[False, True, True], threshold=300, spikes=[7])
+    @given(
+        seed=st.integers(0, 1 << 16),
+        full_batch=st.booleans(),
+        schedule=st.lists(st.booleans(), min_size=1, max_size=4),
+        threshold=st.sampled_from([8, 64, 300]),
+        spikes=st.lists(st.integers(0, 287), max_size=3),
+    )
+    def test_in_place_rounds_match_fresh_rounds(
+        self, seed, full_batch, schedule, threshold, spikes
+    ):
+        # Client and server rounds advanced in place write the payloads,
+        # states and reconstructions of fresh rounds, into the arrays of the
+        # state they are given. Spikes in the conv layer are too far from
+        # any prediction for the bins, so they become literals.
+        def arrays(state):
+            return [m.memory for m in state.mag] + state.prev_recon
+
+        mode = "full_batch" if full_batch else "mini_batch"
+        trace = structured_trace(seed=seed, rounds=len(schedule), mode=mode)
+        client, server = SyncState.initial(trace.layers), SyncState.initial(trace.layers)
+        client_in, server_in = SyncState.initial(trace.layers), SyncState.initial(trace.layers)
+        for t, (tensors, prediction) in enumerate(zip(trace.rounds, schedule)):
+            conv = tensors[0].values.copy()
+            conv[spikes] = 1e4 * (-1) ** t
+            tensors = [GradientTensor(tensors[0].spec, conv)] + tensors[1:]
+            params = make_params(
+                full_batch=full_batch, prediction=prediction, lossy_threshold=threshold
+            )
+            payload, infos, client = encode_round(tensors, client, params)
+            before = arrays(client_in)
+            payload_in, infos_in, client_in = encode_round(
+                tensors, client_in, params, in_place=True
+            )
+            assert frame_payload(payload_in) == frame_payload(payload)
+            assert infos_in == infos
+            assert client_in.to_bytes() == client.to_bytes()
+            assert all(a is b for a, b in zip(arrays(client_in), before))
+
+            recons, _, server = decode_payload(payload, server, params.predict)
+            before = arrays(server_in)
+            recons_in, _, server_in = decode_payload(
+                payload, server_in, params.predict, in_place=True
+            )
+            assert server_in.to_bytes() == server.to_bytes() == client.to_bytes()
+            assert [r.values.tobytes() for r in recons_in] == [r.values.tobytes() for r in recons]
+            assert all(r.values is a for r, a in zip(recons_in, server_in.prev_recon))
+            assert all(a is b for a, b in zip(arrays(server_in), before))
 
 
 class TestPredictionOffEquivalence:

@@ -5,6 +5,8 @@ import pytest
 
 from gradzip.errors import IntegrityError, UsageError
 from gradzip.predictor import (
+    _BLOCK,
+    SIGMA_FLOOR,
     MagPredictorState,
     PredictParams,
     SignBitmap,
@@ -85,6 +87,36 @@ class TestPredictMagnitude:
         assert got_state.to_bytes() == want_state.to_bytes()
         with pytest.raises(UsageError):
             predict_magnitude(x, 0.7, 0.4, state, PredictParams(), out=np.empty(3))
+
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK, _BLOCK + 3, 2 * _BLOCK + 1])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_in_place_matches_separate_buffers(self, n, constant):
+        # The prediction written over the input and the memory written over
+        # the state's own, with the input read again from the signed float32
+        # reconstruction, are bitwise the ones of separate buffers. A
+        # constant magnitude, and n = 1, standardize by SIGMA_FLOOR.
+        rng = np.random.default_rng(n)
+        recon = rng.normal(size=n).astype(np.float32)
+        if constant:
+            recon = np.where(recon < 0, -0.25, 0.25).astype(np.float32)
+        memory = rng.normal(size=n)
+        params = PredictParams(beta=0.3)
+        state = MagPredictorState(memory.copy(), initialized=True)
+        x = np.abs(recon, dtype=np.float64)
+        want, want_state = predict_magnitude(x, 0.7, 0.4, state, params)
+        assert state.memory.tobytes() == memory.tobytes()
+        assert np.array_equal(x, np.abs(recon, dtype=np.float64))
+        if constant or n == 1:
+            assert np.array_equal(want_state.memory, 0.7 * memory)
+            assert float(x.std()) < SIGMA_FLOOR
+        state_in = MagPredictorState(memory.copy(), initialized=True)
+        buf = np.abs(recon, dtype=np.float64)
+        got, got_state = predict_magnitude(
+            buf, 0.7, 0.4, state_in, params, out=buf, memory_out=state_in.memory, recon=recon
+        )
+        assert got is buf and got_state.memory is state_in.memory
+        assert got.tobytes() == want.tobytes()
+        assert got_state.to_bytes() == want_state.to_bytes()
 
     def test_negative_input_rejected(self):
         with pytest.raises(UsageError):
