@@ -42,7 +42,6 @@ from .flsim import (
     reports_to_csv,
     run_simulation,
     verified_rounds,
-    verify_round,
 )
 from .pipeline import (
     CompressedPayload,
@@ -85,71 +84,3 @@ from .trace import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_BIN_CAP",
-    "MODE_ABSOLUTE",
-    "MODE_RELATIVE",
-    "MODE_FULL_BATCH",
-    "MODE_MINI_BATCH",
-    "CommModel",
-    "CompressedPayload",
-    "DataError",
-    "ErrorBoundConfig",
-    "FormatError",
-    "GradientTensor",
-    "GradientTrace",
-    "GradzipError",
-    "HuffmanBlock",
-    "IntegrityError",
-    "LayerSpec",
-    "MagPredictorState",
-    "ModeComparison",
-    "PipelineParams",
-    "PredictParams",
-    "ProtocolError",
-    "QuantizedStream",
-    "RoundReport",
-    "SignBitmap",
-    "SignTensor",
-    "SimConfig",
-    "SynthConfig",
-    "SyncState",
-    "UsageError",
-    "abs_stats",
-    "bitmap_overhead_ratio",
-    "break_even_bandwidth",
-    "client_rounds",
-    "comm_times",
-    "compare_modes",
-    "compress_round",
-    "decode_bitmap",
-    "decode_payload",
-    "decompress_round",
-    "dequantize",
-    "describe_blob",
-    "encode_bitmap",
-    "encode_round",
-    "entropy_decode",
-    "entropy_encode",
-    "fedavg_mean",
-    "frame_payload",
-    "gradient_correlation",
-    "iter_payloads",
-    "load_trace",
-    "lossless_compress",
-    "lossless_decompress",
-    "parse_payload",
-    "predict_magnitude",
-    "predict_signs",
-    "quantize",
-    "reconstruct_signs",
-    "reports_to_csv",
-    "resolve_bound",
-    "run_simulation",
-    "save_trace",
-    "sign_consistency",
-    "synth_trace",
-    "verified_rounds",
-    "verify_round",
-]

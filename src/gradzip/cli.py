@@ -12,9 +12,9 @@ against the original trace.
 
 ``compress``, ``decompress`` and ``inspect`` stream: they read, code and
 write one round at a time, so their memory is about one round plus one
-predictor state, whatever the number of rounds. ``compress`` and
-``decompress`` advance that state in place, and ``compress`` writes each
-round's CSV rows as the round comes. ``simulate`` still loads its traces
+predictor state, whatever the number of rounds: every round advances
+that state in place (see pipeline), and ``compress`` writes each round's
+CSV rows as the round comes. ``simulate`` still loads its traces
 whole.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
@@ -330,7 +330,7 @@ def cmd_decompress(args) -> int:
             # are written out before the next round is.
             server = SyncState.initial(layers)
             for payload in frames:
-                recons, infos, server = decode_payload(payload, server, predict, in_place=True)
+                recons, infos, server = decode_payload(payload, server, predict)
                 if originals is not None:
                     stats = check_bounds(next(originals), recons, payload, infos)
                     lossy.extend(ls for ls in stats if ls.lossy)

@@ -181,7 +181,10 @@ def quantize(
         w[~o] = 0.0
         np.copyto(bins[a:b], w, casting="unsafe")
         _bin_centers(bins[a:b], h, delta, out=w)
-        np.copyto(recon32[a:b], w, casting="same_kind")
+        # A centre past the float32 range casts to inf, which the isfinite
+        # test demotes to a literal.
+        with np.errstate(over="ignore"):
+            np.copyto(recon32[a:b], w, casting="same_kind")
         o &= np.isfinite(recon32[a:b])
         w -= g
         o &= np.abs(w, out=w) <= delta
@@ -207,7 +210,11 @@ def dequantize(
     for a in range(0, n, _PACK_CHUNK):
         b = min(a + _PACK_CHUNK, n)
         _bin_centers(stream.bins[a:b], ghat[a:b], delta, out=t[: b - a])
-        np.copyto(recon32[a:b], t[: b - a], casting="same_kind")
+        # In a stream quantize wrote, only a literal's centre can be past the
+        # float32 range (that is why it is one), and the literal is written
+        # over it below. Any other inf fails the state digest.
+        with np.errstate(over="ignore"):
+            np.copyto(recon32[a:b], t[: b - a], casting="same_kind")
     recon32[stream.literal_mask] = stream.literals
     return recon32
 

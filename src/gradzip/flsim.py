@@ -6,9 +6,10 @@ decompresses and mirrors the client's state, reconstructions are averaged
 FedAvg-style, and the state-sync and error-bound invariants are asserted
 before the round is reported. A client on its own (client_rounds, behind
 ``compress``) checks the bounds on its own reconstruction, which the wire's
-state digests tie to the server's. Transmission itself is modeled
-analytically: t_comm = t_comp + 8 * S' / B + t_decomp against a baseline of
-8 * S / B.
+state digests tie to the server's. Client and server each hold one
+predictor state, advanced in place every round. Transmission itself is
+modeled analytically: t_comm = t_comp + 8 * S' / B + t_decomp against a
+baseline of 8 * S / B.
 """
 
 from __future__ import annotations
@@ -217,29 +218,6 @@ def check_bounds(
     return stats
 
 
-def verify_round(
-    originals: list[GradientTensor],
-    recons: list[GradientTensor],
-    payload: CompressedPayload,
-    infos: list[BlobInfo],
-    framed_bytes: int,
-    client: SyncState,
-    server: SyncState,
-    times: tuple[float, float],
-) -> ClientRoundStats:
-    """Check one round's two promises and summarize it as a report row.
-
-    Client and server must end the round with bitwise-identical predictor
-    state: a difference raises ProtocolError naming the round, the client and
-    the first layer whose magnitude memory or reconstruction differs. Every
-    reconstruction must stay within the bound of its blob in ``infos`` (see
-    check_bounds). ``times`` is the (compress, decompress) time recorded in
-    the row.
-    """
-    check_sync(client, server, payload)
-    return _round_row(payload, check_bounds(originals, recons, payload, infos), framed_bytes, times)
-
-
 def check_sync(client: SyncState, server: SyncState, payload: CompressedPayload) -> None:
     """Require bitwise-identical client and server state after ``payload``'s
     round; a difference raises ProtocolError naming the round, the client and
@@ -291,14 +269,14 @@ def client_rounds(
     client state after the round). The row's compress time is measured and
     its decompress time is 0, unless fixed_times gives both.
 
-    The client holds one state, which each round advances in place: the
-    state it yields, and the reconstructions in it, are valid until its
-    next step. A round that raises ends it.
+    The client holds one state, which each round advances in place (see
+    pipeline.encode_round): the state it yields, and the reconstructions in
+    it, are valid until its next step. A round that raises ends it.
     """
     client = SyncState.initial(layers)
     for tensors in rounds:
         t0 = time.perf_counter()
-        payload, infos, client = encode_round(tensors, client, params, client_id, in_place=True)
+        payload, infos, client = encode_round(tensors, client, params, client_id)
         t1 = time.perf_counter()
         wire = frame_payload(payload)
         recons = [GradientTensor(spec, r) for spec, r in zip(layers, client.prev_recon)]
@@ -325,6 +303,9 @@ def verified_rounds(
     the client's row holds for the server too. Yields (framed bytes, server
     reconstructions, ClientRoundStats row). The row's codec times are
     measured unless fixed_times gives them.
+
+    Client and server each hold one state, advanced in place every round,
+    so the reconstructions it yields are valid until its next step.
     """
     server = SyncState.initial(layers)
     for wire, row, client in client_rounds(layers, rounds, params, client_id, fixed_times):

@@ -5,7 +5,10 @@ through magnitude prediction, sign prediction, residual quantization, entropy
 coding, and the lossless backend. The client keeps the reconstruction the
 server will compute and feeds the predictors from it, and both sides derive
 each prediction through one step from the blob's wire fields, so they evolve
-bitwise-identical state using only the framed payload as a channel.
+bitwise-identical state using only the framed payload as a channel. Every
+round advances the SyncState it is given in place, layer by layer, each
+layer writing only its own arrays; what a round returns is valid until the
+next round. A caller that wants to branch from a state keeps its own copy.
 
 Every byte that can change a reconstruction is checked on the wire: a
 DEFLATE blob by its zlib Adler-32, a stored blob by its CRC32, and a lossy
@@ -149,35 +152,27 @@ def _prev_sign(recon: np.ndarray) -> SignTensor:
 
 def _predict(
     state: SyncState, i: int, flags: int, bitmap: SignBitmap,
-    mu32: np.float32, sigma32: np.float32, params: PredictParams, in_place: bool,
-) -> tuple[np.ndarray, MagPredictorState]:
+    mu32: np.float32, sigma32: np.float32, params: PredictParams,
+) -> np.ndarray:
     """The prediction step for layer i's lossy blob, run by client and server.
 
     Takes the blob's wire fields (flags, sign bitmap, mu and sigma) and the
-    layer's shared history, and returns ghat and the next magnitude state,
-    whose memory is written over the current one's with in_place. Signs come
-    only from the bitmap, so the client predicts exactly what the server
-    rebuilds from the same blob.
+    layer's shared history, returns ghat, and stores the next magnitude
+    state in ``state.mag[i]``, its memory written over the current one's.
+    Signs come only from the bitmap, so the client predicts exactly what the
+    server rebuilds from the same blob.
     """
     spec, prev_recon, mag = state.layers[i], state.prev_recon[i], state.mag[i]
     if not flags & _FLAG_PREDICTION:
-        return np.zeros(spec.numel, dtype=np.float64), mag
+        return np.zeros(spec.numel, dtype=np.float64)
     pred_abs = np.abs(prev_recon, dtype=np.float64)
-    pred_abs, new_mag = predict_magnitude(
+    pred_abs, state.mag[i] = predict_magnitude(
         pred_abs, float(mu32), float(sigma32), mag, params, out=pred_abs,
-        memory_out=mag.memory if in_place else None, recon=prev_recon,
+        memory_out=mag.memory, recon=prev_recon,
     )
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
-    return np.multiply(pred_abs, signs.values, out=pred_abs), new_mag
-
-
-def _stored(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """A float32 copy of values: out when given, else a new array."""
-    if out is None:
-        return np.array(values, dtype=np.float32)
-    np.copyto(out, values)
-    return out
+    return np.multiply(pred_abs, signs.values, out=pred_abs)
 
 
 def _state_crc(mag: MagPredictorState, recon: np.ndarray) -> int:
@@ -200,29 +195,28 @@ def _client_bitmap(
 
 
 def _encode_layer(
-    g: GradientTensor, state: SyncState, i: int, params: PipelineParams, in_place: bool = False
-) -> tuple[bytes, MagPredictorState, np.ndarray, "BlobInfo"]:
-    """Layer i of a client round: (wrapped blob, next magnitude state, the
-    reconstruction the server will compute, the blob's description). With
-    in_place, the state's arrays of layer i hold the new ones."""
-    spec = state.layers[i]
+    g: GradientTensor, state: SyncState, i: int, params: PipelineParams
+) -> tuple[bytes, "BlobInfo"]:
+    """Layer i of a client round: (wrapped blob, the blob's description).
+    Layer i's magnitude memory and reconstruction in ``state`` are written
+    over with the ones the server will compute."""
+    spec, recon = state.layers[i], state.prev_recon[i]
     if g.spec != spec:
         raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
-    recon_out = state.prev_recon[i] if in_place else None
     if spec.numel <= params.lossy_threshold:
         inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
         blob = lossless_compress(inner, params.backend)
-        info = BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
-        return blob, state.mag[i], _stored(g.values, recon_out), info
+        np.copyto(recon, g.values)
+        return blob, BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
     mu, sigma = abs_stats(g)
     mu32, sigma32 = np.float32(mu), np.float32(sigma)
     flags = _FLAG_PREDICTION if params.prediction_enabled else 0
-    bitmap = _client_bitmap(g, state.prev_recon[i], state.round == 0, params)
-    ghat, mag = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict, in_place)
+    bitmap = _client_bitmap(g, recon, state.round == 0, params)
+    ghat = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict)
     delta = resolve_bound(params.bound, g)
-    stream, recon32 = quantize(g.values, ghat, delta, recon_out)
+    stream, _ = quantize(g.values, ghat, delta, recon)
     del ghat
-    crc = _state_crc(mag, recon32)
+    crc = _state_crc(state.mag[i], recon)
     bitmap_raw, body = encode_bitmap(bitmap), encode_stream(stream)
     head = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
     inner = b"".join((head, bitmap_raw, body, struct.pack("<I", crc)))
@@ -231,7 +225,7 @@ def _encode_layer(
         len(blob), len(inner), flags, float(mu32), float(sigma32), delta, bitmap,
         len(bitmap_raw), block_bit_count(body), stream.literals.size, crc,
     )
-    return blob, mag, recon32, info
+    return blob, info
 
 
 def encode_round(
@@ -239,23 +233,24 @@ def encode_round(
     state: SyncState,
     params: PipelineParams,
     client_id: int = 0,
-    in_place: bool = False,
 ) -> tuple[CompressedPayload, list["BlobInfo"], SyncState]:
     """Compress one round of gradients; returns the payload, the description
-    of each blob it wrote, and the advanced state. The state's
-    reconstructions are bitwise the ones the server will decode.
-
-    With in_place, each layer's new magnitude memory and reconstruction are
-    written over the arrays of ``state``, which the advanced state shares:
-    the caller holds one state instead of two. A round that raises leaves
-    ``state`` partly advanced, so it may not be used again.
+    of each blob it wrote, and ``state`` itself, advanced in place: each
+    layer's new magnitude memory and reconstruction are written over its
+    arrays. The reconstructions are bitwise the ones the server will decode.
+    A round that raises leaves ``state`` partly advanced, so it may not be
+    used again.
     """
     if len(tensors) != len(state.layers):
         raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
-    out = [_encode_layer(g, state, i, params, in_place) for i, g in enumerate(tensors)]
-    blobs, mags, recons, infos = ([row[k] for row in out] for k in range(4))
-    payload = CompressedPayload(client_id, state.round + 1, spec_digest(state.layers), blobs)
-    return payload, infos, SyncState(state.layers, mags, recons, payload.round)
+    blobs, infos = [], []
+    for i, g in enumerate(tensors):
+        blob, info = _encode_layer(g, state, i, params)
+        blobs.append(blob)
+        infos.append(info)
+    state.round += 1
+    payload = CompressedPayload(client_id, state.round, spec_digest(state.layers), blobs)
+    return payload, infos, state
 
 
 def compress_round(
@@ -264,7 +259,8 @@ def compress_round(
     params: PipelineParams,
     client_id: int = 0,
 ) -> tuple[CompressedPayload, SyncState]:
-    """Compress one round of gradients; returns the payload and advanced state."""
+    """Compress one round of gradients; returns the payload and the state,
+    advanced in place (see encode_round)."""
     payload, _, next_state = encode_round(tensors, state, params, client_id)
     return payload, next_state
 
@@ -287,59 +283,56 @@ def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
 def decompress_round(
     payload: CompressedPayload, state: SyncState, params: PipelineParams
 ) -> tuple[list[GradientTensor], SyncState]:
-    """Decode one payload; returns reconstructions and advanced state."""
+    """Decode one payload; returns reconstructions and the state, advanced in
+    place (see decode_payload)."""
     recons, _, next_state = decode_payload(payload, state, params.predict)
     return recons, next_state
 
 
-def _decode_layer(
-    blob: bytes, state: SyncState, i: int, params: PredictParams, in_place: bool
-) -> tuple["BlobInfo", MagPredictorState, np.ndarray]:
-    """Layer i of a server round: (blob description, next magnitude state,
-    reconstruction). A lossy layer whose state after the round differs from
-    the client's, by the blob's state digest, raises ProtocolError. With
-    in_place, the state's arrays of layer i hold the new ones."""
-    spec = state.layers[i]
-    recon_out = state.prev_recon[i] if in_place else None
+def _decode_layer(blob: bytes, state: SyncState, i: int, params: PredictParams) -> "BlobInfo":
+    """Layer i of a server round: returns the blob's description and writes
+    layer i's new magnitude memory and reconstruction over the state's. A
+    lossy layer whose state after the round differs from the client's, by
+    the blob's state digest, raises ProtocolError."""
+    spec, recon = state.layers[i], state.prev_recon[i]
     info, bitmap, body = _parse_blob(blob, spec, state.round == 0)
     if info.tag == TAG_LOSSLESS:
-        return info, state.mag[i], _stored(body, recon_out)
+        np.copyto(recon, body)
+        return info
     stream = decode_stream(body)
     mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
-    ghat, mag = _predict(state, i, info.flags, bitmap, mu32, sigma32, params, in_place)
-    recon = dequantize(stream, ghat, info.delta, recon_out)
-    if _state_crc(mag, recon) != info.state_crc:
+    ghat = _predict(state, i, info.flags, bitmap, mu32, sigma32, params)
+    dequantize(stream, ghat, info.delta, recon)
+    if _state_crc(state.mag[i], recon) != info.state_crc:
         raise ProtocolError(
             f"client/server state mismatch at round {state.round + 1}, layer {spec.name!r}: "
             f"the payload's state digest differs from the server's"
         )
-    return info, mag, recon
+    return info
 
 
 def decode_payload(
-    payload: CompressedPayload, state: SyncState, predict: PredictParams,
-    in_place: bool = False,
+    payload: CompressedPayload, state: SyncState, predict: PredictParams
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
-    parsed blob, and the advanced state. ``predict`` is all the decoder reads
-    of the pipeline parameters (a stream carries it in its header): the rest
-    is in the payload. A lossy layer whose state after the round differs
-    from the client's raises ProtocolError naming the round and the layer.
-
-    With in_place, the new state is written over the arrays of ``state``,
-    which it shares, and the reconstructions are those arrays, as with
-    encode_round: a long run of rounds holds one state. A round that raises
-    leaves ``state`` partly advanced, so it may not be used again.
+    parsed blob, and ``state`` itself, advanced in place as by encode_round.
+    The reconstructions are the state's arrays, so they are valid until its
+    next round. ``predict`` is all the decoder reads of the pipeline
+    parameters (a stream carries it in its header): the rest is in the
+    payload. A lossy layer whose state after the round differs from the
+    client's raises ProtocolError naming the round and the layer; a round
+    that raises leaves ``state`` partly advanced, so it may not be used
+    again.
     """
     check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
-    out = [_decode_layer(blob, state, i, predict, in_place) for i, blob in enumerate(payload.blobs)]
-    infos, mags, recons = ([row[k] for row in out] for k in range(3))
-    tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, recons)]
-    return tensors, infos, SyncState(state.layers, mags, recons, payload.round)
+    infos = [_decode_layer(blob, state, i, predict) for i, blob in enumerate(payload.blobs)]
+    state.round = payload.round
+    tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, state.prev_recon)]
+    return tensors, infos, state
 
 
 @dataclass

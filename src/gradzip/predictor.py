@@ -10,8 +10,10 @@ kernels keep a usable structure: kernels whose entries mostly agree get their
 dominant sign broadcast, encoded in a two-level bitmap (one bit per kernel
 saying "predicted", one bit per predicted kernel for the sign).
 
-Everything here is pure: state goes in and comes out explicitly, so the
-client and server stay bitwise-identical by construction.
+State goes in and comes out explicitly, so the client and server stay
+bitwise-identical by construction. The one exception to purity is
+predict_magnitude's memory_out, which may be the state's own memory: the
+pipeline writes each round's memory over the last one.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ from gradzip.flsim import (
     CommModel,
     SimConfig,
     break_even_bandwidth,
+    check_bounds,
+    check_sync,
     client_rounds,
     comm_times,
     compare_modes,
@@ -16,7 +18,6 @@ from gradzip.flsim import (
     reports_to_csv,
     run_simulation,
     verified_rounds,
-    verify_round,
 )
 from gradzip.pipeline import (
     TAG_LOSSY,
@@ -249,15 +250,15 @@ def just_past_bound(orig, delta):
 
 
 class TestVerifyRound:
+    # A round's two checks: check_sync on the two states, check_bounds on
+    # the reconstructions.
     def test_clean_round_row(self):
         tensors, recons, payload, infos, client, server = one_verified_round()
-        framed = len(frame_payload(payload))
-        row = verify_round(tensors, recons, payload, infos, framed, client, server, (0.5, 0.25))
-        assert row.client == 3
-        assert row.sprime_bytes == framed
-        assert row.s_bytes == 4 * sum(s.numel for s in sim_layers())
-        assert (row.t_comp_s, row.t_decomp_s) == (0.5, 0.25)
-        assert [ls.layer for ls in row.layers] == [s.name for s in sim_layers()]
+        check_sync(client, server, payload)
+        stats = check_bounds(tensors, recons, payload, infos)
+        assert [ls.layer for ls in stats] == [s.name for s in sim_layers()]
+        assert sum(ls.s_bytes for ls in stats) == 4 * sum(s.numel for s in sim_layers())
+        assert [ls.sprime_bytes for ls in stats] == [i.wire_bytes for i in infos]
 
     def test_one_ulp_past_bound_names_round_and_layer(self):
         tensors, recons, payload, infos, client, server = one_verified_round()
@@ -268,29 +269,27 @@ class TestVerifyRound:
         past = just_past_bound(orig, info.delta)
         at_bound = np.nextafter(past, np.float32(-np.inf))
         assert float(at_bound) - orig <= info.delta < float(past) - orig
-        framed = len(frame_payload(payload))
         for value, ok in ((at_bound, True), (past, False)):
             bumped = list(recons)
             values = recons[layer].values.copy()
             values[5] = value
             bumped[layer] = GradientTensor(recons[layer].spec, values)
             if ok:
-                verify_round(tensors, bumped, payload, infos, framed, client, server, (0.0, 0.0))
+                check_bounds(tensors, bumped, payload, infos)
                 continue
             with pytest.raises(IntegrityError, match=r"round 2, client 3, layer 'fc'"):
-                verify_round(tensors, bumped, payload, infos, framed, client, server, (0.0, 0.0))
+                check_bounds(tensors, bumped, payload, infos)
 
     @pytest.mark.parametrize("part", ["mag", "prev_recon"])
     def test_flipped_server_state_bit_names_layer(self, part):
-        tensors, recons, payload, infos, client, server = one_verified_round()
+        _, _, payload, _, client, server = one_verified_round()
         server = copy_state(server)
         layer = 2 if part == "prev_recon" else 0  # "bias" / "conv1"
         arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
         arr.view(np.uint8)[3] ^= 0x01
-        framed = len(frame_payload(payload))
         name = sim_layers()[layer].name
         with pytest.raises(ProtocolError, match=rf"round 2, client 3, layer '{name}'"):
-            verify_round(tensors, recons, payload, infos, framed, client, server, (0.0, 0.0))
+            check_sync(client, server, payload)
 
 
 class TestVerifiedRounds:

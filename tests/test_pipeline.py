@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 import tracemalloc
@@ -62,7 +63,11 @@ def structured_trace(seed=1, rounds=6, mode="mini_batch"):
 
 
 def run_lockstep(trace, params):
-    """Run client and server side by side; return per-round artifacts."""
+    """Run client and server side by side; return per-round artifacts.
+
+    Each round writes over the states and reconstructions of the last, so
+    every round's are kept as copies.
+    """
     client = SyncState.initial(trace.layers)
     server = SyncState.initial(trace.layers)
     results = []
@@ -70,7 +75,8 @@ def run_lockstep(trace, params):
         payload, client = compress_round(tensors, client, params)
         wire = frame_payload(payload)
         recons, server = decompress_round(parse_payload(wire), server, params)
-        results.append((tensors, payload, recons, client, server))
+        recons = [GradientTensor(r.spec, r.values.copy()) for r in recons]
+        results.append((tensors, payload, recons, copy.deepcopy(client), copy.deepcopy(server)))
     return results
 
 
@@ -220,27 +226,23 @@ class TestSynchronization:
 
     @pytest.mark.parametrize("mode,full_batch", [("mini_batch", False), ("full_batch", True)])
     def test_decoding_into_the_state_two_rounds_back(self, mode, full_batch):
-        # Decoding in place writes each round over the state it is given:
-        # the round decodes to the bytes of a fresh decode, and the advanced
-        # state and the reconstructions are that state's own arrays, also
-        # for a memory carried over a round without prediction. A fresh
-        # decode leaves the state it reads alone.
+        # Decoding writes each round over the state it is given: the
+        # returned state is that object, and the advanced state and the
+        # reconstructions are its own arrays, also for a memory carried over
+        # a round without prediction. Its bytes are the client's.
         trace = structured_trace(seed=12, rounds=8, mode=mode)
         schedule = [True, False, True, True, False, False, True, True]
-        client = fresh = SyncState.initial(trace.layers)
+        client = SyncState.initial(trace.layers)
         server = SyncState.initial(trace.layers)
         for tensors, prediction in zip(trace.rounds, schedule):
             params = make_params(full_batch=full_batch, prediction=prediction)
             payload, client = compress_round(tensors, client, params)
-            before = fresh.to_bytes()
-            want, _, new_fresh = decode_payload(payload, fresh, params.predict)
-            assert fresh.to_bytes() == before
-            fresh = new_fresh
+            given = server
             memories, recons = [m.memory for m in server.mag], list(server.prev_recon)
-            got, _, server = decode_payload(payload, server, params.predict, in_place=True)
-            assert server.to_bytes() == fresh.to_bytes() == client.to_bytes()
-            for i, (a, b) in enumerate(zip(got, want)):
-                assert a.values.tobytes() == b.values.tobytes()
+            got, _, server = decode_payload(payload, server, params.predict)
+            assert server is given
+            assert server.to_bytes() == client.to_bytes()
+            for i, a in enumerate(got):
                 assert a.values is server.prev_recon[i] is recons[i]
                 assert server.mag[i].memory is memories[i]
 
@@ -259,12 +261,12 @@ class TestInPlaceRounds:
         threshold=st.sampled_from([8, 64, 300]),
         spikes=st.lists(st.integers(0, 287), max_size=3),
     )
-    def test_in_place_rounds_match_fresh_rounds(
+    def test_rounds_advance_the_given_state_in_sync_within_bounds(
         self, seed, full_batch, schedule, threshold, spikes
     ):
-        # Client and server rounds advanced in place write the payloads,
-        # states and reconstructions of fresh rounds, into the arrays of the
-        # state they are given. Spikes in the conv layer are too far from
+        # Client and server rounds write their states into the arrays of the
+        # state they are given, the two stay bitwise equal, and every element
+        # is within its wire delta. Spikes in the conv layer are too far from
         # any prediction for the bins, so they become literals.
         def arrays(state):
             return [m.memory for m in state.mag] + state.prev_recon
@@ -272,7 +274,6 @@ class TestInPlaceRounds:
         mode = "full_batch" if full_batch else "mini_batch"
         trace = structured_trace(seed=seed, rounds=len(schedule), mode=mode)
         client, server = SyncState.initial(trace.layers), SyncState.initial(trace.layers)
-        client_in, server_in = SyncState.initial(trace.layers), SyncState.initial(trace.layers)
         for t, (tensors, prediction) in enumerate(zip(trace.rounds, schedule)):
             conv = tensors[0].values.copy()
             conv[spikes] = 1e4 * (-1) ** t
@@ -280,25 +281,89 @@ class TestInPlaceRounds:
             params = make_params(
                 full_batch=full_batch, prediction=prediction, lossy_threshold=threshold
             )
+            before = arrays(client)
             payload, infos, client = encode_round(tensors, client, params)
-            before = arrays(client_in)
-            payload_in, infos_in, client_in = encode_round(
-                tensors, client_in, params, in_place=True
-            )
-            assert frame_payload(payload_in) == frame_payload(payload)
-            assert infos_in == infos
-            assert client_in.to_bytes() == client.to_bytes()
-            assert all(a is b for a, b in zip(arrays(client_in), before))
+            assert all(a is b for a, b in zip(arrays(client), before))
 
-            recons, _, server = decode_payload(payload, server, params.predict)
-            before = arrays(server_in)
-            recons_in, _, server_in = decode_payload(
-                payload, server_in, params.predict, in_place=True
+            before = arrays(server)
+            recons, _, server = decode_payload(
+                parse_payload(frame_payload(payload)), server, params.predict
             )
-            assert server_in.to_bytes() == server.to_bytes() == client.to_bytes()
-            assert [r.values.tobytes() for r in recons_in] == [r.values.tobytes() for r in recons]
-            assert all(r.values is a for r, a in zip(recons_in, server_in.prev_recon))
-            assert all(a is b for a, b in zip(arrays(server_in), before))
+            assert all(a is b for a, b in zip(arrays(server), before))
+            assert all(r.values is a for r, a in zip(recons, server.prev_recon))
+            assert server.to_bytes() == client.to_bytes()
+            for g, r, info in zip(tensors, recons, infos):
+                err = np.abs(r.values.astype(np.float64) - g.values.astype(np.float64))
+                assert float(err.max()) <= (info.delta if info.tag == pipeline.TAG_LOSSY else 0.0)
+
+
+FLT_MAX = float(np.finfo(np.float32).max)
+FLT_TRUE_MIN = float(np.finfo(np.float32).smallest_subnormal)
+
+
+def full_range_values(rng, kind, n):
+    """n finite float32 values: near the float32 limit, spread over every
+    exponent, or subnormal."""
+    if kind == "huge":
+        v = 3e38 * rng.standard_normal(n)
+    elif kind == "mixed":
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-46, math.log10(FLT_MAX), n)
+    else:
+        v = 1e-40 * rng.standard_normal(n)
+    return np.clip(v, -FLT_MAX, FLT_MAX).astype(np.float32)
+
+
+class TestFullRangeFloat32:
+    LAYERS = (LayerSpec("conv", (4, 4, 3, 3)), LayerSpec("fc", (40, 40)), LayerSpec("bias", (10,)))
+
+    @settings(max_examples=40, deadline=None)
+    # |g| near the float32 limit: from round 2 the prediction is too, and so
+    # are the bin centres the quantizer casts to float32.
+    @example(seed=0, kinds=["huge"] * 3, extremes=[], full_batch=False,
+             prediction=True, bound=("relative", 1e-2))
+    @example(seed=0, kinds=["huge"] * 3, extremes=[], full_batch=True,
+             prediction=True, bound=("relative", 1e-2))
+    @given(
+        seed=st.integers(0, 1 << 16),
+        kinds=st.lists(st.sampled_from(["huge", "mixed", "subnormal"]), min_size=2, max_size=4),
+        extremes=st.lists(
+            st.tuples(st.integers(0, 1599), st.sampled_from(
+                [FLT_MAX, -FLT_MAX, FLT_TRUE_MIN, -FLT_TRUE_MIN, 0.0]
+            )),
+            max_size=4,
+        ),
+        full_batch=st.booleans(),
+        prediction=st.booleans(),
+        bound=st.sampled_from(
+            [("relative", 1e-2), ("relative", 1e-6), ("absolute", 1.0), ("absolute", 1e36)]
+        ),
+    )
+    def test_every_finite_float32_round_trips_within_bounds(
+        self, seed, kinds, extremes, full_batch, prediction, bound
+    ):
+        # Every finite float32 goes through a round with no warning, within
+        # its bound, and leaves client and server in the same state.
+        rng = np.random.default_rng(seed)
+        params = make_params(
+            mode=bound[0], value=bound[1], full_batch=full_batch, prediction=prediction
+        )
+        client = SyncState.initial(list(self.LAYERS))
+        server = SyncState.initial(list(self.LAYERS))
+        for kind in kinds:
+            tensors = []
+            for spec in self.LAYERS:
+                values = full_range_values(rng, kind, spec.numel)
+                for k, v in extremes:
+                    values[k % spec.numel] = v
+                tensors.append(GradientTensor(spec, values))
+            payload, infos, client = encode_round(tensors, client, params)
+            recons, _, server = decode_payload(
+                parse_payload(frame_payload(payload)), server, params.predict
+            )
+            assert server.to_bytes() == client.to_bytes()
+            for g, r, info in zip(tensors, recons, infos):
+                err = np.abs(r.values.astype(np.float64) - g.values.astype(np.float64))
+                assert float(err.max()) <= (info.delta if info.tag == pipeline.TAG_LOSSY else 0.0)
 
 
 class TestPredictionOffEquivalence:
