@@ -38,7 +38,6 @@ from .flsim import (
     client_rounds,
     comm_times,
     compare_modes,
-    fedavg_mean,
     reports_to_csv,
     run_simulation,
     verified_rounds,
@@ -79,8 +78,9 @@ from .trace import (
     SynthConfig,
     abs_stats,
     load_trace,
-    save_trace,
+    synth_rounds,
     synth_trace,
+    write_trace,
 )
 
 __version__ = "0.1.0"

@@ -14,8 +14,9 @@ against the original trace.
 write one round at a time, so their memory is about one round plus one
 predictor state, whatever the number of rounds: every round advances
 that state in place (see pipeline), and ``compress`` writes each round's
-CSV rows as the round comes. ``simulate`` still loads its traces
-whole.
+CSV rows as the round comes. ``synth`` generates and writes one round at
+a time too. ``simulate`` still loads its traces whole, but keeps nothing
+per round beyond its report rows.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
@@ -79,14 +80,13 @@ from .trace import (
     MODE_FULL_BATCH,
     MODE_MINI_BATCH,
     FileReader,
-    GradientTrace,
     LayerSpec,
     SynthConfig,
     decode_header,
     encode_header,
     load_trace,
     open_trace,
-    save_trace,
+    synth_rounds,
     synth_trace,
     write_trace,
 )
@@ -131,11 +131,6 @@ def _atomic_path(path):
 def _atomic_write_bytes(path, data: bytes) -> None:
     with _atomic_path(path) as tmp:
         Path(tmp).write_bytes(data)
-
-
-def _atomic_save_trace(trace: GradientTrace, path) -> None:
-    with _atomic_path(path) as tmp:
-        save_trace(trace, tmp)
 
 
 def _emit_text(text: str, path) -> None:
@@ -278,12 +273,10 @@ def cmd_synth(args) -> int:
         oscillation_period=args.oscillation,
         mode=MODE_FULL_BATCH if args.full_batch else MODE_MINI_BATCH,
     )
-    trace = synth_trace(cfg)
-    _atomic_save_trace(trace, args.output)
-    print(
-        f"wrote {trace.num_rounds}-round trace, {trace.total_bytes()} gradient bytes",
-        file=sys.stderr,
-    )
+    with _atomic_path(args.output) as tmp:
+        write_trace(tmp, cfg.mode, cfg.layers, cfg.rounds, synth_rounds(cfg))
+    nbytes = 4 * sum(spec.numel for spec in cfg.layers) * cfg.rounds
+    print(f"wrote {cfg.rounds}-round trace, {nbytes} gradient bytes", file=sys.stderr)
     return 0
 
 

@@ -2,9 +2,9 @@
 
 The simulator drives the compression pipeline for several clients in
 lock-step: each round every client compresses its gradients, the server
-decompresses and mirrors the client's state, reconstructions are averaged
-FedAvg-style, and the state-sync and error-bound invariants are asserted
-before the round is reported. A client on its own (client_rounds, behind
+decompresses and mirrors the client's state, and the state-sync and
+error-bound invariants are asserted before the round is reported; only the
+report rows are kept. A client on its own (client_rounds, behind
 ``compress``) checks the bounds on its own reconstruction, which the wire's
 state digests tie to the server's. Client and server each hold one
 predictor state, advanced in place every round. Transmission itself is
@@ -15,9 +15,10 @@ baseline of 8 * S / B.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,12 +49,12 @@ class CommModel:
     t_decomp_s: float
 
     def __post_init__(self):
-        if self.s_bytes <= 0 or self.sprime_bytes <= 0:
-            raise UsageError("payload sizes must be positive")
-        if self.bandwidth_bps <= 0:
-            raise UsageError("bandwidth must be positive")
-        if self.t_comp_s < 0 or self.t_decomp_s < 0:
-            raise UsageError("codec times must be nonnegative")
+        if not (0 < self.s_bytes < math.inf and 0 < self.sprime_bytes < math.inf):
+            raise UsageError("payload sizes must be positive and finite")
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise UsageError("bandwidth must be positive and finite")
+        if not (0 <= self.t_comp_s < math.inf and 0 <= self.t_decomp_s < math.inf):
+            raise UsageError("codec times must be nonnegative and finite")
 
 
 def comm_times(m: CommModel) -> tuple[float, float, float]:
@@ -67,8 +68,8 @@ def break_even_bandwidth(s_bytes: float, cr: float, codec_time_s: float) -> floa
     """Bandwidth at which compression stops paying for its own codec time."""
     if s_bytes <= 0:
         raise UsageError("s_bytes must be positive")
-    if codec_time_s <= 0:
-        raise UsageError("codec_time_s must be positive")
+    if not 0 < codec_time_s < math.inf:
+        raise UsageError("codec_time_s must be positive and finite")
     if cr <= 1.0:
         raise UsageError("no break-even exists when the compression ratio is <= 1")
     return 8.0 * s_bytes * (1.0 - 1.0 / cr) / codec_time_s
@@ -98,8 +99,10 @@ class SimConfig:
         for i, t in enumerate(self.traces):
             if t.layers != first:
                 raise UsageError(f"client {i} trace has a different layer table")
-        if any(b <= 0 for b in self.bandwidths_bps):
-            raise UsageError("bandwidths must be positive")
+        if not all(0 < b < math.inf for b in self.bandwidths_bps):
+            raise UsageError("bandwidths must be positive and finite")
+        if self.fixed_times is not None and not all(0 <= t < math.inf for t in self.fixed_times):
+            raise UsageError("fixed codec times must be nonnegative and finite")
         if self.rounds is not None and self.rounds < 1:
             raise UsageError("rounds must be >= 1")
 
@@ -148,22 +151,9 @@ class RoundReport:
     clients: list[ClientRoundStats]
     mean_cr: float
     comm: list[CommRow]
-    aggregate: list[np.ndarray] = field(default_factory=list, repr=False)
     # (pooled CR, break-even bandwidth) when the codec took time and
     # compression won; run_simulation fills it in.
     break_even: tuple[float, float] | None = None
-
-
-def fedavg_mean(per_client: list[list[GradientTensor]]) -> list[np.ndarray]:
-    """Uniform elementwise mean of reconstructions across clients, in float64."""
-    if not per_client:
-        raise UsageError("nothing to aggregate")
-    nlayers = len(per_client[0])
-    out = []
-    for i in range(nlayers):
-        stack = np.stack([c[i].values.astype(np.float64) for c in per_client])
-        out.append(stack.mean(axis=0))
-    return out
 
 
 # Elements check_bounds compares at once; bounds its buffer.
@@ -336,7 +326,6 @@ def run_simulation(cfg: SimConfig) -> list[RoundReport]:
     reports = []
     for t, results in enumerate(zip(*drivers)):
         client_stats = [row for _, _, row in results]
-        aggregate = fedavg_mean([recons for _, recons, _ in results])
         mean_s = float(np.mean([c.s_bytes for c in client_stats]))
         mean_sp = float(np.mean([c.sprime_bytes for c in client_stats]))
         mean_tc = float(np.mean([c.t_comp_s for c in client_stats]))
@@ -358,7 +347,6 @@ def run_simulation(cfg: SimConfig) -> list[RoundReport]:
             clients=client_stats,
             mean_cr=float(np.mean([c.cr for c in client_stats])),
             comm=comm,
-            aggregate=aggregate,
             break_even=break_even,
         ))
     return reports

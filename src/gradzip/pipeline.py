@@ -165,10 +165,8 @@ def _predict(
     spec, prev_recon, mag = state.layers[i], state.prev_recon[i], state.mag[i]
     if not flags & _FLAG_PREDICTION:
         return np.zeros(spec.numel, dtype=np.float64)
-    pred_abs = np.abs(prev_recon, dtype=np.float64)
     pred_abs, state.mag[i] = predict_magnitude(
-        pred_abs, float(mu32), float(sigma32), mag, params, out=pred_abs,
-        memory_out=mag.memory, recon=prev_recon,
+        prev_recon, float(mu32), float(sigma32), mag, params, memory_out=mag.memory,
     )
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)

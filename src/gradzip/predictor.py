@@ -184,63 +184,48 @@ def decode_bitmap(reader: ByteReader) -> SignBitmap:
 
 
 def predict_magnitude(
-    prev_recon_abs: np.ndarray,
+    recon: np.ndarray,
     mu_curr: float,
     sigma_curr: float,
     state: MagPredictorState,
     params: PredictParams,
-    out: np.ndarray | None = None,
     memory_out: np.ndarray | None = None,
-    recon: np.ndarray | None = None,
 ) -> tuple[np.ndarray, MagPredictorState]:
     """EMA prediction of elementwise magnitudes in normalized space.
 
-    Standardizes the previous reconstructed magnitudes with their own mean and
-    population deviation (floored at SIGMA_FLOOR), blends with the memory as
+    Takes the previous round's signed reconstruction, standardizes its
+    magnitudes with their own mean and population deviation (floored at
+    SIGMA_FLOOR), blends with the memory as
     z_pred = (1 - beta) * memory + beta * z_prev, then de-normalizes with the
-    current round's transmitted statistics. The returned prediction is clamped
-    to be nonnegative; the new memory keeps the unclamped z_pred. The
-    prediction is written to out when given: a float64 array of the input's
-    length, which may be the input itself. The new memory is written to
-    memory_out when given: a float64 array of that length other than out,
-    which may be the state's own memory. recon, when given, is the
-    reconstruction whose magnitudes the input holds: the magnitudes are read
-    again from it, so no copy of the input is kept when out is the input.
+    current round's transmitted statistics. The returned prediction is a new
+    float64 array clamped to be nonnegative; the new memory keeps the
+    unclamped z_pred. The new memory is written to memory_out when given: a
+    float64 array of the input's length, which may be the state's own memory.
     """
-    x = np.asarray(prev_recon_abs, dtype=np.float64).reshape(-1)
-    if x.size != state.memory.size:
-        raise UsageError(f"predictor state holds {state.memory.size} elements, input has {x.size}")
-    if x.size and float(x.min()) < 0.0:
-        raise UsageError("prev_recon_abs must be nonnegative")
-    n, beta = x.size, params.beta
-    for buf in (out, memory_out):
-        if buf is not None and (buf.dtype != np.float64 or buf.shape != (n,)):
-            raise UsageError(f"out and memory_out must be float64 arrays of {n} elements")
-    if recon is not None and recon.shape != (n,):
-        raise UsageError(f"recon must be an array of {n} elements")
-    mean = float(x.mean())
+    recon = np.asarray(recon).reshape(-1)
+    n, beta = recon.size, params.beta
+    if n != state.memory.size:
+        raise UsageError(f"predictor state holds {state.memory.size} elements, input has {n}")
+    if memory_out is not None and (memory_out.dtype != np.float64 or memory_out.shape != (n,)):
+        raise UsageError(f"memory_out must be a float64 array of {n} elements")
+    pred_abs = np.abs(recon, dtype=np.float64)
+    mean = float(pred_abs.mean())
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
-    pred_abs = np.empty(n) if out is None else out
     z_pred = np.empty(n) if memory_out is None else memory_out
-    if recon is None and np.may_share_memory(x, pred_abs):
-        x = x.copy()
     # Each pass works a block at a time, so every step reads the previous
     # one's output from cache. The first writes the squared deviations over
-    # the prediction, and the deviation is x.std()'s, from the same squares
-    # summed the same way. The second derives x - mean again and builds
-    # z_prev, z_pred (which may replace the memory block it reads) and the
-    # prediction.
+    # the magnitudes, and the deviation is their std()'s, from the same
+    # squares summed the same way. The second takes the magnitudes from the
+    # reconstruction again and builds z_prev, z_pred (which may replace the
+    # memory block it reads) and the prediction.
     for a in range(0, n, _BLOCK):
         p = pred_abs[a:a + _BLOCK]
-        np.square(np.subtract(x[a:a + _BLOCK], mean, out=p), out=p)
+        np.square(np.subtract(p, mean, out=p), out=p)
     scale = max(math.sqrt(float(pred_abs.sum()) / n), SIGMA_FLOOR)
     for a in range(0, n, _BLOCK):
         p, z = pred_abs[a:a + _BLOCK], z_pred[a:a + _BLOCK]
-        if recon is None:
-            np.subtract(x[a:a + _BLOCK], mean, out=p)
-        else:
-            np.abs(recon[a:a + _BLOCK], out=p)
-            p -= mean
+        np.abs(recon[a:a + _BLOCK], out=p)
+        p -= mean
         p /= scale
         p *= beta
         np.multiply(state.memory[a:a + _BLOCK], 1.0 - beta, out=z)

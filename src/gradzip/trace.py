@@ -2,7 +2,7 @@
 
 A trace is a sequence of training rounds, each holding one float32 gradient
 tensor per layer. Traces are either recorded by an external exporter or
-synthesized by :func:`synth_trace`, which reproduces the two regularities the
+synthesized by :func:`synth_rounds`, which reproduces the two regularities the
 compressor exploits: slowly decaying, temporally persistent magnitudes, and
 kernel-level dominant signs in 4-D convolution layers.
 
@@ -21,6 +21,9 @@ Trace file format (little-endian):
 
 :func:`open_trace` reads such a file one round at a time, so a pass over a
 trace holds about one round of it; :func:`load_trace` collects its rounds.
+:func:`write_trace` writes one from any iterable of rounds, such as
+:func:`synth_rounds`, which generates one round per step, so neither holds
+more than a round. :func:`synth_trace` collects a whole synthetic trace.
 """
 
 from __future__ import annotations
@@ -47,23 +50,17 @@ MODE_FULL_BATCH = "full_batch"
 _MODE_CODES = {MODE_MINI_BATCH: 0, MODE_FULL_BATCH: 1}
 _MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
 
-# Internal constants of the synthetic generator (see synth_trace).
+# Internal constants of the synthetic generator (see synth_rounds).
 _LEVEL_BLEND = 0.08
 _LEVEL_SPREAD = 0.8
 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Shape and kind of one model layer.
-
-    ``kind`` is ``"conv4d"`` exactly when the shape has 4 axes, interpreted as
-    [out_channels, in_channels, kernel_h, kernel_w]; every other rank is
-    ``"other"``. Passing ``kind=None`` derives it from the shape.
-    """
+    """Name and shape of one model layer."""
 
     name: str
     shape: tuple[int, ...]
-    kind: str = None  # type: ignore[assignment]
 
     def __post_init__(self):
         shape = tuple(int(d) for d in self.shape)
@@ -74,13 +71,13 @@ class LayerSpec:
             raise UsageError(f"layer {self.name!r}: shape must have 1-4 axes, got {len(shape)}")
         if any(d <= 0 for d in shape):
             raise UsageError(f"layer {self.name!r}: dimensions must be positive, got {shape}")
-        derived = KIND_CONV4D if len(shape) == 4 else KIND_OTHER
-        if self.kind is None:
-            object.__setattr__(self, "kind", derived)
-        elif self.kind != derived:
-            raise UsageError(
-                f"layer {self.name!r}: kind {self.kind!r} inconsistent with {len(shape)}-axis shape"
-            )
+
+    @property
+    def kind(self) -> str:
+        """``"conv4d"`` exactly when the shape has 4 axes, interpreted as
+        [out_channels, in_channels, kernel_h, kernel_w]; ``"other"`` for every
+        other rank."""
+        return KIND_CONV4D if len(self.shape) == 4 else KIND_OTHER
 
     @property
     def numel(self) -> int:
@@ -180,8 +177,8 @@ class SynthConfig:
             raise UsageError("rounds must be >= 1")
         if not 0.0 < self.magnitude_decay <= 1.0:
             raise UsageError("magnitude_decay must be in (0, 1]")
-        if self.noise_level < 0.0:
-            raise UsageError("noise_level must be >= 0")
+        if not 0.0 <= self.noise_level < math.inf:
+            raise UsageError("noise_level must be finite and >= 0")
         if not 0.0 <= self.target_sign_consistency <= 1.0:
             raise UsageError("target_sign_consistency must be in [0, 1]")
         if self.oscillation_period < 1:
@@ -352,11 +349,6 @@ def write_trace(path, mode: str, layers: list[LayerSpec], nrounds: int, rounds) 
                 fh.write(tensor.values.astype("<f4", copy=False).data)
 
 
-def save_trace(trace: GradientTrace, path) -> None:
-    """Write a trace in the GTRC format. Byte-deterministic for equal traces."""
-    write_trace(path, trace.mode, trace.layers, trace.num_rounds, trace.rounds)
-
-
 @contextlib.contextmanager
 def open_trace(path):
     """Open a GTRC trace file to read one round at a time: (mode, layers,
@@ -420,17 +412,18 @@ def _layer_signs(rng: np.random.Generator, spec: LayerSpec, cfg: SynthConfig,
     return rng.choice(np.array([-1.0, 1.0]), size=spec.numel)
 
 
-def synth_trace(cfg: SynthConfig) -> GradientTrace:
-    """Generate a deterministic trace from a SynthConfig.
+def synth_rounds(cfg: SynthConfig):
+    """Generate a deterministic trace from a SynthConfig, one round per step.
 
     Per-element magnitude = decay envelope * slowly drifting per-element level
     * |1 + noise_level * white noise|. Signs: conv4d kernels get a dominant
     sign with a flip probability calibrated to target_sign_consistency; other
     layers get i.i.d. signs. In full_batch mode the whole sign pattern is held
-    fixed and globally negated every oscillation_period rounds.
+    fixed and globally negated every oscillation_period rounds. Yields each
+    round as a list of GradientTensors, so a writer holds one round at a time.
     """
     rng = np.random.default_rng(cfg.seed)
-    layers = list(cfg.layers)
+    layers = cfg.layers
 
     levels = [np.exp(rng.normal(0.0, _LEVEL_SPREAD, spec.numel)) for spec in layers]
     dominants = [
@@ -443,7 +436,6 @@ def synth_trace(cfg: SynthConfig) -> GradientTrace:
     if cfg.mode == MODE_FULL_BATCH:
         fixed_signs = [_layer_signs(rng, spec, cfg, dominants[i]) for i, spec in enumerate(layers)]
 
-    rounds = []
     for t in range(1, cfg.rounds + 1):
         envelope = cfg.magnitude_decay ** (t - 1)
         tensors = []
@@ -459,5 +451,9 @@ def synth_trace(cfg: SynthConfig) -> GradientTrace:
             else:
                 signs = _layer_signs(rng, spec, cfg, dominants[i])
             tensors.append(GradientTensor(spec, (magnitude * signs).astype(np.float32)))
-        rounds.append(tensors)
-    return GradientTrace(layers, rounds, cfg.mode)
+        yield tensors
+
+
+def synth_trace(cfg: SynthConfig) -> GradientTrace:
+    """The whole trace synth_rounds generates, in memory."""
+    return GradientTrace(list(cfg.layers), list(synth_rounds(cfg)), cfg.mode)

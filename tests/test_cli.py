@@ -519,6 +519,29 @@ def test_bad_seed_or_symbol_count_exits_1(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "{trace}", "--bandwidths", "inf", "--csv", "{out}"),
+    ("simulate", "{trace}", "--bandwidths", "1e400", "--csv", "{out}"),
+    ("simulate", "{trace}", "--bandwidths", "10,nan", "--csv", "{out}"),
+    ("simulate", "{trace}", "--bandwidths", "10", "--t-comp", "nan", "--csv", "{out}"),
+    ("simulate", "{trace}", "--bandwidths", "10", "--t-comp", "inf", "--csv", "{out}"),
+    ("simulate", "{trace}", "--bandwidths", "10", "--t-decomp", "inf", "--csv", "{out}"),
+    ("synth", "{out}", "--layers", "fc:64x16", "--noise", "nan"),
+    ("synth", "{out}", "--layers", "fc:64x16", "--noise", "inf"),
+])
+def test_non_finite_model_inputs_exit_1(tmp_path, capsys, argv):
+    # The communication model and the generator take finite inputs only: a
+    # non-finite one is a usage error, with no traceback and no output file.
+    trace = make_trace(tmp_path, rounds=3, layers="fc:64x16")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(*(a.format(trace=trace, out=out) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gradzip: usage error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 FUZZ_LAYERS = "conv:8x4x3x3,fc:40x40,b:10"
 
 
@@ -659,20 +682,31 @@ def traced_run(*argv):
 
 
 def test_memory_stays_at_about_one_round(tmp_path, capsys):
-    # compress and decompress hold one round at a time, so four times the
-    # rounds may not raise their peak by as much as one more round would.
+    # synth, compress and decompress hold one round at a time, so four times
+    # the rounds may not raise their peak by as much as one more round
+    # would. simulate holds its input trace, 9 rounds more of it, but
+    # nothing per round, so its peak may grow by that plus slack.
     layers = "conv:32x16x3x3,fc:256x128,b:10"
     round_bytes = 4 * (32 * 16 * 9 + 256 * 128 + 10)
+    # The first traced command in a process pays for one-time allocations.
+    assert traced_run("synth", tmp_path / "w.gtrc", "--layers", "b:10", "--rounds", 1)[0] == 0
     peaks = {}
     for rounds in (3, 12):
-        trace = make_trace(tmp_path, f"t{rounds}.gtrc", rounds=rounds, layers=layers)
+        trace = tmp_path / f"t{rounds}.gtrc"
+        code, peaks["synth", rounds] = traced_run(
+            "synth", trace, "--layers", layers, "--rounds", rounds, "--seed", 5
+        )
+        assert code == 0
         out = tmp_path / f"t{rounds}.gzp"
         code, peaks["compress", rounds] = traced_run("compress", trace, out)
         assert code == 0
         code, peaks["decompress", rounds] = traced_run("decompress", out, tmp_path / "r.gtrc")
         assert code == 0
-    for command in ("compress", "decompress"):
+        code, peaks["simulate", rounds] = traced_run("simulate", trace, "--csv", tmp_path / "s.csv")
+        assert code == 0
+    for command in ("synth", "compress", "decompress"):
         assert abs(peaks[command, 12] - peaks[command, 3]) < round_bytes, peaks
+    assert peaks["simulate", 12] - peaks["simulate", 3] < 1.5 * 9 * round_bytes, peaks
     capsys.readouterr()
 
 

@@ -14,7 +14,6 @@ from gradzip.flsim import (
     client_rounds,
     comm_times,
     compare_modes,
-    fedavg_mean,
     reports_to_csv,
     run_simulation,
     verified_rounds,
@@ -113,6 +112,11 @@ class TestCommTimes:
             CommModel(1, 1, 0, 0, 0)
         with pytest.raises(UsageError):
             CommModel(1, 1, 1, -1, 0)
+        inf, nan = float("inf"), float("nan")
+        for args in [(inf, 1, 1, 0, 0), (1, nan, 1, 0, 0), (1, 1, inf, 0, 0),
+                     (1, 1, nan, 0, 0), (1, 1, 1, inf, 0), (1, 1, 1, 0, nan)]:
+            with pytest.raises(UsageError):
+                CommModel(*args)
 
 
 class TestBreakEven:
@@ -128,6 +132,11 @@ class TestBreakEven:
             break_even_bandwidth(1e6, 1.0, 1.0)
         with pytest.raises(UsageError):
             break_even_bandwidth(1e6, 0.5, 1.0)
+
+    def test_codec_time_must_be_positive_and_finite(self):
+        for t in (0.0, float("inf"), float("nan")):
+            with pytest.raises(UsageError):
+                break_even_bandwidth(1e6, 2.0, t)
 
     def test_breakeven_makes_ratio_one(self):
         s, cr, codec = 95.6e6, 14.98, 1.3
@@ -159,8 +168,6 @@ class TestRunSimulation:
             for ca, cb in zip(ra.clients, rb.clients):
                 assert ca.sprime_bytes == cb.sprime_bytes
                 assert ca.t_comp_s == cb.t_comp_s
-            for xa, xb in zip(ra.aggregate, rb.aggregate):
-                np.testing.assert_array_equal(xa, xb)
 
     def test_measured_times_positive(self):
         cfg = make_cfg(nclients=1, rounds=2)
@@ -170,34 +177,6 @@ class TestRunSimulation:
             for c in rep.clients:
                 assert c.t_comp_s > 0
                 assert c.t_decomp_s > 0
-
-    def test_aggregate_is_exact_mean(self):
-        cfg = make_cfg(nclients=3, rounds=2)
-        reports = run_simulation(cfg)
-        # Re-run single-client sims to recover per-client reconstructions.
-        per_client_recons = []
-        for k in range(3):
-            solo = SimConfig((cfg.traces[k],), cfg.params, (), None, (0.0, 0.0))
-            per_client_recons.append(run_simulation(solo))
-        for t, rep in enumerate(reports):
-            for i in range(len(sim_layers())):
-                stack = np.stack([
-                    per_client_recons[k][t].aggregate[i] for k in range(3)
-                ])
-                np.testing.assert_array_equal(rep.aggregate[i], stack.mean(axis=0))
-
-    def test_identical_clients_aggregate_to_common_value(self):
-        trace = synth_trace(SynthConfig(seed=7, layers=sim_layers(), rounds=3))
-        params = PipelineParams(
-            predict=PredictParams(), bound=ErrorBoundConfig("absolute", 1e-2),
-            lossy_threshold=64,
-        )
-        cfg = SimConfig((trace, trace), params, (), None, (0.0, 0.0))
-        reports = run_simulation(cfg)
-        for t, rep in enumerate(reports):
-            for i, agg in enumerate(rep.aggregate):
-                orig = trace.rounds[t][i].values.astype(np.float64)
-                assert float(np.abs(agg - orig).max()) <= 1e-2
 
     def test_comm_rows_per_bandwidth(self):
         cfg = make_cfg(nclients=1, rounds=2, bandwidths=(1e6, 1e7, 1e8, 1e9))
@@ -390,23 +369,6 @@ class TestClientRounds:
         trace = cfg.traces[0]
         for _, row, _ in client_rounds(trace.layers, trace.rounds, cfg.params):
             assert row.t_comp_s > 0.0 and row.t_decomp_s == 0.0
-
-
-class TestFedavgMean:
-    def test_exact_mean(self):
-        rng = np.random.default_rng(71)
-        spec = LayerSpec("fc", (8, 8))
-        clients = [
-            [GradientTensor(spec, rng.normal(size=64).astype(np.float32))]
-            for _ in range(5)
-        ]
-        got = fedavg_mean(clients)
-        want = np.mean([c[0].values.astype(np.float64) for c in clients], axis=0)
-        np.testing.assert_array_equal(got[0], want)
-
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            fedavg_mean([])
 
 
 class TestCompareModes:
