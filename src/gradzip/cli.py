@@ -128,17 +128,20 @@ def _atomic_path(path):
         raise
 
 
-def _atomic_write_bytes(path, data: bytes) -> None:
-    with _atomic_path(path) as tmp:
-        Path(tmp).write_bytes(data)
-
-
 def _emit_text(text: str, path) -> None:
     """Write an artifact to a file, or to stdout when no path was given."""
     if path:
-        _atomic_write_bytes(path, text.encode("utf-8"))
+        with _atomic_path(path) as tmp:
+            Path(tmp).write_bytes(text.encode("utf-8"))
     else:
         sys.stdout.write(text)
+
+
+def _check_paths(inputs, outputs) -> None:
+    """Refuse output paths that name an input or each other (None: not given)."""
+    outs = [os.path.realpath(p) for p in outputs if p]
+    if len(set(outs)) < len(outs) or set(outs) & {os.path.realpath(p) for p in inputs if p}:
+        raise UsageError("an output path names an input or another output")
 
 
 def _parse_layers(text: str) -> list[LayerSpec]:
@@ -180,7 +183,7 @@ def _params_from_args(args, trace_mode: str) -> PipelineParams:
         predict = PredictParams(
             beta=args.beta,
             tau=args.tau,
-            full_batch=args.full_batch or trace_mode == MODE_FULL_BATCH,
+            full_batch=trace_mode == MODE_FULL_BATCH,
         )
     else:
         # Predictor tuning flags are never consulted with prediction off, so
@@ -281,12 +284,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_compress(args) -> int:
+    csv_path = args.csv or os.fspath(args.output) + ".csv"
+    _check_paths([args.input], [args.output, csv_path])
     done = s_total = sp_total = 0
     with contextlib.ExitStack() as stack:
         mode, layers, nrounds, rounds = stack.enter_context(open_trace(args.input))
         params = _params_from_args(args, mode)
         # Entered after the CSV's, the stream's temp file is renamed first.
-        csv_tmp = stack.enter_context(_atomic_path(args.csv or os.fspath(args.output) + ".csv"))
+        csv_tmp = stack.enter_context(_atomic_path(csv_path))
         stream_tmp = stack.enter_context(_atomic_path(args.output))
         with open(stream_tmp, "wb") as fh, \
                 open(csv_tmp, "w", encoding="utf-8", newline="") as csv_fh:
@@ -307,6 +312,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
+    _check_paths([args.input, args.reference], [args.output])
     with contextlib.ExitStack() as stack:
         (mode, predict), layers, nrounds, frames = stack.enter_context(_open_stream(args.input))
         originals = None
@@ -344,6 +350,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_paths(args.traces, [args.csv])
     traces = tuple(load_trace(p) for p in args.traces)
     if len({t.mode for t in traces}) > 1:
         raise UsageError("client traces disagree on training mode")
@@ -467,9 +474,6 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float, default=0.5, metavar="REAL",
                    help="kernel sign-consistency threshold in [0,1]; ignored "
                         "when --prediction off")
-    p.add_argument("--full-batch", action="store_true",
-                   help="force full-batch sign prediction (default: follow "
-                        "the trace's recorded mode)")
     p.add_argument("--t-lossy", type=int, default=DEFAULT_LOSSY_THRESHOLD,
                    metavar="N",
                    help="layers with at most N elements bypass the lossy path "

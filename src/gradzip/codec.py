@@ -17,6 +17,9 @@ at every chunk boundary is found at once, because canonical codes
 self-synchronize (Klein and Wiseman, 2003): each state is guessed from a
 short run from the root, then every guess is checked against its
 predecessor and repaired until all agree, which makes the result exact.
+
+QuantizedStream checks nothing, as quantize builds it valid; decode_stream
+holds the bin-cap and literal-mask checks on wire streams.
 """
 
 from __future__ import annotations
@@ -90,24 +93,6 @@ class QuantizedStream:
     bins: np.ndarray
     literal_mask: np.ndarray
     literals: np.ndarray
-
-    def __post_init__(self):
-        bins = np.ascontiguousarray(self.bins, dtype=np.int32).reshape(-1)
-        mask = np.ascontiguousarray(self.literal_mask, dtype=bool).reshape(-1)
-        literals = np.ascontiguousarray(self.literals, dtype=np.float32).reshape(-1)
-        if mask.size != bins.size:
-            raise IntegrityError(f"literal mask covers {mask.size} of {bins.size} elements")
-        if literals.size != int(mask.sum()):
-            raise IntegrityError(
-                f"{literals.size} literal values for {int(mask.sum())} masked elements"
-            )
-        if mask.any() and bins[mask].any():
-            raise IntegrityError("bins under the literal mask must be zero")
-        if bins.size and max(-int(bins.min()), int(bins.max())) > DEFAULT_BIN_CAP:
-            raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
-        self.bins = bins
-        self.literal_mask = mask
-        self.literals = literals
 
     @property
     def numel(self) -> int:
@@ -597,8 +582,7 @@ def decode_block(reader: ByteReader) -> HuffmanBlock:
         raise IntegrityError(f"Huffman table span {span} too large")
     lengths = np.frombuffer(reader.take(span), dtype=np.uint8)
     stream = reader.take((bit_count + 7) // 8)
-    block = HuffmanBlock(min_symbol, lengths.copy(), bit_count, stream, 0)
-    return block
+    return HuffmanBlock(min_symbol, lengths.copy(), bit_count, stream, 0)
 
 
 def encode_stream(stream: QuantizedStream) -> bytes:
@@ -643,9 +627,15 @@ def max_stream_bytes(numel: int) -> int:
 
 
 def decode_stream(encoded: EncodedStream) -> QuantizedStream:
-    """Entropy-decode the bins of a parsed stream."""
-    bins = entropy_decode(encoded.block, encoded.literal_mask.size)
-    return QuantizedStream(bins, encoded.literal_mask, encoded.literals)
+    """Entropy-decode the bins of a parsed stream. The code table's span must
+    lie within +-DEFAULT_BIN_CAP and the bins under the literal mask be zero."""
+    block, mask = encoded.block, encoded.literal_mask
+    if not -DEFAULT_BIN_CAP <= block.min_symbol <= DEFAULT_BIN_CAP + 1 - block.lengths.size:
+        raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
+    bins = entropy_decode(block, mask.size)
+    if encoded.literals.size and bins[mask].any():
+        raise IntegrityError("bins under the literal mask must be zero")
+    return QuantizedStream(bins, mask, encoded.literals)
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:

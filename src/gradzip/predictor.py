@@ -13,7 +13,8 @@ saying "predicted", one bit per predicted kernel for the sign).
 State goes in and comes out explicitly, so the client and server stay
 bitwise-identical by construction. The one exception to purity is
 predict_magnitude's memory_out, which may be the state's own memory: the
-pipeline writes each round's memory over the last one.
+pipeline writes each round's memory over the last one. MagPredictorState
+and SignTensor check nothing, as only this module and the pipeline fill them.
 """
 
 from __future__ import annotations
@@ -59,18 +60,10 @@ class PredictParams:
 
 @dataclass
 class MagPredictorState:
-    """Per-layer memory of the normalized-space EMA. Starts at zero."""
+    """Per-layer memory of the normalized-space EMA, a flat float64 array."""
 
     memory: np.ndarray
     initialized: bool = False
-
-    def __post_init__(self):
-        memory = np.ascontiguousarray(self.memory, dtype=np.float64)
-        if memory.ndim != 1:
-            memory = memory.reshape(-1)
-        if not np.all(np.isfinite(memory)):
-            raise DataError("predictor memory contains non-finite values")
-        self.memory = memory
 
     @classmethod
     def fresh(cls, numel: int) -> "MagPredictorState":
@@ -82,15 +75,9 @@ class MagPredictorState:
 
 @dataclass
 class SignTensor:
-    """Predicted signs, one entry per element; 0 means no prediction."""
+    """Predicted signs, one int8 per element in {-1, 0, +1}; 0 means none."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.int8).reshape(-1)
-        if values.size and not -1 <= int(values.min()) <= int(values.max()) <= 1:
-            raise UsageError("sign values must lie in {-1, 0, +1}")
-        self.values = values
 
     @classmethod
     def zeros(cls, numel: int) -> "SignTensor":

@@ -506,6 +506,76 @@ def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.gtrc").exists()
 
 
+def test_bin_cap_exceeded_on_the_wire_exits_3(tmp_path, capsys):
+    import struct
+
+    from gradzip.codec import DEFAULT_BIN_CAP, lossless_compress
+    from gradzip.pipeline import CompressedPayload, frame_payload
+
+    trace = make_trace(tmp_path, rounds=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    (first,) = read_frames(out)
+    header = data[:len(data) - len(frame_payload(first))]
+    # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, the
+    # round-1 bitmap tag ("none"), then the Huffman block's min symbol i32
+    # and table span u32. The table is moved up to end at DEFAULT_BIN_CAP + 1,
+    # and the crafted blob carries a valid CRC.
+    blob = first.blobs[0]
+    assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
+    (span,) = struct.unpack_from("<I", blob, 24)
+    inner = blob[1:20] + struct.pack("<i", DEFAULT_BIN_CAP + 2 - span) + blob[24:-4]
+    tampered = CompressedPayload(
+        first.client_id, first.round, first.spec_digest,
+        [lossless_compress(inner, "store")] + first.blobs[1:],
+    )
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(header + frame_payload(tampered))
+    capsys.readouterr()
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert "exceeds DEFAULT_BIN_CAP" in capsys.readouterr().err
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("compress", "{t}", "{dir}/x.gzs", "--csv", "{dir}/x.gzs"),
+    ("compress", "{t}", "{t}"),
+    ("compress", "{t}", "{dir}/x.gzs", "--csv", "{dir}/sub/../t.gtrc"),
+    ("compress", "{dir}/link.gtrc", "{t}"),
+    ("decompress", "{s}", "{s}"),
+    ("decompress", "{s}", "{t}", "--reference", "{t}"),
+    ("simulate", "{t}", "--csv", "{t}"),
+])
+def test_output_naming_an_input_or_the_other_output_exits_1(tmp_path, capsys, argv):
+    # Renaming an output into place would replace that input, or the other
+    # output: the clash is a usage error, no file is written and none changes.
+    t = make_trace(tmp_path, rounds=2, layers="fc:64x16")
+    s = tmp_path / "s.gzs"
+    assert run("compress", t, s) == 0
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.gtrc").symlink_to(t)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert run(*(a.format(t=t, s=s, dir=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr().err.startswith("gradzip: usage error:")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_full_batch_follows_the_trace_mode(tmp_path, capsys):
+    # Only synth sets the training mode; the commands that code a trace read
+    # it from the trace and take no override.
+    trace = make_trace(tmp_path, rounds=3, full_batch=True)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    assert run("inspect", out) == 0
+    assert "full_batch 1" in capsys.readouterr().out
+    for argv in (("compress", trace, tmp_path / "x.gzp"), ("simulate", trace), ("bench",)):
+        assert run(*argv, "--full-batch") == 1
+        assert "--full-batch" in capsys.readouterr().err
+    assert not (tmp_path / "x.gzp").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("synth", "{tmp}/t.gtrc", "--layers", "fc:64x16", "--seed", "-3"),
     ("bench", "--seed", "-1"),

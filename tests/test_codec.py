@@ -16,7 +16,6 @@ from gradzip.codec import (
     EncodedStream,
     ErrorBoundConfig,
     HuffmanBlock,
-    QuantizedStream,
     _canonical_codes,
     _huffman_code_lengths,
     _pack_codes,
@@ -221,29 +220,29 @@ class TestQuantize:
 
 
 class TestQuantizedStreamValidation:
-    def test_literal_count_mismatch(self):
-        with pytest.raises(IntegrityError):
-            QuantizedStream(
-                np.zeros(4, dtype=np.int32),
-                np.array([True, False, False, False]),
-                np.zeros(2, dtype=np.float32),
-            )
+    # decode_stream checks the wire stream's bins; QuantizedStream does not.
 
     def test_nonzero_bin_under_mask(self):
-        with pytest.raises(IntegrityError):
-            QuantizedStream(
-                np.array([5, 0], dtype=np.int32),
-                np.array([True, False]),
-                np.array([1.0], dtype=np.float32),
-            )
+        mask = np.array([True, False])
+        literals = np.array([1.0], dtype=np.float32)
+        ok = decode_stream(EncodedStream(entropy_encode(np.array([0, 5])), mask, literals))
+        assert ok.bins.tolist() == [0, 5]
+        encoded = EncodedStream(entropy_encode(np.array([5, 0])), mask, literals)
+        with pytest.raises(IntegrityError, match="under the literal mask"):
+            decode_stream(encoded)
 
     def test_cap_violation(self):
-        with pytest.raises(IntegrityError):
-            QuantizedStream(
-                np.array([DEFAULT_BIN_CAP + 1], dtype=np.int32),
-                np.array([False]),
-                np.zeros(0, dtype=np.float32),
-            )
+        none = np.zeros(0, dtype=np.float32)
+        ends = np.array([-DEFAULT_BIN_CAP, DEFAULT_BIN_CAP])
+        stream = decode_stream(EncodedStream(entropy_encode(ends), np.zeros(2, dtype=bool), none))
+        assert stream.bins.tolist() == ends.tolist()
+        # The table's span is checked before any bin is decoded.
+        with mock.patch.object(codec, "entropy_decode", side_effect=AssertionError):
+            for bins in ([0, DEFAULT_BIN_CAP + 1], [-DEFAULT_BIN_CAP - 1]):
+                block = entropy_encode(np.array(bins))
+                encoded = EncodedStream(block, np.zeros(len(bins), dtype=bool), none)
+                with pytest.raises(IntegrityError, match="DEFAULT_BIN_CAP"):
+                    decode_stream(encoded)
 
 
 def reference_decode(block):

@@ -199,6 +199,23 @@ class TestRunSimulation:
         with pytest.raises(UsageError):
             SimConfig((t1, t2), make_cfg().params, (), None, (0.0, 0.0))
 
+    def test_round_not_matching_the_layer_table_rejected(self):
+        # GradientTrace checks no round against its layers: encode_round
+        # rejects a wrong-spec tensor, naming the layer, and a short round.
+        cfg = make_cfg(nclients=1, rounds=3)
+        layers, rounds = cfg.traces[0].layers, [list(r) for r in cfg.traces[0].rounds]
+
+        def simulate():
+            trace = GradientTrace(layers, rounds)
+            return run_simulation(SimConfig((trace,), cfg.params, (), None, (0.0, 0.0)))
+
+        rounds[1][1] = GradientTensor(LayerSpec("fc", (32, 64)), rounds[1][1].values)
+        with pytest.raises(UsageError, match="'fc'"):
+            simulate()
+        rounds[1] = rounds[1][:2]
+        with pytest.raises(UsageError, match="2 tensors for 3 layers"):
+            simulate()
+
 
 def one_verified_round(rounds=2):
     """Client and server after ``rounds`` rounds, with the last round's artifacts."""

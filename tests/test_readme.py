@@ -1,9 +1,13 @@
-"""README's "Library use" examples run as written against the library."""
+"""README's "Quick start" commands and "Library use" examples run as
+written, and print what README shows."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from gradzip.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +36,35 @@ def test_library_use_blocks_run_and_keep_both_sides_in_sync():
     assert [r.values.tobytes() for r in ns["recons"]] == [
         r.tobytes() for r in client.prev_recon
     ]
+
+
+def quick_start_sessions():
+    """(argv, lines kept by a trailing ``| head -N`` or None, shown output
+    lines) for each ``$ gradzip`` command in README's "Quick start"."""
+    text = README.read_text()
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    sessions = []
+    for block in re.findall(r"```\n(.*?)```", section, flags=re.S):
+        for cmd in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, *shown = cmd.rstrip("\n").split("\n")
+            argv, _, head = line.partition(" | head -")
+            argv = shlex.split(argv)
+            assert argv[0] == "gradzip"
+            sessions.append((argv[1:], int(head) if head else None, [s for s in shown if s]))
+    return sessions
+
+
+def test_quick_start_prints_what_readme_shows(tmp_path, monkeypatch, capsys):
+    # A shown line that ends in "..." is compared up to there.
+    sessions = quick_start_sessions()
+    assert [argv[0] for argv, _, _ in sessions] == ["synth", "compress", "decompress", "inspect"]
+    monkeypatch.chdir(tmp_path)
+    for argv, head, shown in sessions:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr()
+        printed = (out.out + out.err).splitlines()[:head]
+        assert len(printed) == len(shown), argv
+        for got, want in zip(printed, shown):
+            if want.endswith("..."):
+                got, want = got[: len(want) - 3], want[:-3]
+            assert got == want, argv
