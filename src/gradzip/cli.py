@@ -15,13 +15,14 @@ write one round at a time, so their memory is about one round plus one
 predictor state, whatever the number of rounds: every round advances
 that state in place (see pipeline), and ``compress`` writes each round's
 CSV rows as the round comes. ``synth`` generates and writes one round at
-a time too. ``simulate`` still loads its traces whole, but keeps nothing
-per round beyond its report rows.
+a time too, and ``simulate`` reads one round of each client's trace per
+step and writes that round's CSV rows before it reads the next.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
 atomically (temp file plus rename), so a failed run leaves no output file;
-under ``decompress --reference`` that includes a bound violation. Every
+under ``decompress --reference`` that includes a bound violation. Without
+``--csv``, ``simulate`` writes to stdout as each round finishes. Every
 command except ``bench`` is deterministic: identical invocations produce
 byte-identical artifacts.
 """
@@ -30,14 +31,12 @@ import argparse
 import contextlib
 import csv
 import functools
-import io
 import os
 import struct
 import sys
 import tempfile
 import time
 from hashlib import blake2b
-from pathlib import Path
 
 import numpy as np
 
@@ -57,12 +56,11 @@ from .errors import (
     UsageError,
 )
 from .flsim import (
-    RoundReport,
-    SimConfig,
     check_bounds,
     client_rounds,
     reports_to_csv,
-    run_simulation,
+    round_report,
+    simulate_rounds,
 )
 from .pipeline import (
     DEFAULT_LOSSY_THRESHOLD,
@@ -84,10 +82,8 @@ from .trace import (
     SynthConfig,
     decode_header,
     encode_header,
-    load_trace,
     open_trace,
     synth_rounds,
-    synth_trace,
     write_trace,
 )
 
@@ -128,13 +124,14 @@ def _atomic_path(path):
         raise
 
 
-def _emit_text(text: str, path) -> None:
-    """Write an artifact to a file, or to stdout when no path was given."""
-    if path:
-        with _atomic_path(path) as tmp:
-            Path(tmp).write_bytes(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
+@contextlib.contextmanager
+def _text_output(path):
+    """An open text file written atomically to path, or stdout without one."""
+    if not path:
+        yield sys.stdout
+        return
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def _check_paths(inputs, outputs) -> None:
@@ -286,25 +283,27 @@ def cmd_synth(args) -> int:
 def cmd_compress(args) -> int:
     csv_path = args.csv or os.fspath(args.output) + ".csv"
     _check_paths([args.input], [args.output, csv_path])
-    done = s_total = sp_total = 0
     with contextlib.ExitStack() as stack:
         mode, layers, nrounds, rounds = stack.enter_context(open_trace(args.input))
         params = _params_from_args(args, mode)
         # Entered after the CSV's, the stream's temp file is renamed first.
-        csv_tmp = stack.enter_context(_atomic_path(csv_path))
+        csv_fh = stack.enter_context(_text_output(csv_path))
         stream_tmp = stack.enter_context(_atomic_path(args.output))
-        with open(stream_tmp, "wb") as fh, \
-                open(csv_tmp, "w", encoding="utf-8", newline="") as csv_fh:
-            fh.write(_stream_header(mode, layers, nrounds, params.predict))
-            reports_to_csv([], csv_fh)
-            for wire, row, _ in client_rounds(layers, rounds, params, fixed_times=(0.0, 0.0)):
-                fh.write(wire)
-                done += 1
-                reports_to_csv([RoundReport(done, [row], row.cr, [])], csv_fh, header=False)
-                s_total += row.s_bytes
-                sp_total += row.sprime_bytes
+        with open(stream_tmp, "wb") as fh:
+            head = _stream_header(mode, layers, nrounds, params.predict)
+            fh.write(head)
+
+            def reports():
+                coded = client_rounds(layers, rounds, params, fixed_times=(0.0, 0.0))
+                for t, (wire, row, _) in enumerate(coded, 1):
+                    fh.write(wire)
+                    yield round_report(t, [row])
+
+            reports_to_csv(reports(), csv_fh)
+            sp_total = fh.tell() - len(head)
+    s_total = 4 * sum(spec.numel for spec in layers) * nrounds
     print(
-        f"compressed {done} rounds: {s_total} -> {sp_total} bytes "
+        f"compressed {nrounds} rounds: {s_total} -> {sp_total} bytes "
         f"(ratio {s_total / sp_total:.3f})",
         file=sys.stderr,
     )
@@ -351,21 +350,21 @@ def cmd_decompress(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_paths(args.traces, [args.csv])
-    traces = tuple(load_trace(p) for p in args.traces)
-    if len({t.mode for t in traces}) > 1:
-        raise UsageError("client traces disagree on training mode")
-    params = _params_from_args(args, traces[0].mode)
-    fixed = None if args.measured else (args.t_comp, args.t_decomp)
-    cfg = SimConfig(
-        traces=traces,
-        params=params,
-        bandwidths_bps=_parse_bandwidths(args.bandwidths),
-        rounds=args.rounds,
-        fixed_times=fixed,
-    )
-    buf = io.StringIO()
-    reports_to_csv(run_simulation(cfg), buf)
-    _emit_text(buf.getvalue(), args.csv)
+    with contextlib.ExitStack() as stack:
+        traces = [stack.enter_context(open_trace(p)) for p in args.traces]
+        if len({mode for mode, _, _, _ in traces}) > 1:
+            raise UsageError("client traces disagree on training mode")
+        mode, layers = traces[0][:2]
+        # Each client's layer table is checked against the first's as its
+        # tensors are encoded.
+        nrounds = min(n for _, _, n, _ in traces)
+        reports = simulate_rounds(
+            layers, [rounds for _, _, _, rounds in traces], _params_from_args(args, mode),
+            nrounds if args.rounds is None else min(nrounds, args.rounds),
+            _parse_bandwidths(args.bandwidths),
+            None if args.measured else (args.t_comp, args.t_decomp),
+        )
+        reports_to_csv(reports, stack.enter_context(_text_output(args.csv)))
     return 0
 
 
@@ -432,31 +431,26 @@ def cmd_bench(args) -> int:
     t2 = time.perf_counter()
     if not np.array_equal(decoded, bins):
         raise IntegrityError("entropy stage roundtrip mismatch during bench")
-    rows.append((
-        "huffman_encode", n, len(block.stream),
-        f"{t1 - t0:.6f}", f"{n / (t1 - t0) / 1e6:.3f}", "Msym/s",
-    ))
-    rows.append((
-        "huffman_decode", n, len(block.stream),
-        f"{t2 - t1:.6f}", f"{n / (t2 - t1) / 1e6:.3f}", "Msym/s",
-    ))
+    for op, seconds in (("huffman_encode", t1 - t0), ("huffman_decode", t2 - t1)):
+        rows.append((
+            op, n, len(block.stream), f"{seconds:.6f}", f"{n / seconds / 1e6:.3f}", "Msym/s",
+        ))
 
     # Whole pipeline: a measured one-client simulation on a synthetic trace.
-    trace = synth_trace(synth)
-    reports = run_simulation(SimConfig((trace,), _params_from_args(args, trace.mode)))
-    raw = trace.total_bytes()
+    reports = list(simulate_rounds(
+        list(synth.layers), [synth_rounds(synth)], _params_from_args(args, synth.mode),
+        synth.rounds,
+    ))
+    raw = 4 * sum(spec.numel for spec in synth.layers) * synth.rounds
     t_comp = sum(rep.clients[0].t_comp_s for rep in reports)
     t_decomp = sum(rep.clients[0].t_decomp_s for rep in reports)
     for op, seconds in (("pipeline_compress", t_comp), ("pipeline_decompress", t_decomp)):
         rows.append((
-            op, trace.num_rounds, raw,
+            op, synth.rounds, raw,
             f"{seconds:.6f}", f"{8.0 * raw / seconds / 1e6:.1f}", "Mbit/s",
         ))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    _emit_text(buf.getvalue(), args.csv)
+    with _text_output(args.csv) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 

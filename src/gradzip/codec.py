@@ -18,8 +18,8 @@ self-synchronize (Klein and Wiseman, 2003): each state is guessed from a
 short run from the root, then every guess is checked against its
 predecessor and repaired until all agree, which makes the result exact.
 
-QuantizedStream checks nothing, as quantize builds it valid; decode_stream
-holds the bin-cap and literal-mask checks on wire streams.
+QuantizedStream checks nothing, as quantize builds it valid; read_stream
+checks a wire stream's code table and literals, decode_stream its bins.
 """
 
 from __future__ import annotations
@@ -359,7 +359,10 @@ class _Automaton:
     slots: int
 
 
-def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
+def _check_table(block: HuffmanBlock, numel: int | None):
+    """Check a code table, decoding no bin: symbols (at most numel), a bit
+    count numel codes can fill, Kraft's inequality and 32-bit symbols. Returns
+    the used symbols in canonical order, their lengths and the codes per length."""
     order, lens = _canonical_order(block.lengths)
     if order.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
@@ -376,6 +379,12 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
     lo, hi = block.min_symbol + int(order.min()), block.min_symbol + int(order.max())
     if lo < -(1 << 31) or hi >= 1 << 31:
         raise IntegrityError("Huffman table declares symbols outside the 32-bit range")
+    return order, lens, count
+
+
+def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
+    order, lens, count = _check_table(block, numel)
+    min_len, max_len = int(lens[0]), count.size - 1
     first_code, first_rank = _canonical_starts(count)
     first_code = first_code.astype(np.int64)
     # Canonical codes fill the code space from 0 in (length, rank) order, so
@@ -496,10 +505,8 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     then gathered from the 4-bit table in one pass, and the bits after the
     last whole chunk are walked one at a time. The path must end at the
     root, never entering the error state. numel, when given, is the symbol
-    count the block must hold: a bit count that numel codes cannot fill, or
-    a table with more symbols than numel, is rejected before any table is
-    built. The symbols come out as int32: a table declaring one outside that
-    range raises IntegrityError.
+    count the block must hold; _check_table checks the table against it
+    before any decoder table is built. The symbols come out as int32.
     """
     bit_count = block.bit_count
     if bit_count == 0:
@@ -605,8 +612,12 @@ class EncodedStream:
 
 
 def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
-    """Parse what encode_stream wrote and validate the literal section."""
+    """Parse what encode_stream wrote; check its code table, with its span
+    within +-DEFAULT_BIN_CAP, and its literal section."""
     block = decode_block(reader)
+    if not -DEFAULT_BIN_CAP <= block.min_symbol <= DEFAULT_BIN_CAP + 1 - block.lengths.size:
+        raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
+    _check_table(block, numel)
     (lit_count,) = reader.unpack("<I")
     mask_raw = reader.take((numel + 7) // 8)
     mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8), count=numel, bitorder="little").view(bool)
@@ -627,11 +638,9 @@ def max_stream_bytes(numel: int) -> int:
 
 
 def decode_stream(encoded: EncodedStream) -> QuantizedStream:
-    """Entropy-decode the bins of a parsed stream. The code table's span must
-    lie within +-DEFAULT_BIN_CAP and the bins under the literal mask be zero."""
+    """Entropy-decode the bins of a stream read_stream parsed. The bins under
+    the literal mask must be zero."""
     block, mask = encoded.block, encoded.literal_mask
-    if not -DEFAULT_BIN_CAP <= block.min_symbol <= DEFAULT_BIN_CAP + 1 - block.lengths.size:
-        raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
     bins = entropy_decode(block, mask.size)
     if encoded.literals.size and bins[mask].any():
         raise IntegrityError("bins under the literal mask must be zero")

@@ -1,15 +1,15 @@
 """Multi-client round simulation and the analytic communication-time model.
 
-The simulator drives the compression pipeline for several clients in
-lock-step: each round every client compresses its gradients, the server
-decompresses and mirrors the client's state, and the state-sync and
-error-bound invariants are asserted before the round is reported; only the
-report rows are kept. A client on its own (client_rounds, behind
-``compress``) checks the bounds on its own reconstruction, which the wire's
-state digests tie to the server's. Client and server each hold one
-predictor state, advanced in place every round. Transmission itself is
-modeled analytically: t_comm = t_comp + 8 * S' / B + t_decomp against a
-baseline of 8 * S / B.
+simulate_rounds drives the compression pipeline for several clients in
+lock-step, one round of each per step: every client compresses its
+gradients, the server decompresses and mirrors the client's state, and the
+state-sync and error-bound invariants are asserted before round_report
+reports the round, which is yielded as it ends. A client on its own
+(client_rounds, behind ``compress``) checks the bounds on its own
+reconstruction, which the wire's state digests tie to the server's. Client
+and server each hold one predictor state, advanced in place every round.
+Transmission is modeled: t_comm = t_comp + 8 * S' / B + t_decomp against
+a baseline of 8 * S / B.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -92,24 +93,12 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "traces", tuple(self.traces))
-        object.__setattr__(self, "bandwidths_bps", tuple(float(b) for b in self.bandwidths_bps))
         if not self.traces:
             raise UsageError("simulation needs at least one client trace")
         first = self.traces[0].layers
         for i, t in enumerate(self.traces):
             if t.layers != first:
                 raise UsageError(f"client {i} trace has a different layer table")
-        if not all(0 < b < math.inf for b in self.bandwidths_bps):
-            raise UsageError("bandwidths must be positive and finite")
-        if self.fixed_times is not None and not all(0 <= t < math.inf for t in self.fixed_times):
-            raise UsageError("fixed codec times must be nonnegative and finite")
-        if self.rounds is not None and self.rounds < 1:
-            raise UsageError("rounds must be >= 1")
-
-    @property
-    def num_rounds(self) -> int:
-        available = min(t.num_rounds for t in self.traces)
-        return min(available, self.rounds) if self.rounds else available
 
 
 @dataclass
@@ -152,7 +141,7 @@ class RoundReport:
     mean_cr: float
     comm: list[CommRow]
     # (pooled CR, break-even bandwidth) when the codec took time and
-    # compression won; run_simulation fills it in.
+    # compression won; round_report fills it in.
     break_even: tuple[float, float] | None = None
 
 
@@ -224,24 +213,6 @@ def check_sync(client: SyncState, server: SyncState, payload: CompressedPayload)
             )
 
 
-def _round_row(
-    payload: CompressedPayload, stats: list[LayerStats], framed_bytes: int,
-    times: tuple[float, float],
-) -> ClientRoundStats:
-    s_bytes = sum(ls.s_bytes for ls in stats)
-    return ClientRoundStats(
-        client=payload.client_id,
-        s_bytes=s_bytes,
-        sprime_bytes=framed_bytes,
-        cr=s_bytes / framed_bytes,
-        max_err=max(ls.max_err for ls in stats),
-        bitmap_bytes=sum(ls.bitmap_bytes for ls in stats),
-        t_comp_s=times[0],
-        t_decomp_s=times[1],
-        layers=stats,
-    )
-
-
 def client_rounds(
     layers: list[LayerSpec],
     rounds: Iterable[list[GradientTensor]],
@@ -271,8 +242,13 @@ def client_rounds(
         wire = frame_payload(payload)
         recons = [GradientTensor(spec, r) for spec, r in zip(layers, client.prev_recon)]
         stats = check_bounds(tensors, recons, payload, infos)
-        times = (t1 - t0, 0.0) if fixed_times is None else fixed_times
-        yield wire, _round_row(payload, stats, len(wire), times), client
+        t_comp, t_decomp = (t1 - t0, 0.0) if fixed_times is None else fixed_times
+        s_bytes = sum(ls.s_bytes for ls in stats)
+        row = ClientRoundStats(
+            client_id, s_bytes, len(wire), s_bytes / len(wire), max(ls.max_err for ls in stats),
+            sum(ls.bitmap_bytes for ls in stats), t_comp, t_decomp, stats,
+        )
+        yield wire, row, client
         # Free this round before the next one is read into a fresh buffer
         # (see trace.open_trace).
         del tensors, recons, payload, wire, infos, stats
@@ -280,7 +256,7 @@ def client_rounds(
 
 def verified_rounds(
     layers: list[LayerSpec],
-    rounds: list[list[GradientTensor]],
+    rounds: Iterable[list[GradientTensor]],
     params: PipelineParams,
     client_id: int = 0,
     fixed_times: tuple[float, float] | None = None,
@@ -309,47 +285,67 @@ def verified_rounds(
         yield wire, recons, row
 
 
-def run_simulation(cfg: SimConfig) -> list[RoundReport]:
-    """Drive all clients and the server for every round; verify as we go.
+def round_report(t: int, client_rows: list[ClientRoundStats], bandwidths_bps=()) -> RoundReport:
+    """Round t's report from its client rows: their means, one comm row per
+    bandwidth, and the break-even when the codec took time and compression won."""
+    mean_s = float(np.mean([c.s_bytes for c in client_rows]))
+    mean_sp = float(np.mean([c.sprime_bytes for c in client_rows]))
+    mean_tc = float(np.mean([c.t_comp_s for c in client_rows]))
+    mean_td = float(np.mean([c.t_decomp_s for c in client_rows]))
+    codec_s = float(np.mean([c.t_comp_s + c.t_decomp_s for c in client_rows]))
+    cr = mean_s / mean_sp
+    if codec_s > 0.0 and cr > 1.0:
+        break_even = (cr, break_even_bandwidth(mean_s, cr, codec_s))
+    else:
+        break_even = None
+    comm = []
+    for b in bandwidths_bps:
+        t_ori, t_comm, ratio = comm_times(CommModel(mean_s, mean_sp, b, mean_tc, mean_td))
+        comm.append(CommRow(b, t_ori, t_comm, ratio))
+    mean_cr = float(np.mean([c.cr for c in client_rows]))
+    return RoundReport(t, client_rows, mean_cr, comm, break_even)
 
-    Raises ProtocolError on a client/server state mismatch and IntegrityError
-    on an error-bound violation, naming the round, client, and layer.
-    """
-    layers = cfg.traces[0].layers
-    if cfg.fixed_times is None:
-        # Warm-up: one untimed first round on scratch states.
-        next(verified_rounds(layers, cfg.traces[0].rounds[:1], cfg.params))
-    drivers = [
-        verified_rounds(layers, trace.rounds[:cfg.num_rounds], cfg.params, k, cfg.fixed_times)
-        for k, trace in enumerate(cfg.traces)
-    ]
-    reports = []
-    for t, results in enumerate(zip(*drivers)):
-        client_stats = [row for _, _, row in results]
-        mean_s = float(np.mean([c.s_bytes for c in client_stats]))
-        mean_sp = float(np.mean([c.sprime_bytes for c in client_stats]))
-        mean_tc = float(np.mean([c.t_comp_s for c in client_stats]))
-        mean_td = float(np.mean([c.t_decomp_s for c in client_stats]))
-        codec_s = float(np.mean([c.t_comp_s + c.t_decomp_s for c in client_stats]))
-        cr = mean_s / mean_sp
-        if codec_s > 0.0 and cr > 1.0:
-            break_even = (cr, break_even_bandwidth(mean_s, cr, codec_s))
-        else:
-            break_even = None
-        comm = []
-        for b in cfg.bandwidths_bps:
-            t_ori, t_comm, ratio = comm_times(
-                CommModel(mean_s, mean_sp, b, mean_tc, mean_td)
-            )
-            comm.append(CommRow(b, t_ori, t_comm, ratio))
-        reports.append(RoundReport(
-            round=t + 1,
-            clients=client_stats,
-            mean_cr=float(np.mean([c.cr for c in client_stats])),
-            comm=comm,
-            break_even=break_even,
-        ))
-    return reports
+
+def simulate_rounds(
+    layers: list[LayerSpec], sources: list[Iterable[list[GradientTensor]]],
+    params: PipelineParams, rounds: int, bandwidths_bps: tuple[float, ...] = (),
+    fixed_times: tuple[float, float] | None = None,
+):
+    """Each round's RoundReport, yielded once every client has run it: one
+    verified_rounds per source in lock-step, each source read one round per
+    step (open_trace's will do) and cut to ``rounds``. Measured times follow
+    an untimed warm-up on the first source's first round. The bandwidths,
+    fixed times and ``rounds`` are checked before this returns."""
+    if not all(0 < b < math.inf for b in bandwidths_bps):
+        raise UsageError("bandwidths must be positive and finite")
+    if fixed_times is not None and not all(0 <= t < math.inf for t in fixed_times):
+        raise UsageError("fixed codec times must be nonnegative and finite")
+    if rounds < 1:
+        raise UsageError("rounds must be >= 1")
+    sources = [islice(src, rounds) for src in sources]
+    if fixed_times is None:
+        first = next(sources[0])
+        next(verified_rounds(layers, [first], params))
+        # An exhausted list iterator lets go of the round it held.
+        sources[0] = chain(iter([first]), sources[0])
+    drivers = [verified_rounds(layers, s, params, k, fixed_times) for k, s in enumerate(sources)]
+    return (
+        round_report(t, [row for _, _, row in results], bandwidths_bps)
+        for t, results in enumerate(zip(*drivers), 1)
+    )
+
+
+def run_simulation(cfg: SimConfig) -> list[RoundReport]:
+    """The reports of simulate_rounds over cfg's traces, for every round they
+    all hold up to cfg.rounds. Raises ProtocolError on a client/server state
+    mismatch and IntegrityError on an error-bound violation, naming the
+    round, client, and layer."""
+    available = min(t.num_rounds for t in cfg.traces)
+    rounds = available if cfg.rounds is None else min(available, cfg.rounds)
+    return list(simulate_rounds(
+        cfg.traces[0].layers, [t.rounds for t in cfg.traces], cfg.params, rounds,
+        cfg.bandwidths_bps, cfg.fixed_times,
+    ))
 
 
 CSV_COLUMNS = [
@@ -359,13 +355,14 @@ CSV_COLUMNS = [
 ]
 
 
-def reports_to_csv(reports: list[RoundReport], fh, header: bool = True) -> None:
-    """Write the header unless told not to, then per-layer, per-client and
-    per-bandwidth rows for every round, then the break-even rows, to an open
-    text file. Columns a row does not name stay empty."""
+def reports_to_csv(reports: Iterable[RoundReport], fh) -> None:
+    """Write the header, then each round's per-layer, per-client and
+    per-bandwidth rows as the round arrives, then the break-even rows, to an
+    open text file, in one pass over ``reports``. Columns a row does not
+    name stay empty."""
     w = csv.DictWriter(fh, CSV_COLUMNS, restval="", lineterminator="\n")
-    if header:
-        w.writeheader()
+    w.writeheader()
+    marks = []
 
     def row(rnd, client, layer, **cols):
         w.writerow({"round": rnd, "client": client, "layer": layer, **cols})
@@ -386,11 +383,11 @@ def reports_to_csv(reports: list[RoundReport], fh, header: bool = True) -> None:
             row(rep.round, "all", "all", CR=f"{rep.mean_cr:.6g}",
                 bandwidth_bps=f"{comm.bandwidth_bps:.6g}", t_ori_s=f"{comm.t_ori_s:.9g}",
                 t_comm_s=f"{comm.t_comm_s:.9g}", ratio=f"{comm.ratio:.9g}")
-    # The break-even bandwidth goes in the bandwidth_bps column.
-    for rep in reports:
         if rep.break_even is not None:
-            cr, bstar = rep.break_even
-            row(rep.round, "all", "break_even", CR=f"{cr:.6g}", bandwidth_bps=f"{bstar:.6g}")
+            marks.append((rep.round, *rep.break_even))
+    # The break-even bandwidth goes in the bandwidth_bps column.
+    for rnd, cr, bstar in marks:
+        row(rnd, "all", "break_even", CR=f"{cr:.6g}", bandwidth_bps=f"{bstar:.6g}")
 
 
 @dataclass

@@ -232,17 +232,19 @@ class TestQuantizedStreamValidation:
             decode_stream(encoded)
 
     def test_cap_violation(self):
-        none = np.zeros(0, dtype=np.float32)
-        ends = np.array([-DEFAULT_BIN_CAP, DEFAULT_BIN_CAP])
-        stream = decode_stream(EncodedStream(entropy_encode(ends), np.zeros(2, dtype=bool), none))
-        assert stream.bins.tolist() == ends.tolist()
-        # The table's span is checked before any bin is decoded.
+        def parse(bins):
+            bins = np.array(bins)
+            none = np.zeros(0, dtype=np.float32)
+            wire = encode_stream(codec.QuantizedStream(bins, np.zeros(bins.size, dtype=bool), none))
+            return read_stream(ByteReader(wire, truncation_error=IntegrityError), bins.size)
+
+        ends = [-DEFAULT_BIN_CAP, DEFAULT_BIN_CAP]
+        assert decode_stream(parse(ends)).bins.tolist() == ends
+        # read_stream checks the table's span before any bin is decoded.
         with mock.patch.object(codec, "entropy_decode", side_effect=AssertionError):
             for bins in ([0, DEFAULT_BIN_CAP + 1], [-DEFAULT_BIN_CAP - 1]):
-                block = entropy_encode(np.array(bins))
-                encoded = EncodedStream(block, np.zeros(len(bins), dtype=bool), none)
                 with pytest.raises(IntegrityError, match="DEFAULT_BIN_CAP"):
-                    decode_stream(encoded)
+                    parse(bins)
 
 
 def reference_decode(block):

@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -192,6 +193,8 @@ class TestRunSimulation:
         cfg = make_cfg(rounds=5)
         capped = SimConfig(cfg.traces, cfg.params, (), 3, (0.0, 0.0))
         assert len(run_simulation(capped)) == 3
+        with pytest.raises(UsageError, match="rounds"):
+            run_simulation(SimConfig(cfg.traces, cfg.params, (), 0, (0.0, 0.0)))
 
     def test_mismatched_layer_tables_rejected(self):
         t1 = synth_trace(SynthConfig(seed=1, layers=sim_layers(), rounds=2))
@@ -434,6 +437,10 @@ class TestReportCsv:
         p = tmp_path / "report.csv"
         with open(p, "w", newline="") as fh:
             reports_to_csv(reports, fh)
+        # One pass over any iterable writes the same bytes as the list.
+        streamed = io.StringIO()
+        reports_to_csv((rep for rep in reports), streamed)
+        assert streamed.getvalue() == p.read_text()
         with open(p) as fh:
             rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
