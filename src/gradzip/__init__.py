@@ -56,7 +56,6 @@ from .pipeline import (
     parse_payload,
 )
 from .predictor import (
-    MagPredictorState,
     PredictParams,
     SignBitmap,
     SignTensor,

@@ -204,10 +204,10 @@ def check_sync(client: SyncState, server: SyncState, payload: CompressedPayload)
     where = f"round {payload.round}, client {payload.client_id}"
     if client.round != server.round:
         raise ProtocolError(f"client/server round counters differ at {where}")
-    for spec, c_mag, s_mag, c_rec, s_rec in zip(
-        client.layers, client.mag, server.mag, client.prev_recon, server.prev_recon
+    for spec, c_mem, s_mem, c_rec, s_rec in zip(
+        client.layers, client.memory, server.memory, client.prev_recon, server.prev_recon
     ):
-        if c_mag.to_bytes() != s_mag.to_bytes() or c_rec.tobytes() != s_rec.tobytes():
+        if c_mem.tobytes() != s_mem.tobytes() or c_rec.tobytes() != s_rec.tobytes():
             raise ProtocolError(
                 f"client/server state mismatch at {where}, layer {spec.name!r}"
             )

@@ -59,11 +59,10 @@ from .codec import (
     read_stream,
     resolve_bound,
 )
-from .errors import FormatError, IntegrityError, ProtocolError, UsageError
+from .errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
 from .predictor import (
     VARIANT_FLIP,
     VARIANT_NONE,
-    MagPredictorState,
     PredictParams,
     SignBitmap,
     SignTensor,
@@ -109,14 +108,15 @@ def spec_digest(layers: list[LayerSpec]) -> bytes:
 class SyncState:
     """Predictor history shared (in structure) by client and server.
 
-    Holds, per layer, the magnitude-predictor memory and the previous round's
-    reconstructed gradient. The previous sign tensor is derived from the
-    reconstruction when a flip bitmap needs it, never stored. After processing round t on both
-    sides the two states must serialize to identical bytes.
+    Holds, per layer, the magnitude predictor's memory (float64) and the
+    previous round's reconstructed gradient (float32), as flat arrays. The
+    previous sign tensor is derived from the reconstruction when a flip
+    bitmap needs it, never stored. After processing round t on both sides
+    the two states must serialize to identical bytes.
     """
 
     layers: list[LayerSpec]
-    mag: list[MagPredictorState]
+    memory: list[np.ndarray]
     prev_recon: list[np.ndarray]
     round: int = 0
 
@@ -124,15 +124,15 @@ class SyncState:
     def initial(cls, layers: list[LayerSpec]) -> "SyncState":
         return cls(
             layers=list(layers),
-            mag=[MagPredictorState.fresh(spec.numel) for spec in layers],
+            memory=[np.zeros(spec.numel, dtype=np.float64) for spec in layers],
             prev_recon=[np.zeros(spec.numel, dtype=np.float32) for spec in layers],
             round=0,
         )
 
     def to_bytes(self) -> bytes:
         out = bytearray(struct.pack("<I", self.round))
-        for mag, recon in zip(self.mag, self.prev_recon):
-            out += mag.to_bytes()
+        for memory, recon in zip(self.memory, self.prev_recon):
+            out += memory.astype("<f8", copy=False).tobytes()
             out += recon.astype("<f4", copy=False).tobytes()
         return bytes(out)
 
@@ -157,26 +157,23 @@ def _predict(
     """The prediction step for layer i's lossy blob, run by client and server.
 
     Takes the blob's wire fields (flags, sign bitmap, mu and sigma) and the
-    layer's shared history, returns ghat, and stores the next magnitude
-    state in ``state.mag[i]``, its memory written over the current one's.
-    Signs come only from the bitmap, so the client predicts exactly what the
-    server rebuilds from the same blob.
+    layer's shared history, returns ghat, and writes the next magnitude
+    memory over ``state.memory[i]``. Signs come only from the bitmap, so the
+    client predicts exactly what the server rebuilds from the same blob.
     """
-    spec, prev_recon, mag = state.layers[i], state.prev_recon[i], state.mag[i]
+    spec, prev_recon = state.layers[i], state.prev_recon[i]
     if not flags & _FLAG_PREDICTION:
         return np.zeros(spec.numel, dtype=np.float64)
-    pred_abs, state.mag[i] = predict_magnitude(
-        prev_recon, float(mu32), float(sigma32), mag, params, memory_out=mag.memory,
-    )
+    pred_abs = predict_magnitude(prev_recon, float(mu32), float(sigma32), state.memory[i], params)
     prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
     signs = reconstruct_signs(bitmap, prev_sign, spec)
     return np.multiply(pred_abs, signs.values, out=pred_abs)
 
 
-def _state_crc(mag: MagPredictorState, recon: np.ndarray) -> int:
+def _state_crc(memory: np.ndarray, recon: np.ndarray) -> int:
     """CRC32 of one layer's state after a round: its magnitude memory, then
     its reconstruction, read in place."""
-    crc = zlib.crc32(mag.memory.astype("<f8", copy=False))
+    crc = zlib.crc32(memory.astype("<f8", copy=False))
     return zlib.crc32(recon.astype("<f4", copy=False), crc)
 
 
@@ -214,7 +211,7 @@ def _encode_layer(
     delta = resolve_bound(params.bound, g)
     stream, _ = quantize(g.values, ghat, delta, recon)
     del ghat
-    crc = _state_crc(state.mag[i], recon)
+    crc = _state_crc(state.memory[i], recon)
     bitmap_raw, body = encode_bitmap(bitmap), encode_stream(stream)
     head = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
     inner = b"".join((head, bitmap_raw, body, struct.pack("<I", crc)))
@@ -301,7 +298,7 @@ def _decode_layer(blob: bytes, state: SyncState, i: int, params: PredictParams) 
     mu32, sigma32 = np.float32(info.mu), np.float32(info.sigma)
     ghat = _predict(state, i, info.flags, bitmap, mu32, sigma32, params)
     dequantize(stream, ghat, info.delta, recon)
-    if _state_crc(state.mag[i], recon) != info.state_crc:
+    if _state_crc(state.memory[i], recon) != info.state_crc:
         raise ProtocolError(
             f"client/server state mismatch at round {state.round + 1}, layer {spec.name!r}: "
             f"the payload's state digest differs from the server's"
@@ -397,6 +394,8 @@ def _parse_blob(
         info = BlobInfo(tag, len(blob), len(inner))
         bitmap = None
         body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4")
+        if not np.isfinite(body).all():
+            raise DataError(f"layer {spec.name!r}: lossless blob holds non-finite values")
     elif tag == TAG_LOSSY:
         flags, mu, sigma, delta = reader.unpack("<Bffd")
         if flags & ~_FLAG_PREDICTION:

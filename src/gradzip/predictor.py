@@ -12,9 +12,9 @@ saying "predicted", one bit per predicted kernel for the sign).
 
 State goes in and comes out explicitly, so the client and server stay
 bitwise-identical by construction. The one exception to purity is
-predict_magnitude's memory_out, which may be the state's own memory: the
-pipeline writes each round's memory over the last one. MagPredictorState
-and SignTensor check nothing, as only this module and the pipeline fill them.
+predict_magnitude's memory, a plain float64 array that it writes over with
+the next round's: the pipeline's state owns one per layer. SignTensor checks
+nothing, as only this module and the pipeline fill it.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ class PredictParams:
             raise UsageError(f"beta must be in (0, 1], got {self.beta}")
         if not 0.0 <= self.tau <= 1.0:
             raise UsageError(f"tau must be in [0, 1], got {self.tau}")
-
-
-@dataclass
-class MagPredictorState:
-    """Per-layer memory of the normalized-space EMA, a flat float64 array."""
-
-    memory: np.ndarray
-    initialized: bool = False
-
-    @classmethod
-    def fresh(cls, numel: int) -> "MagPredictorState":
-        return cls(np.zeros(numel, dtype=np.float64), initialized=False)
-
-    def to_bytes(self) -> bytes:
-        return self.memory.astype("<f8", copy=False).tobytes()
 
 
 @dataclass
@@ -174,10 +159,9 @@ def predict_magnitude(
     recon: np.ndarray,
     mu_curr: float,
     sigma_curr: float,
-    state: MagPredictorState,
+    memory: np.ndarray,
     params: PredictParams,
-    memory_out: np.ndarray | None = None,
-) -> tuple[np.ndarray, MagPredictorState]:
+) -> np.ndarray:
     """EMA prediction of elementwise magnitudes in normalized space.
 
     Takes the previous round's signed reconstruction, standardizes its
@@ -185,42 +169,38 @@ def predict_magnitude(
     SIGMA_FLOOR), blends with the memory as
     z_pred = (1 - beta) * memory + beta * z_prev, then de-normalizes with the
     current round's transmitted statistics. The returned prediction is a new
-    float64 array clamped to be nonnegative; the new memory keeps the
-    unclamped z_pred. The new memory is written to memory_out when given: a
-    float64 array of the input's length, which may be the state's own memory.
+    float64 array clamped to be nonnegative. The unclamped z_pred is written
+    over ``memory``, a float64 array of the input's length.
     """
     recon = np.asarray(recon).reshape(-1)
     n, beta = recon.size, params.beta
-    if n != state.memory.size:
-        raise UsageError(f"predictor state holds {state.memory.size} elements, input has {n}")
-    if memory_out is not None and (memory_out.dtype != np.float64 or memory_out.shape != (n,)):
-        raise UsageError(f"memory_out must be a float64 array of {n} elements")
+    if memory.dtype != np.float64 or memory.shape != (n,):
+        raise UsageError(f"predictor memory must be a float64 array of {n} elements")
     pred_abs = np.abs(recon, dtype=np.float64)
     mean = float(pred_abs.mean())
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
-    z_pred = np.empty(n) if memory_out is None else memory_out
     # Each pass works a block at a time, so every step reads the previous
     # one's output from cache. The first writes the squared deviations over
     # the magnitudes, and the deviation is their std()'s, from the same
     # squares summed the same way. The second takes the magnitudes from the
-    # reconstruction again and builds z_prev, z_pred (which may replace the
-    # memory block it reads) and the prediction.
+    # reconstruction again and builds z_prev, z_pred (over the memory block
+    # it reads) and the prediction.
     for a in range(0, n, _BLOCK):
         p = pred_abs[a:a + _BLOCK]
         np.square(np.subtract(p, mean, out=p), out=p)
     scale = max(math.sqrt(float(pred_abs.sum()) / n), SIGMA_FLOOR)
     for a in range(0, n, _BLOCK):
-        p, z = pred_abs[a:a + _BLOCK], z_pred[a:a + _BLOCK]
+        p, z = pred_abs[a:a + _BLOCK], memory[a:a + _BLOCK]
         np.abs(recon[a:a + _BLOCK], out=p)
         p -= mean
         p /= scale
         p *= beta
-        np.multiply(state.memory[a:a + _BLOCK], 1.0 - beta, out=z)
+        z *= 1.0 - beta
         z += p
         np.multiply(z, sigma, out=p)
         p += mu
         np.maximum(p, 0.0, out=p)
-    return pred_abs, MagPredictorState(memory=z_pred, initialized=True)
+    return pred_abs
 
 
 def gradient_correlation(a: np.ndarray, b: np.ndarray) -> float:

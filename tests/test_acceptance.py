@@ -44,7 +44,6 @@ from gradzip.pipeline import (
     parse_payload,
 )
 from gradzip.predictor import (
-    MagPredictorState,
     PredictParams,
     bitmap_overhead_ratio,
     decode_bitmap,
@@ -241,17 +240,19 @@ def test_c03_consistency_and_correlation_oracles(capsys):
 
 
 def test_c04_magnitude_predictor_hand_trace(capsys):
-    pred, state = predict_magnitude(
-        np.array([1.0, 2.0, 3.0]), 1.0, 0.5,
-        MagPredictorState.fresh(3), PredictParams(beta=0.5),
+    memory = np.zeros(3)
+    pred = predict_magnitude(
+        np.array([1.0, 2.0, 3.0]), 1.0, 0.5, memory, PredictParams(beta=0.5),
     )
     want = np.array([0.6938, 1.0, 1.3062])
     worst = float(np.max(np.abs(pred - want)))
-    ok = worst <= 1e-4 and state.initialized
+    mem_ok = np.allclose(memory, [-0.6124, 0.0, 0.6124], rtol=0, atol=5e-5)
+    ok = worst <= 1e-4 and mem_ok
     _report(capsys, "C04", ok,
             f"prev [1,2,3], beta 0.5, mu 1, sigma 0.5 -> "
             f"{np.round(pred, 5).tolist()}, max deviation {worst:.2e} from "
-            f"[0.6938, 1.0, 1.3062] (bound 1e-4)")
+            f"[0.6938, 1.0, 1.3062] (bound 1e-4); memory "
+            f"{np.round(memory, 5).tolist()}, within 5e-5 of [-0.6124, 0, 0.6124]: {mem_ok}")
 
 
 def test_c05_bitmap_overhead_formula(capsys):

@@ -66,3 +66,16 @@ def test_every_counted_hook_fires(mode):
     called = {name for (_, name), calls in tracer.calls.items() if calls}
     assert counted <= called, counted - called
     assert filled == counted, counted - filled
+
+
+def test_only_cli_hook_targets_are_absent():
+    # The benchmark hooks library functions by module attribute. A CLI name
+    # may go when the CLI stops importing it, but a hooked library name that
+    # goes would leave its counters silently empty.
+    tr = load_tracer()
+    hooks = tr.Hooks(tr.Tracer())
+    try:
+        hooks.install()
+    finally:
+        hooks.remove()
+    assert [t for t in hooks.absent if not t.startswith("gradzip.cli.")] == []

@@ -444,6 +444,32 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
         assert not (tmp_path / "r.gtrc").exists()
 
 
+def test_non_finite_lossless_blob_exits_3(tmp_path, capsys):
+    import struct
+
+    from gradzip.codec import lossless_compress
+
+    trace = make_trace(tmp_path, layers="conv:8x4x3x3,b:10", rounds=2, seed=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = bytearray(out.read_bytes())
+    blob = read_frames(out)[0].blobs[1]
+    # Store tag, blob tag u8 (lossless), then layer b's float32 values. The
+    # crafted blob carries a valid CRC.
+    assert blob[:2] == b"S\x00"
+    at = data.find(blob)
+    inner = bytearray(blob[1:-4])
+    inner[1:5] = struct.pack("<f", float("nan"))
+    data[at:at + len(blob)] = lossless_compress(bytes(inner), "store")
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("inspect", bad) == 3
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert capsys.readouterr().err.count("lossless blob holds non-finite values") == 2
+    assert not (tmp_path / "r.gtrc").exists()
+
+
 def test_inflation_bomb_exits_3(tmp_path, capsys):
     from dataclasses import replace
 
@@ -686,6 +712,96 @@ def test_stream_fuzz_never_decodes_silently(tmp_path, backend):
     assert 6 not in decoded  # the stream header's mode byte
     if backend == "store":
         assert decoded <= client_ids
+
+
+# What decompress may refuse while inspect, which decodes no bins, passes.
+NEEDS_BINS = (
+    "invalid Huffman code in bitstream, or no code boundary",
+    "bins for a",
+    "bins under the literal mask must be zero",
+    "the payload's state digest differs",
+)
+
+
+def test_inner_blob_fuzz_both_readers_agree(tmp_path):
+    # Every 4th byte of each inner blob of the fuzz stream set to 0x00,
+    # 0x01, 0xff and xor 0x80, and the blob cut at every 4th length, then
+    # re-wrapped as a stored blob with a valid CRC32, so each case reaches
+    # the blob parser. decompress and inspect exit 2 or 3, or 0; decompress
+    # exits 0 only with the untampered output, apart from the values a
+    # lossless blob carries, and inspect refuses whatever decompress refuses
+    # without decoding bins. A lossless blob parses the same in every round
+    # but for its tag, so past round 1 only its tag byte is mutated. A case
+    # in round r is a stream of rounds 1..r, so no later round is decoded.
+    import contextlib
+    import io
+    from dataclasses import replace
+
+    from gradzip.codec import lossless_compress, lossless_decompress
+    from gradzip.pipeline import TAG_LOSSLESS, frame_payload
+    from gradzip.trace import GradientTensor
+
+    rec = tmp_path / "r.gtrc"
+    streams, heads = [], []
+    for rounds in (1, 2, 3):
+        trace = make_trace(tmp_path, f"t{rounds}.gtrc", layers=FUZZ_LAYERS, rounds=rounds)
+        out = tmp_path / f"t{rounds}.gzp"
+        assert run("compress", trace, out) == 0
+        payloads = read_frames(out)
+        frames = [frame_payload(p) for p in payloads]
+        streams.append(out.read_bytes())
+        heads.append(streams[-1][:len(streams[-1]) - sum(map(len, frames))])
+    assert run("decompress", out, rec) == 0
+    want = load_trace(rec).rounds
+    # Each shorter stream is the 3-round fuzz stream's first rounds.
+    assert streams == [heads[r] + b"".join(frames[:r + 1]) for r in range(3)]
+
+    def cases():
+        for r, p in enumerate(payloads):
+            for i, blob in enumerate(p.blobs):
+                inner = lossless_decompress(blob)
+                for off in range(0, 1 if r and inner[0] == TAG_LOSSLESS else len(inner), 4):
+                    for byte in sorted({0x00, 0x01, 0xFF, inner[off] ^ 0x80} - {inner[off]}):
+                        yield r, i, inner[:off] + bytes([byte]) + inner[off + 1:]
+                    yield r, i, inner[:off]
+
+    def raw(rounds):
+        return [[g.values.tobytes() for g in tensors] for tensors in rounds]
+
+    def run_quiet(*argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run(*argv)
+        return code, err.getvalue()
+
+    bad, problems, count = tmp_path / "bad.gzp", [], 0
+    for r, i, inner in cases():
+        count += 1
+        blobs = list(payloads[r].blobs)
+        blobs[i] = lossless_compress(inner, "store")
+        tampered = frame_payload(replace(payloads[r], blobs=blobs))
+        bad.write_bytes(heads[r] + b"".join(frames[:r]) + tampered)
+        where = (r + 1, i, inner.hex())
+        rec.unlink(missing_ok=True)
+        try:
+            code, err = run_quiet("decompress", bad, rec)
+            seen, _ = run_quiet("inspect", bad)
+        except Exception as exc:
+            problems.append((where, repr(exc)))
+            continue
+        if code not in (0, 2, 3) or seen not in (0, 2, 3):
+            problems.append((where, f"exit {code} / {seen}"))
+        elif code == 0:
+            expect = [list(t) for t in want[:r + 1]]
+            if inner[0] == TAG_LOSSLESS:  # the values are the data itself
+                values = np.frombuffer(inner[1:], dtype="<f4")
+                expect[r][i] = GradientTensor(want[r][i].spec, values)
+            if raw(load_trace(rec).rounds) != raw(expect):
+                problems.append((where, "exit 0 with a changed reconstruction"))
+        elif seen == 0 and not any(m in err for m in NEEDS_BINS):
+            problems.append((where, f"inspect passes what decompress refuses: {err.strip()}"))
+    assert count > 4000
+    assert problems == []
 
 
 def test_predictor_params_travel_in_the_header(tmp_path, capsys):

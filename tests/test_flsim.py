@@ -28,7 +28,7 @@ from gradzip.pipeline import (
     describe_blob,
     frame_payload,
 )
-from gradzip.predictor import MagPredictorState, PredictParams
+from gradzip.predictor import PredictParams
 from gradzip.trace import (
     GradientTensor,
     GradientTrace,
@@ -234,7 +234,7 @@ def one_verified_round(rounds=2):
 def copy_state(state):
     return SyncState(
         state.layers,
-        [MagPredictorState(m.memory.copy(), m.initialized) for m in state.mag],
+        [m.copy() for m in state.memory],
         [r.copy() for r in state.prev_recon],
         state.round,
     )
@@ -284,7 +284,7 @@ class TestVerifyRound:
         _, _, payload, _, client, server = one_verified_round()
         server = copy_state(server)
         layer = 2 if part == "prev_recon" else 0  # "bias" / "conv1"
-        arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
+        arr = server.memory[layer] if part == "mag" else server.prev_recon[layer]
         arr.view(np.uint8)[3] ^= 0x01
         name = sim_layers()[layer].name
         with pytest.raises(ProtocolError, match=rf"round 2, client 3, layer '{name}'"):
@@ -322,7 +322,7 @@ class TestVerifiedRounds:
 
         def diverging(payload, state, predict):
             recons, infos, server = real(payload, state, predict)
-            server.mag[0].memory.view(np.uint8)[3] ^= 0x01
+            server.memory[0].view(np.uint8)[3] ^= 0x01
             return recons, infos, server
 
         monkeypatch.setattr(flsim, "decode_payload", diverging)

@@ -29,7 +29,6 @@ from gradzip.pipeline import (
 from gradzip.predictor import (
     VARIANT_FLIP,
     VARIANT_KERNEL,
-    MagPredictorState,
     PredictParams,
     SignBitmap,
     SignTensor,
@@ -97,7 +96,7 @@ class TestLosslessPath:
         params = make_params(lossy_threshold=1024)
         g = GradientTensor(spec, np.ones(10, dtype=np.float32))
         _, new_state = compress_round([g], state, params)
-        assert new_state.mag[0] is state.mag[0]
+        assert new_state.memory[0] is state.memory[0]
 
 
 class TestErrorBound:
@@ -169,7 +168,7 @@ class TestSynchronization:
         def state_at_round_one():
             return SyncState(
                 [spec],
-                [MagPredictorState(np.full(spec.numel, -1e6), initialized=True)],
+                [np.full(spec.numel, -1e6)],
                 [np.full(spec.numel, -1.0, dtype=np.float32)],
                 round=1,
             )
@@ -238,13 +237,13 @@ class TestSynchronization:
             params = make_params(full_batch=full_batch, prediction=prediction)
             payload, client = compress_round(tensors, client, params)
             given = server
-            memories, recons = [m.memory for m in server.mag], list(server.prev_recon)
+            memories, recons = list(server.memory), list(server.prev_recon)
             got, _, server = decode_payload(payload, server, params.predict)
             assert server is given
             assert server.to_bytes() == client.to_bytes()
             for i, a in enumerate(got):
                 assert a.values is server.prev_recon[i] is recons[i]
-                assert server.mag[i].memory is memories[i]
+                assert server.memory[i] is memories[i]
 
 
 class TestInPlaceRounds:
@@ -269,7 +268,7 @@ class TestInPlaceRounds:
         # is within its wire delta. Spikes in the conv layer are too far from
         # any prediction for the bins, so they become literals.
         def arrays(state):
-            return [m.memory for m in state.mag] + state.prev_recon
+            return state.memory + state.prev_recon
 
         mode = "full_batch" if full_batch else "mini_batch"
         trace = structured_trace(seed=seed, rounds=len(schedule), mode=mode)
@@ -631,7 +630,7 @@ class TestStateDigest:
         p2, client = compress_round(trace.rounds[1], client, params)
         _, _, server = decode_payload(p1, server, params.predict)
         layer = 1  # "fc", a lossy layer
-        arr = server.mag[layer].memory if part == "mag" else server.prev_recon[layer]
+        arr = server.memory[layer] if part == "mag" else server.prev_recon[layer]
         # The exponent's top bit: 0.0 becomes 2.0, so the change cannot round away.
         arr.view(np.uint8)[arr.itemsize - 1] ^= 0x40
         with pytest.raises(ProtocolError, match=r"round 2, layer 'fc'"):
@@ -681,5 +680,5 @@ class TestStateDigest:
         for tensors in trace.rounds:
             payload, state = compress_round(tensors, state, params)
             inner = lossless_decompress(payload.blobs[0])
-            crc = zlib.crc32(state.prev_recon[0].tobytes(), zlib.crc32(state.mag[0].to_bytes()))
+            crc = zlib.crc32(state.prev_recon[0].tobytes(), zlib.crc32(state.memory[0].tobytes()))
             assert inner[-4:] == struct.pack("<I", crc)

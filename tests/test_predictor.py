@@ -7,7 +7,6 @@ from gradzip.errors import IntegrityError, UsageError
 from gradzip.predictor import (
     _BLOCK,
     SIGMA_FLOOR,
-    MagPredictorState,
     PredictParams,
     SignBitmap,
     SignTensor,
@@ -27,102 +26,92 @@ from gradzip.trace import ByteReader, GradientTensor, LayerSpec
 class TestPredictMagnitude:
     def test_hand_traced_step(self):
         # prev |recon| = [1,2,3]: mean 2, population std sqrt(2/3).
-        state = MagPredictorState.fresh(3)
+        memory = np.zeros(3)
         params = PredictParams(beta=0.5)
-        pred, new_state = predict_magnitude(
-            np.array([1.0, 2.0, 3.0]), mu_curr=1.0, sigma_curr=0.5, state=state, params=params
+        pred = predict_magnitude(
+            np.array([1.0, 2.0, 3.0]), mu_curr=1.0, sigma_curr=0.5, memory=memory, params=params
         )
         std = math.sqrt(2.0 / 3.0)
         z = np.array([-1.0, 0.0, 1.0]) / std
         want_mem = 0.5 * z
         want_pred = want_mem * 0.5 + 1.0
         np.testing.assert_allclose(pred, want_pred, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(new_state.memory, want_mem, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(memory, want_mem, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pred, [0.6938, 1.0, 1.3062], atol=5e-5)
-        np.testing.assert_allclose(new_state.memory, [-0.6124, 0.0, 0.6124], atol=5e-5)
-        assert new_state.initialized
+        np.testing.assert_allclose(memory, [-0.6124, 0.0, 0.6124], atol=5e-5)
 
     def test_constant_input_predicts_mu(self):
-        state = MagPredictorState.fresh(5)
-        pred, _ = predict_magnitude(
-            np.full(5, 0.25), mu_curr=3.0, sigma_curr=2.0, state=state, params=PredictParams()
+        pred = predict_magnitude(
+            np.full(5, 0.25), mu_curr=3.0, sigma_curr=2.0, memory=np.zeros(5), params=PredictParams()
         )
         np.testing.assert_array_equal(pred, np.full(5, 3.0))
 
     def test_beta_one_ignores_memory(self):
         rng = np.random.default_rng(0)
         x = np.abs(rng.normal(size=16))
-        m1 = MagPredictorState(rng.normal(size=16))
-        m2 = MagPredictorState(np.zeros(16))
         params = PredictParams(beta=1.0)
-        p1, _ = predict_magnitude(x, 1.0, 1.0, m1, params)
-        p2, _ = predict_magnitude(x, 1.0, 1.0, m2, params)
+        p1 = predict_magnitude(x, 1.0, 1.0, rng.normal(size=16), params)
+        p2 = predict_magnitude(x, 1.0, 1.0, np.zeros(16), params)
         np.testing.assert_array_equal(p1, p2)
 
     def test_clamped_nonnegative_memory_unclamped(self):
         # Large negative z with small mu forces a negative raw prediction.
-        state = MagPredictorState.fresh(3)
-        pred, new_state = predict_magnitude(
+        memory = np.zeros(3)
+        pred = predict_magnitude(
             np.array([0.0, 1.0, 10.0]), mu_curr=0.01, sigma_curr=5.0,
-            state=state, params=PredictParams(beta=1.0),
+            memory=memory, params=PredictParams(beta=1.0),
         )
         assert (pred >= 0.0).all()
-        assert new_state.memory.min() < 0.0
+        assert memory.min() < 0.0
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize("memory", [
+        np.zeros(3), np.zeros(4, dtype=np.float32), np.zeros((2, 2)),
+    ], ids=["length", "float32", "2d"])
+    def test_memory_mismatch(self, memory):
         with pytest.raises(UsageError):
-            predict_magnitude(
-                np.ones(4), 1.0, 1.0, MagPredictorState.fresh(3), PredictParams()
-            )
+            predict_magnitude(np.ones(4), 1.0, 1.0, memory, PredictParams())
 
     @pytest.mark.parametrize("n", [1, 7, _BLOCK, _BLOCK + 3, 2 * _BLOCK + 1])
     @pytest.mark.parametrize("constant", [False, True])
     def test_in_place_matches_separate_buffers(self, n, constant):
-        # The memory written over the state's own, from the signed float32
-        # reconstruction, is bitwise the one of separate buffers fed the
-        # reconstruction's float64 magnitudes, and so is the prediction. A
-        # constant magnitude, and n = 1, standardize by SIGMA_FLOOR.
+        # The signed float32 reconstruction and its float64 magnitudes, each
+        # run on its own copy of one memory, give bitwise the same prediction
+        # and memory, and the input is left as it was. A constant magnitude,
+        # and n = 1, standardize by SIGMA_FLOOR.
         rng = np.random.default_rng(n)
         recon = rng.normal(size=n).astype(np.float32)
         if constant:
             recon = np.where(recon < 0, -0.25, 0.25).astype(np.float32)
         memory = rng.normal(size=n)
         params = PredictParams(beta=0.3)
-        state = MagPredictorState(memory.copy(), initialized=True)
         x = np.abs(recon, dtype=np.float64)
-        want, want_state = predict_magnitude(x, 0.7, 0.4, state, params)
-        assert state.memory.tobytes() == memory.tobytes()
+        want_mem = memory.copy()
+        want = predict_magnitude(x, 0.7, 0.4, want_mem, params)
         assert np.array_equal(x, np.abs(recon, dtype=np.float64))
         if constant or n == 1:
-            assert np.array_equal(want_state.memory, 0.7 * memory)
+            assert np.array_equal(want_mem, 0.7 * memory)
             assert float(x.std()) < SIGMA_FLOOR
-        state_in = MagPredictorState(memory.copy(), initialized=True)
-        got, got_state = predict_magnitude(
-            recon, 0.7, 0.4, state_in, params, memory_out=state_in.memory
-        )
-        assert got_state.memory is state_in.memory
+        got_mem = memory.copy()
+        got = predict_magnitude(recon, 0.7, 0.4, got_mem, params)
         assert got.tobytes() == want.tobytes()
-        assert got_state.to_bytes() == want_state.to_bytes()
-        with pytest.raises(UsageError):
-            predict_magnitude(recon, 0.7, 0.4, state, params, memory_out=np.empty(n + 1))
+        assert got_mem.tobytes() == want_mem.tobytes()
+        assert not np.array_equal(got_mem, memory)
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
         xs = [np.abs(rng.normal(size=32)) for _ in range(5)]
 
         def run():
-            state = MagPredictorState.fresh(32)
-            out = []
-            for x in xs:
-                pred, state = predict_magnitude(x, float(x.mean()), float(x.std()), state, PredictParams())
-                out.append(pred)
-            return out, state
+            memory = np.zeros(32)
+            out = [predict_magnitude(x, float(x.mean()), float(x.std()), memory, PredictParams())
+                   for x in xs]
+            return out, memory
 
-        out_a, state_a = run()
-        out_b, state_b = run()
+        out_a, mem_a = run()
+        out_b, mem_b = run()
         for a, b in zip(out_a, out_b):
             assert np.array_equal(a, b)
-        assert state_a.to_bytes() == state_b.to_bytes()
+        assert mem_a.tobytes() == mem_b.tobytes()
 
 
 class TestGradientCorrelation:
