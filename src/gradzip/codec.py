@@ -94,10 +94,6 @@ class QuantizedStream:
     literal_mask: np.ndarray
     literals: np.ndarray
 
-    @property
-    def numel(self) -> int:
-        return self.bins.size
-
 
 @dataclass
 class HuffmanBlock:
@@ -133,15 +129,15 @@ def resolve_bound(cfg: ErrorBoundConfig, original: GradientTensor) -> float:
 
 
 def quantize(
-    original: np.ndarray, ghat: np.ndarray, delta: float, out: np.ndarray | None = None
+    original: np.ndarray, ghat: np.ndarray, delta: float, out: np.ndarray
 ) -> tuple[QuantizedStream, np.ndarray]:
     """Quantize original - ghat, demoting bound violators to exact literals.
 
-    Returns the stream and the float32 reconstruction dequantize will
-    compute, written to out when given, a float32 array of the input's
-    length. The check runs against that exact float32 value, so float32
-    rounding can never push an element past the bound: offenders carry their
-    original value. Works _PACK_CHUNK elements at a time in reused buffers.
+    Returns the stream and out, a float32 array of the input's length that
+    holds the reconstruction dequantize will compute. The check runs against
+    that exact float32 value, so float32 rounding can never push an element
+    past the bound: offenders carry their original value. Works _PACK_CHUNK
+    elements at a time in reused buffers.
     """
     if not 0.0 < 2.0 * float(delta) < np.inf:
         raise UsageError(f"delta must be positive with a finite bin width 2 * delta, got {delta}")
@@ -184,10 +180,10 @@ def quantize(
 
 
 def dequantize(
-    stream: QuantizedStream, ghat: np.ndarray, delta: float, out: np.ndarray | None = None
+    stream: QuantizedStream, ghat: np.ndarray, delta: float, out: np.ndarray
 ) -> np.ndarray:
     """Invert quantize: the same float32 reconstruction, literals restored
-    exactly. It is written to out when given, a float32 array of the
+    exactly, written to and returned as out, a float32 array of the
     stream's length."""
     n = stream.bins.size
     recon32 = _float32_out(out, n)
@@ -204,10 +200,8 @@ def dequantize(
     return recon32
 
 
-def _float32_out(out: np.ndarray | None, n: int) -> np.ndarray:
-    """out, checked to be a float32 array of n elements, or a new one."""
-    if out is None:
-        return np.empty(n, dtype=np.float32)
+def _float32_out(out: np.ndarray, n: int) -> np.ndarray:
+    """out, checked to be a float32 array of n elements."""
     if out.dtype != np.float32 or out.shape != (n,):
         raise UsageError(f"out must be a float32 array of {n} elements")
     return out
@@ -278,8 +272,9 @@ def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _pack_codes(index: np.ndarray, codes: np.ndarray, lens: np.ndarray, total: int) -> bytes:
-    """Pack the codes of the symbols ``index`` MSB-first into 64-bit words.
+def _pack_codes(values: np.ndarray, lo: int, codes: np.ndarray, lens: np.ndarray, total: int) -> bytes:
+    """Pack the codes of the symbols ``values``, indexed from lo, MSB-first
+    into 64-bit words.
 
     Symbols are packed a chunk at a time, so the temporaries stay bounded;
     total is the bit count. Within a chunk of more than _MERGE_MIN codes,
@@ -290,8 +285,9 @@ def _pack_codes(index: np.ndarray, codes: np.ndarray, lens: np.ndarray, total: i
     """
     words = np.zeros((total + 63) >> 6, dtype=np.uint64)
     bit = 0
-    for a in range(0, index.size, _PACK_CHUNK):
-        sym = index[a : a + _PACK_CHUNK]
+    for a in range(0, values.size, _PACK_CHUNK):
+        sym = values[a : a + _PACK_CHUNK].astype(np.int64)
+        sym -= lo
         code, ln = codes[sym], lens[sym]
         while ln.size > _MERGE_MIN:
             n = ln.size & ~1  # an odd last code is carried over unmerged
@@ -326,14 +322,17 @@ def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
     span = hi - lo + 1
     if span > _MAX_ALPHABET_RANGE:
         raise UsageError(f"symbol range {span} too wide to entropy-code")
-    index = values.astype(np.int64)
-    index -= lo
-    counts = np.bincount(index, minlength=span)
+    counts = np.zeros(span, dtype=np.int64)
+    for a in range(0, values.size, _PACK_CHUNK):
+        sym = values[a : a + _PACK_CHUNK].astype(np.int64)
+        sym -= lo
+        chunk = np.bincount(sym)
+        counts[: chunk.size] += chunk
     used = np.flatnonzero(counts)
     lens = np.zeros(span, dtype=np.int64)
     lens[used] = _huffman_code_lengths(counts[used])
     bit_count = int(counts @ lens)
-    stream = _pack_codes(index, _canonical_codes(lens), lens, bit_count)
+    stream = _pack_codes(values, lo, _canonical_codes(lens), lens, bit_count)
     return HuffmanBlock(lo, lens, bit_count, stream, int(values.size))
 
 
@@ -578,28 +577,27 @@ def encode_block(block: HuffmanBlock) -> bytes:
     return head + block.lengths.tobytes() + block.stream
 
 
-def block_bit_count(encoded: bytes) -> int:
-    """The bit count of the block encode_block wrote at the start of encoded."""
-    return struct.unpack_from("<Q", encoded, 8)[0]
-
-
 def decode_block(reader: ByteReader) -> HuffmanBlock:
     min_symbol, span, bit_count = reader.unpack("<iIQ")
     if span > _MAX_ALPHABET_RANGE:
         raise IntegrityError(f"Huffman table span {span} too large")
     lengths = np.frombuffer(reader.take(span), dtype=np.uint8)
     stream = reader.take((bit_count + 7) // 8)
+    if bit_count & 7 and stream[-1] & (0xFF >> (bit_count & 7)):
+        raise IntegrityError("nonzero padding bits after the Huffman bitstream")
     return HuffmanBlock(min_symbol, lengths.copy(), bit_count, stream, 0)
 
 
-def encode_stream(stream: QuantizedStream) -> bytes:
-    """Huffman block followed by the literal section (count, mask, raw f32)."""
-    body = encode_block(entropy_encode(stream.bins))
+def encode_stream(stream: QuantizedStream) -> tuple[bytes, int]:
+    """Huffman block followed by the literal section (count, mask, raw f32).
+    Returns the bytes and the block's bit count."""
+    block = entropy_encode(stream.bins)
+    body = encode_block(block)
     mask_bytes = np.packbits(stream.literal_mask.astype(np.uint8), bitorder="little").tobytes()
     body += struct.pack("<I", stream.literals.size)
     body += mask_bytes
     body += stream.literals.astype("<f4", copy=False).tobytes()
-    return body
+    return body, block.bit_count
 
 
 @dataclass
@@ -613,14 +611,13 @@ class EncodedStream:
 
 def read_stream(reader: ByteReader, numel: int) -> EncodedStream:
     """Parse what encode_stream wrote; check its code table, with its span
-    within +-DEFAULT_BIN_CAP, and its literal section."""
+    within +-DEFAULT_BIN_CAP, its literal section and its zero padding bits."""
     block = decode_block(reader)
     if not -DEFAULT_BIN_CAP <= block.min_symbol <= DEFAULT_BIN_CAP + 1 - block.lengths.size:
         raise IntegrityError("bin magnitude exceeds DEFAULT_BIN_CAP")
     _check_table(block, numel)
     (lit_count,) = reader.unpack("<I")
-    mask_raw = reader.take((numel + 7) // 8)
-    mask = np.unpackbits(np.frombuffer(mask_raw, dtype=np.uint8), count=numel, bitorder="little").view(bool)
+    mask = reader.take_bits(numel)
     if int(mask.sum()) != lit_count:
         raise IntegrityError(
             f"literal mask marks {int(mask.sum())} elements, header says {lit_count}"
@@ -660,10 +657,10 @@ def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:
     return _BACKEND_TAGS[BACKEND_DEFAULT] + zlib.compress(data, 6)
 
 
-def lossless_decompress(data: bytes, max_size: int | None = None) -> bytes:
+def lossless_decompress(data: bytes, max_size: int) -> bytes:
     """Undo lossless_compress, checking the blob's checksum. DEFLATE output
-    past max_size bytes, when given, raises IntegrityError without being
-    inflated further."""
+    past max_size bytes raises IntegrityError without being inflated
+    further."""
     if not data:
         raise FormatError("empty lossless container")
     tag = data[:1]
@@ -677,10 +674,10 @@ def lossless_decompress(data: bytes, max_size: int | None = None) -> bytes:
     if tag == _BACKEND_TAGS[BACKEND_DEFAULT]:
         inflate = zlib.decompressobj()
         try:
-            out = inflate.decompress(memoryview(data)[1:], 0 if max_size is None else max_size + 1)
+            out = inflate.decompress(memoryview(data)[1:], max_size + 1)
         except zlib.error as exc:
             raise IntegrityError(f"lossless payload corrupt: {exc}") from exc
-        if max_size is not None and len(out) > max_size:
+        if len(out) > max_size:
             raise IntegrityError(f"lossless payload inflates past {max_size} bytes")
         if not inflate.eof:
             raise IntegrityError("lossless payload corrupt: incomplete or truncated stream")

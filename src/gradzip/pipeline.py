@@ -48,7 +48,6 @@ from .codec import (
     BACKEND_STORE,
     EncodedStream,
     ErrorBoundConfig,
-    block_bit_count,
     decode_stream,
     dequantize,
     encode_stream,
@@ -61,11 +60,9 @@ from .codec import (
 )
 from .errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
 from .predictor import (
-    VARIANT_FLIP,
     VARIANT_NONE,
     PredictParams,
     SignBitmap,
-    SignTensor,
     bitmap_wire_bits,
     decode_bitmap,
     encode_bitmap,
@@ -146,10 +143,6 @@ class CompressedPayload:
     version: int = PAYLOAD_VERSION
 
 
-def _prev_sign(recon: np.ndarray) -> SignTensor:
-    return SignTensor(np.sign(recon).astype(np.int8))
-
-
 def _predict(
     state: SyncState, i: int, flags: int, bitmap: SignBitmap,
     mu32: np.float32, sigma32: np.float32, params: PredictParams,
@@ -165,8 +158,7 @@ def _predict(
     if not flags & _FLAG_PREDICTION:
         return np.zeros(spec.numel, dtype=np.float64)
     pred_abs = predict_magnitude(prev_recon, float(mu32), float(sigma32), state.memory[i], params)
-    prev_sign = _prev_sign(prev_recon) if bitmap.variant == VARIANT_FLIP else None
-    signs = reconstruct_signs(bitmap, prev_sign, spec)
+    signs = reconstruct_signs(bitmap, prev_recon, spec)
     return np.multiply(pred_abs, signs.values, out=pred_abs)
 
 
@@ -183,10 +175,7 @@ def _client_bitmap(
     """The client's one sign decision: the bitmap its lossy blob carries."""
     if not params.prediction_enabled or first_round:
         return SignBitmap()
-    if not params.predict.full_batch:
-        return predict_signs(g, None, None, params.predict)[1]
-    prev = GradientTensor(g.spec, prev_recon)
-    return predict_signs(g, _prev_sign(prev_recon), prev, params.predict)[1]
+    return predict_signs(g, prev_recon, params.predict)[1]
 
 
 def _encode_layer(
@@ -212,13 +201,13 @@ def _encode_layer(
     stream, _ = quantize(g.values, ghat, delta, recon)
     del ghat
     crc = _state_crc(state.memory[i], recon)
-    bitmap_raw, body = encode_bitmap(bitmap), encode_stream(stream)
+    bitmap_raw, (body, bit_count) = encode_bitmap(bitmap), encode_stream(stream)
     head = struct.pack("<BBffd", TAG_LOSSY, flags, mu32, sigma32, delta)
     inner = b"".join((head, bitmap_raw, body, struct.pack("<I", crc)))
     blob = lossless_compress(inner, params.backend)
     info = BlobInfo.lossy(
         len(blob), len(inner), flags, float(mu32), float(sigma32), delta, bitmap,
-        len(bitmap_raw), block_bit_count(body), stream.literals.size, crc,
+        len(bitmap_raw), bit_count, stream.literals.size, crc,
     )
     return blob, info
 

@@ -112,10 +112,6 @@ def _pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
 
 
-def _unpack_bits(raw: bytes, count: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=count, bitorder="little").astype(bool)
-
-
 def encode_bitmap(bitmap: SignBitmap) -> bytes:
     """Serialize a bitmap: tag byte, then the variant payload, bits LSB-first."""
     if bitmap.variant == VARIANT_NONE:
@@ -146,9 +142,8 @@ def decode_bitmap(reader: ByteReader) -> SignBitmap:
         return SignBitmap(variant=VARIANT_FLIP, flip=bool(flip))
     if tag == _TAG_KERNEL:
         (kernel_count,) = reader.unpack("<I")
-        level1 = _unpack_bits(reader.take((kernel_count + 7) // 8), kernel_count)
-        predicted = int(level1.sum())
-        level2 = _unpack_bits(reader.take((predicted + 7) // 8), predicted)
+        level1 = reader.take_bits(kernel_count)
+        level2 = reader.take_bits(int(level1.sum()))
         return SignBitmap(
             variant=VARIANT_KERNEL, kernel_count=kernel_count, level1=level1, level2=level2
         )
@@ -253,54 +248,52 @@ def _kernel_sign_prediction(values: np.ndarray, spec: LayerSpec, tau: float):
 
 
 def predict_signs(
-    g_curr: GradientTensor,
-    prev_sign: SignTensor | None,
-    prev_recon: GradientTensor | None,
-    params: PredictParams,
+    g_curr: GradientTensor, prev_recon: np.ndarray | None, params: PredictParams
 ) -> tuple[SignTensor, SignBitmap]:
     """Client-side sign prediction for one layer.
 
     Full-batch mode correlates the current gradient against the previous
-    reconstruction and either keeps or flips the previous signs wholesale,
-    recording the choice in a single flip bit. Degenerate correlations (zero
-    norm) count as "no flip". Mini-batch mode predicts per convolution kernel
-    when the kernel's sign consistency reaches tau; other layers get no
-    prediction at all.
+    round's float32 reconstruction and either keeps or flips its signs
+    wholesale, recording the choice in a single flip bit. Degenerate
+    correlations (zero norm) count as "no flip". Mini-batch mode predicts per
+    convolution kernel when the kernel's sign consistency reaches tau; other
+    layers get no prediction at all. Only full-batch mode reads prev_recon.
     """
-    numel = g_curr.spec.numel
+    spec = g_curr.spec
     if params.full_batch:
-        if prev_sign is None or prev_recon is None:
+        if prev_recon is None:
             raise UsageError("full-batch sign prediction needs the previous round")
-        if prev_sign.values.size != numel:
-            raise UsageError("prev_sign length mismatch")
         try:
-            c = gradient_correlation(prev_recon.values, g_curr.values)
+            c = gradient_correlation(prev_recon, g_curr.values)
         except UndefinedCorrelationError:
             c = 1.0
-        flip = c < 0.0
-        signs = (-prev_sign.values if flip else prev_sign.values).copy()
-        return SignTensor(signs), SignBitmap(variant=VARIANT_FLIP, flip=flip)
-    if g_curr.spec.kind != KIND_CONV4D:
-        return SignTensor.zeros(numel), SignBitmap()
-    signs, level1, level2 = _kernel_sign_prediction(g_curr.values, g_curr.spec, params.tau)
+        bitmap = SignBitmap(variant=VARIANT_FLIP, flip=c < 0.0)
+        return reconstruct_signs(bitmap, prev_recon, spec), bitmap
+    if spec.kind != KIND_CONV4D:
+        return SignTensor.zeros(spec.numel), SignBitmap()
+    signs, level1, level2 = _kernel_sign_prediction(g_curr.values, spec, params.tau)
     bitmap = SignBitmap(
         variant=VARIANT_KERNEL,
-        kernel_count=g_curr.spec.kernel_count,
+        kernel_count=spec.kernel_count,
         level1=level1,
         level2=level2,
     )
     return SignTensor(signs), bitmap
 
 
-def reconstruct_signs(bitmap: SignBitmap, prev_sign: SignTensor | None, spec: LayerSpec) -> SignTensor:
-    """Server-side inverse of predict_signs, driven only by the bitmap."""
+def reconstruct_signs(bitmap: SignBitmap, prev_recon: np.ndarray | None, spec: LayerSpec) -> SignTensor:
+    """Server-side inverse of predict_signs, driven only by the bitmap. A
+    flip bitmap keeps or flips the signs of prev_recon, the previous round's
+    reconstruction; no other variant reads it."""
     if bitmap.variant == VARIANT_NONE:
         return SignTensor.zeros(spec.numel)
     if bitmap.variant == VARIANT_FLIP:
-        if prev_sign is None or prev_sign.values.size != spec.numel:
-            raise IntegrityError("flip-bit bitmap without a matching previous sign tensor")
-        values = -prev_sign.values if bitmap.flip else prev_sign.values
-        return SignTensor(values.copy())
+        if prev_recon is None or prev_recon.size != spec.numel:
+            raise IntegrityError("flip-bit bitmap without a matching previous reconstruction")
+        values = np.sign(prev_recon).astype(np.int8)
+        if bitmap.flip:
+            np.negative(values, out=values)
+        return SignTensor(values)
     if spec.kind != KIND_CONV4D:
         raise IntegrityError(f"kernel bitmap for non-conv4d layer {spec.name!r}")
     if bitmap.kernel_count != spec.kernel_count:

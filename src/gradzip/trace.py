@@ -229,6 +229,14 @@ class ByteReader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def take_bits(self, count: int) -> np.ndarray:
+        """The next count bits, packed LSB-first, as bools. The bits that pad
+        the last byte must be zero."""
+        raw = np.frombuffer(self.take((count + 7) >> 3), dtype=np.uint8)
+        if count & 7 and raw[-1] >> (count & 7):
+            raise IntegrityError(f"nonzero padding bits after a {count}-bit field")
+        return np.unpackbits(raw, count=count, bitorder="little").view(bool)
+
     @property
     def remaining(self) -> int:
         return len(self.data) - self.pos

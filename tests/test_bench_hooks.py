@@ -14,7 +14,9 @@ import pytest
 from gradzip import pipeline
 from gradzip.codec import ErrorBoundConfig
 from gradzip.predictor import PredictParams
-from gradzip.trace import MODE_FULL_BATCH, MODE_MINI_BATCH, LayerSpec, SynthConfig, synth_rounds
+from gradzip.trace import (
+    MODE_FULL_BATCH, MODE_MINI_BATCH, LayerSpec, SynthConfig, load_trace, synth_rounds,
+)
 
 TRACER = Path(__file__).resolve().parent.parent / "gzbench" / "tracer.py"
 
@@ -66,6 +68,46 @@ def test_every_counted_hook_fires(mode):
     called = {name for (_, name), calls in tracer.calls.items() if calls}
     assert counted <= called, counted - called
     assert filled == counted, counted - filled
+
+
+def test_traced_cli_and_library_rounds_close_every_span(tmp_path):
+    # The benchmark's traced pass: CLI compress and decompress through
+    # cli.main in process, then library rounds, on a model with two layers of
+    # at least 65,536 elements. Every span must close in order on the one
+    # span stack, and every counted hook must fire.
+    from gradzip import cli
+
+    tr = load_tracer()
+    counted = {n for _, _, n, c in tr.HOOKS if c}
+    trace, stream = tmp_path / "t.gtrc", tmp_path / "t.gzp"
+    argv = ["synth", trace, "--layers", "conv1:64x128x3x3,conv2:128x128x3x3,bias:128",
+            "--rounds", 3, "--seed", 7]
+    assert cli.main([str(a) for a in argv]) == 0
+    rounds = load_trace(trace)
+    params = pipeline.PipelineParams(
+        predict=PredictParams(), bound=ErrorBoundConfig("relative", 1e-2)
+    )
+    tracer = tr.Tracer()
+    hooks = tr.Hooks(tracer)
+    codes = []
+    try:
+        hooks.install()
+        with tracer.span("cli.compress"):
+            codes.append(cli.main(["compress", str(trace), str(stream)]))
+        with tracer.span("cli.decompress"):
+            codes.append(cli.main(["decompress", str(stream), str(tmp_path / "r.gtrc")]))
+        client = pipeline.SyncState.initial(rounds.layers)
+        server = pipeline.SyncState.initial(rounds.layers)
+        for tensors in rounds.rounds:
+            with tracer.span("bench.library"):
+                payload, client = pipeline.compress_round(tensors, client, params)
+                _, server = pipeline.decompress_round(payload, server, params)
+    finally:
+        hooks.remove()
+    assert codes == [0, 0]
+    assert tracer.stack == []
+    called = {name for (_, name), calls in tracer.calls.items() if calls}
+    assert counted <= called, counted - called
 
 
 def test_only_cli_hook_targets_are_absent():

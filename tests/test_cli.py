@@ -588,6 +588,65 @@ def test_bin_cap_exceeded_on_the_wire_exits_3(tmp_path, capsys):
         assert not (tmp_path / "r.gtrc").exists()
 
 
+def test_nonzero_padding_bits_exit_3(tmp_path, capsys):
+    # The bits that pad a Huffman bitstream, the literal mask and each level
+    # of a kernel sign bitmap to whole bytes are zero on the wire. One set
+    # padding bit, in a blob that carries a valid CRC, is refused by both
+    # readers.
+    from dataclasses import replace
+
+    from gradzip.codec import decode_block, lossless_compress
+    from gradzip.pipeline import frame_payload
+    from gradzip.predictor import decode_bitmap
+    from gradzip.trace import ByteReader
+
+    trace = make_trace(tmp_path, layers="conv:16x8x3x3,fc:41x39,b:10", rounds=3, seed=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    payloads = read_frames(out)
+    frames = [frame_payload(p) for p in payloads]
+    data = out.read_bytes()
+    header = data[:len(data) - sum(map(len, frames))]
+
+    def padded_bytes(r, i, numel):
+        # Store tag, then blob tag u8, flags u8, mu f32, sigma f32, delta f64.
+        inner = payloads[r].blobs[i][1:-4]
+        reader = ByteReader(inner)
+        reader.take(18)
+        bitmap = decode_bitmap(reader)
+        bitmap_end = reader.pos
+        block = decode_block(reader)
+        stream_end = reader.pos
+        mask_end = stream_end + 4 + (numel + 7) // 8  # literal count u32, mask
+        return inner, {
+            "level-2 bitmap": (bitmap_end - 1, bitmap.predicted_count),
+            "Huffman stream": (stream_end - 1, block.bit_count),
+            "literal mask": (mask_end - 1, numel),
+        }
+
+    fc_inner, fc_ends = padded_bytes(0, 1, 41 * 39)
+    conv_inner, conv_ends = padded_bytes(1, 0, 16 * 8 * 9)
+    cases = [
+        (0, 1, fc_inner, *fc_ends["Huffman stream"], 0x01),  # MSB-first: low bits pad
+        (0, 1, fc_inner, *fc_ends["literal mask"], 0x80),  # LSB-first: high bits pad
+        (1, 0, conv_inner, *conv_ends["level-2 bitmap"], 0x80),
+    ]
+    bad = tmp_path / "bad.gzp"
+    for r, i, inner, at, bits, flip in cases:
+        assert bits % 8, "the field must end in padding bits"
+        tampered = bytearray(inner)
+        tampered[at] ^= flip
+        blobs = list(payloads[r].blobs)
+        blobs[i] = lossless_compress(bytes(tampered), "store")
+        frame = frame_payload(replace(payloads[r], blobs=blobs))
+        bad.write_bytes(header + b"".join(frames[:r]) + frame + b"".join(frames[r + 1:]))
+        capsys.readouterr()
+        assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+        assert run("inspect", bad) == 3
+        assert capsys.readouterr().err.count("nonzero padding bits") == 2
+        assert not (tmp_path / "r.gtrc").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("compress", "{t}", "{dir}/x.gzs", "--csv", "{dir}/x.gzs"),
     ("compress", "{t}", "{t}"),
@@ -665,6 +724,7 @@ def test_non_finite_model_inputs_exit_1(tmp_path, capsys, argv):
 FUZZ_LAYERS = "conv:8x4x3x3,fc:40x40,b:10"
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("backend", ["default", "store"])
 def test_stream_fuzz_never_decodes_silently(tmp_path, backend):
     # Every single-byte mutation (0x01 and xor 0x80) and every truncation of
@@ -723,6 +783,7 @@ NEEDS_BINS = (
 )
 
 
+@pytest.mark.slow
 def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     # Every 4th byte of each inner blob of the fuzz stream set to 0x00,
     # 0x01, 0xff and xor 0x80, and the blob cut at every 4th length, then
@@ -738,7 +799,7 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     from dataclasses import replace
 
     from gradzip.codec import lossless_compress, lossless_decompress
-    from gradzip.pipeline import TAG_LOSSLESS, frame_payload
+    from gradzip.pipeline import TAG_LOSSLESS, _max_inner_bytes, frame_payload
     from gradzip.trace import GradientTensor
 
     rec = tmp_path / "r.gtrc"
@@ -759,7 +820,7 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     def cases():
         for r, p in enumerate(payloads):
             for i, blob in enumerate(p.blobs):
-                inner = lossless_decompress(blob)
+                inner = lossless_decompress(blob, _max_inner_bytes(want[r][i].spec.numel))
                 for off in range(0, 1 if r and inner[0] == TAG_LOSSLESS else len(inner), 4):
                     for byte in sorted({0x00, 0x01, 0xFF, inner[off] ^ 0x80} - {inner[off]}):
                         yield r, i, inner[:off] + bytes([byte]) + inner[off + 1:]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradzip import pipeline
+from gradzip import pipeline, predictor
 from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig, lossless_compress
 from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError
 from gradzip.pipeline import (
@@ -203,15 +203,31 @@ class TestSynchronization:
             assert c_got.to_bytes() == c_want.to_bytes() == s_got.to_bytes()
 
     def test_previous_signs_built_only_for_flip_bitmaps(self, monkeypatch):
-        calls = []
-        real = pipeline._prev_sign
-        monkeypatch.setattr(pipeline, "_prev_sign", lambda r: calls.append(1) or real(r))
+        # reconstruct_signs, on both sides, takes np.sign of the previous
+        # reconstruction only for a flip bitmap.
+        calls, variant = [], []
+        real_sign, real_reconstruct = np.sign, predictor.reconstruct_signs
+
+        def reconstruct(bitmap, prev_recon, spec):
+            variant.append(bitmap.variant)
+            try:
+                return real_reconstruct(bitmap, prev_recon, spec)
+            finally:
+                variant.pop()
+
+        def sign(*args, **kwargs):
+            calls.append(variant[-1] if variant else None)
+            return real_sign(*args, **kwargs)
+
+        monkeypatch.setattr(predictor, "reconstruct_signs", reconstruct)
+        monkeypatch.setattr(pipeline, "reconstruct_signs", reconstruct)
+        monkeypatch.setattr(np, "sign", sign)
         run_lockstep(structured_trace(seed=24, rounds=3), make_params())
         assert calls == []
         run_lockstep(
             structured_trace(seed=24, rounds=3, mode="full_batch"), make_params(full_batch=True)
         )
-        assert calls
+        assert set(calls) == {VARIANT_FLIP}
 
     def test_decode_payload_describes_the_blobs_it_parsed(self):
         trace = structured_trace(seed=10, rounds=3)
@@ -586,12 +602,13 @@ class TestFullBatchPath:
         flips = []
         state = SyncState.initial(trace.layers)
         server = SyncState.initial(trace.layers)
+        cap = pipeline._max_inner_bytes(trace.layers[0].numel)
         from gradzip.codec import lossless_decompress
         from gradzip.predictor import decode_bitmap
         from gradzip.trace import ByteReader
         for tensors in trace.rounds:
             payload, state = compress_round(tensors, state, params)
-            inner = lossless_decompress(payload.blobs[0])
+            inner = lossless_decompress(payload.blobs[0], cap)
             reader = ByteReader(inner, truncation_error=IntegrityError)
             tag, flags = reader.unpack("<BB")
             reader.take(16)  # mu f32, sigma f32, delta f64
@@ -677,8 +694,9 @@ class TestStateDigest:
         trace = structured_trace(seed=28, rounds=2)
         params = make_params()
         state = SyncState.initial(trace.layers)
+        cap = pipeline._max_inner_bytes(trace.layers[0].numel)
         for tensors in trace.rounds:
             payload, state = compress_round(tensors, state, params)
-            inner = lossless_decompress(payload.blobs[0])
+            inner = lossless_decompress(payload.blobs[0], cap)
             crc = zlib.crc32(state.prev_recon[0].tobytes(), zlib.crc32(state.memory[0].tobytes()))
             assert inner[-4:] == struct.pack("<I", crc)

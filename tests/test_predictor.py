@@ -9,7 +9,6 @@ from gradzip.predictor import (
     SIGMA_FLOOR,
     PredictParams,
     SignBitmap,
-    SignTensor,
     UndefinedCorrelationError,
     bitmap_overhead_ratio,
     decode_bitmap,
@@ -185,34 +184,31 @@ class TestPredictSigns:
     def test_full_batch_anticorrelated(self):
         spec = LayerSpec("fc", (2, 2))
         g = GradientTensor(spec, np.array([1.0, -2.0, 3.0, -4.0], dtype=np.float32))
-        prev_recon = GradientTensor(spec, -g.values)
-        prev_sign = SignTensor(np.sign(prev_recon.values).astype(np.int8))
+        prev_recon = -g.values
         params = PredictParams(full_batch=True)
-        signs, bitmap = predict_signs(g, prev_sign, prev_recon, params)
+        signs, bitmap = predict_signs(g, prev_recon, params)
         assert bitmap.variant == "flip_bit" and bitmap.flip is True
-        np.testing.assert_array_equal(signs.values, -prev_sign.values)
+        np.testing.assert_array_equal(signs.values, -np.sign(prev_recon))
 
     def test_full_batch_correlated_no_flip(self):
         spec = LayerSpec("fc", (2, 2))
         g = GradientTensor(spec, np.array([1.0, -2.0, 3.0, -4.0], dtype=np.float32))
-        prev_sign = SignTensor(np.sign(g.values).astype(np.int8))
-        signs, bitmap = predict_signs(g, prev_sign, g, PredictParams(full_batch=True))
+        signs, bitmap = predict_signs(g, g.values, PredictParams(full_batch=True))
         assert bitmap.flip is False
-        np.testing.assert_array_equal(signs.values, prev_sign.values)
+        np.testing.assert_array_equal(signs.values, np.sign(g.values))
 
     def test_full_batch_zero_norm_means_no_flip(self):
         spec = LayerSpec("fc", (2,))
         g = GradientTensor(spec, np.zeros(2, dtype=np.float32))
-        prev_sign = SignTensor(np.array([1, -1], dtype=np.int8))
-        prev_recon = GradientTensor(spec, np.ones(2, dtype=np.float32))
-        signs, bitmap = predict_signs(g, prev_sign, prev_recon, PredictParams(full_batch=True))
+        prev_recon = np.array([1.0, -1.0], dtype=np.float32)
+        signs, bitmap = predict_signs(g, prev_recon, PredictParams(full_batch=True))
         assert bitmap.flip is False
-        np.testing.assert_array_equal(signs.values, prev_sign.values)
+        np.testing.assert_array_equal(signs.values, [1, -1])
 
     def test_kernel_at_threshold_predicted(self):
         # Consistency exactly 0.5 with tau 0.5: inclusive threshold.
         g = conv_tensor([1.0] * 7 + [-1.0] * 2, 1, 1, 3, 3)
-        signs, bitmap = predict_signs(g, None, None, PredictParams(tau=0.5))
+        signs, bitmap = predict_signs(g, None, PredictParams(tau=0.5))
         assert bitmap.variant == "kernel_maps"
         assert bitmap.level1.tolist() == [True]
         assert bitmap.level2.tolist() == [True]
@@ -220,7 +216,7 @@ class TestPredictSigns:
 
     def test_kernel_below_threshold(self):
         g = conv_tensor([1.0] * 5 + [-1.0] * 4, 1, 1, 3, 3)
-        signs, bitmap = predict_signs(g, None, None, PredictParams(tau=0.5))
+        signs, bitmap = predict_signs(g, None, PredictParams(tau=0.5))
         assert bitmap.level1.tolist() == [False]
         assert bitmap.level2.size == 0
         np.testing.assert_array_equal(signs.values, np.zeros(9, dtype=np.int8))
@@ -228,18 +224,18 @@ class TestPredictSigns:
     def test_dominant_tie_unpredicted(self):
         # P == N with zeros filling the rest: high raw consistency, still a tie.
         g = conv_tensor([1.0, -1.0] + [0.0] * 7, 1, 1, 3, 3)
-        signs, bitmap = predict_signs(g, None, None, PredictParams(tau=0.5))
+        signs, bitmap = predict_signs(g, None, PredictParams(tau=0.5))
         assert bitmap.level1.tolist() == [False]
         np.testing.assert_array_equal(signs.values, np.zeros(9, dtype=np.int8))
 
     def test_all_zero_kernel_unpredicted(self):
         g = conv_tensor([0.0] * 9, 1, 1, 3, 3)
-        _, bitmap = predict_signs(g, None, None, PredictParams())
+        _, bitmap = predict_signs(g, None, PredictParams())
         assert bitmap.level1.tolist() == [False]
 
     def test_negative_dominant(self):
         g = conv_tensor([-1.0] * 8 + [1.0], 1, 1, 3, 3)
-        signs, bitmap = predict_signs(g, None, None, PredictParams())
+        signs, bitmap = predict_signs(g, None, PredictParams())
         assert bitmap.level1.tolist() == [True]
         assert bitmap.level2.tolist() == [False]
         np.testing.assert_array_equal(signs.values, -np.ones(9, dtype=np.int8))
@@ -247,7 +243,7 @@ class TestPredictSigns:
     def test_non_conv_layer_no_prediction(self):
         spec = LayerSpec("fc", (4, 4))
         g = GradientTensor(spec, np.ones(16, dtype=np.float32))
-        signs, bitmap = predict_signs(g, None, None, PredictParams())
+        signs, bitmap = predict_signs(g, None, PredictParams())
         assert bitmap.variant == "none"
         assert not signs.values.any()
 
@@ -261,7 +257,7 @@ class TestReconstructSigns:
             kh, kw = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             spec = LayerSpec("c", (out_ch, in_ch, kh, kw))
             g = GradientTensor(spec, rng.normal(size=spec.numel).astype(np.float32))
-            signs, bitmap = predict_signs(g, None, None, PredictParams(tau=0.4))
+            signs, bitmap = predict_signs(g, None, PredictParams(tau=0.4))
             back = reconstruct_signs(bitmap, None, spec)
             np.testing.assert_array_equal(back.values, signs.values)
 
@@ -270,10 +266,9 @@ class TestReconstructSigns:
         spec = LayerSpec("fc", (8, 8))
         for _ in range(30):
             g = GradientTensor(spec, rng.normal(size=64).astype(np.float32))
-            prev_recon = GradientTensor(spec, rng.normal(size=64).astype(np.float32))
-            prev_sign = SignTensor(rng.choice([-1, 1], size=64).astype(np.int8))
-            signs, bitmap = predict_signs(g, prev_sign, prev_recon, PredictParams(full_batch=True))
-            back = reconstruct_signs(bitmap, prev_sign, spec)
+            prev_recon = rng.normal(size=64).astype(np.float32)
+            signs, bitmap = predict_signs(g, prev_recon, PredictParams(full_batch=True))
+            back = reconstruct_signs(bitmap, prev_recon, spec)
             np.testing.assert_array_equal(back.values, signs.values)
 
     def test_none_variant_gives_zeros(self):
@@ -336,7 +331,7 @@ class TestBitmapWire:
         spec = LayerSpec("c", (128, 96, 3, 3))  # 110592 elements
         raw = rng.normal(size=spec.numel).astype(np.float32)
         g = GradientTensor(spec, raw)
-        signs, bitmap = predict_signs(g, None, None, PredictParams(tau=0.2))
+        signs, bitmap = predict_signs(g, None, PredictParams(tau=0.2))
         p_ratio = bitmap.predicted_count / spec.kernel_count
         bits = spec.kernel_count + bitmap.predicted_count
         measured = bits / spec.numel
