@@ -53,6 +53,7 @@ from .errors import (
     FormatError,
     GradzipError,
     IntegrityError,
+    ProtocolError,
     UsageError,
 )
 from .flsim import (
@@ -207,10 +208,10 @@ def _open_stream(path):
     round count, payload frames), with the header digest checked.
 
     The digest is checked before anything is sized from the layer table.
-    Then every frame's framing, the declared round count and every frame's
-    check_payload are checked, in that order, passing over the blobs, so a
-    fault anywhere in the file is found before the first decode. The frames
-    are then read one at a time as they are iterated.
+    Then every frame's framing, the declared round count, and every frame's
+    check_payload and round number are checked, in that order, passing over
+    the blobs, so a fault anywhere in the file is found before the first
+    decode. The frames are then read one at a time as they are iterated.
     """
     with open(path, "rb") as fh:
         reader = FileReader(fh)
@@ -238,6 +239,8 @@ def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> 
         if fault is None:
             try:
                 check_payload(head, layers)
+                if head.round != count:
+                    raise ProtocolError(f"payload is round {head.round}, stream expects {count}")
             except GradzipError as exc:
                 fault = exc
     if count != nrounds:

@@ -60,6 +60,7 @@ from .codec import (
 )
 from .errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
 from .predictor import (
+    VARIANT_KERNEL,
     VARIANT_NONE,
     PredictParams,
     SignBitmap,
@@ -70,7 +71,7 @@ from .predictor import (
     predict_signs,
     reconstruct_signs,
 )
-from .trace import ByteReader, GradientTensor, LayerSpec, abs_stats, encode_layer_table
+from .trace import KIND_CONV4D, ByteReader, GradientTensor, LayerSpec, abs_stats, encode_layer_table
 
 PAYLOAD_MAGIC = b"GEBC"
 PAYLOAD_VERSION = 2
@@ -192,7 +193,7 @@ def _encode_layer(
         blob = lossless_compress(inner, params.backend)
         np.copyto(recon, g.values)
         return blob, BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
-    mu, sigma = abs_stats(g)
+    mu, sigma = abs_stats(g.values, np.empty(spec.numel))
     mu32, sigma32 = np.float32(mu), np.float32(sigma)
     flags = _FLAG_PREDICTION if params.prediction_enabled else 0
     bitmap = _client_bitmap(g, recon, state.round == 0, params)
@@ -371,7 +372,8 @@ def _parse_blob(
     Returns the blob's description, its sign bitmap (None for a lossless
     blob) and its body: the float32 values of a lossless blob, read in
     place, or the parsed stream of a lossy one. A blob of round 1 has no previous signs to
-    predict from, so it may not carry a sign bitmap.
+    predict from, so it may not carry a sign bitmap, and a kernel bitmap must
+    fit the layer's kernels.
     """
     try:
         inner = lossless_decompress(blob, _max_inner_bytes(spec.numel))
@@ -401,6 +403,11 @@ def _parse_blob(
             )
         if bitmap.variant != VARIANT_NONE and first_round:
             raise IntegrityError(f"layer {spec.name!r}: sign bitmap in round 1")
+        if bitmap.variant == VARIANT_KERNEL and spec.kind != KIND_CONV4D:
+            raise IntegrityError(f"layer {spec.name!r}: kernel bitmap for a non-conv4d layer")
+        if bitmap.variant == VARIANT_KERNEL and bitmap.kernel_count != spec.kernel_count:
+            raise IntegrityError(f"layer {spec.name!r}: bitmap covers {bitmap.kernel_count} "
+                                 f"kernels, layer has {spec.kernel_count}")
         bitmap_bytes = reader.pos - bitmap_start
         body = read_stream(reader, spec.numel)
         (state_crc,) = reader.unpack("<I")

@@ -14,7 +14,7 @@ State goes in and comes out explicitly, so the client and server stay
 bitwise-identical by construction. The one exception to purity is
 predict_magnitude's memory, a plain float64 array that it writes over with
 the next round's: the pipeline's state owns one per layer. SignTensor checks
-nothing, as only this module and the pipeline fill it.
+nothing, as only reconstruct_signs fills it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, FormatError, IntegrityError, UsageError
-from .trace import KIND_CONV4D, ByteReader, GradientTensor, LayerSpec
+from .trace import KIND_CONV4D, ByteReader, GradientTensor, LayerSpec, abs_stats
 
 VARIANT_NONE = "none"
 VARIANT_FLIP = "flip_bit"
@@ -63,10 +63,6 @@ class SignTensor:
     """Predicted signs, one int8 per element in {-1, 0, +1}; 0 means none."""
 
     values: np.ndarray
-
-    @classmethod
-    def zeros(cls, numel: int) -> "SignTensor":
-        return cls(np.zeros(numel, dtype=np.int8))
 
 
 @dataclass
@@ -171,19 +167,14 @@ def predict_magnitude(
     n, beta = recon.size, params.beta
     if memory.dtype != np.float64 or memory.shape != (n,):
         raise UsageError(f"predictor memory must be a float64 array of {n} elements")
-    pred_abs = np.abs(recon, dtype=np.float64)
-    mean = float(pred_abs.mean())
+    pred_abs = np.empty(n)
+    mean, dev = abs_stats(recon, pred_abs)
+    scale = max(dev, SIGMA_FLOOR)
     sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
-    # Each pass works a block at a time, so every step reads the previous
-    # one's output from cache. The first writes the squared deviations over
-    # the magnitudes, and the deviation is their std()'s, from the same
-    # squares summed the same way. The second takes the magnitudes from the
-    # reconstruction again and builds z_prev, z_pred (over the memory block
-    # it reads) and the prediction.
-    for a in range(0, n, _BLOCK):
-        p = pred_abs[a:a + _BLOCK]
-        np.square(np.subtract(p, mean, out=p), out=p)
-    scale = max(math.sqrt(float(pred_abs.sum()) / n), SIGMA_FLOOR)
+    # One pass a block at a time, so every step reads the previous one's
+    # output from cache: it takes the magnitudes from the reconstruction
+    # again and builds z_prev, z_pred (over the memory block it reads) and
+    # the prediction, over the buffer abs_stats worked in.
     for a in range(0, n, _BLOCK):
         p, z = pred_abs[a:a + _BLOCK], memory[a:a + _BLOCK]
         np.abs(recon[a:a + _BLOCK], out=p)
@@ -233,20 +224,6 @@ def sign_consistency(kernel: np.ndarray) -> float:
     return float(_consistency((k > 0).sum(), (k < 0).sum(), k.size))
 
 
-def _kernel_sign_prediction(values: np.ndarray, spec: LayerSpec, tau: float):
-    ksize = spec.kernel_size
-    kernels = values.reshape(-1, ksize)
-    pos = (kernels > 0).sum(axis=1)
-    neg = (kernels < 0).sum(axis=1)
-    consist = _consistency(pos, neg, ksize)
-    # A dominant-sign tie carries no direction, so the kernel stays unpredicted.
-    predictable = (consist >= tau) & (pos != neg)
-    dominant = np.where(pos >= neg, 1, -1).astype(np.int8)
-    per_kernel = np.where(predictable, dominant, np.int8(0)).astype(np.int8)
-    signs = np.repeat(per_kernel, ksize)
-    return signs, predictable, dominant[predictable] > 0
-
-
 def predict_signs(
     g_curr: GradientTensor, prev_recon: np.ndarray | None, params: PredictParams
 ) -> tuple[SignTensor, SignBitmap]:
@@ -258,6 +235,7 @@ def predict_signs(
     correlations (zero norm) count as "no flip". Mini-batch mode predicts per
     convolution kernel when the kernel's sign consistency reaches tau; other
     layers get no prediction at all. Only full-batch mode reads prev_recon.
+    The signs are reconstruct_signs of the bitmap, as the server rebuilds them.
     """
     spec = g_curr.spec
     if params.full_batch:
@@ -268,25 +246,28 @@ def predict_signs(
         except UndefinedCorrelationError:
             c = 1.0
         bitmap = SignBitmap(variant=VARIANT_FLIP, flip=c < 0.0)
-        return reconstruct_signs(bitmap, prev_recon, spec), bitmap
-    if spec.kind != KIND_CONV4D:
-        return SignTensor.zeros(spec.numel), SignBitmap()
-    signs, level1, level2 = _kernel_sign_prediction(g_curr.values, spec, params.tau)
-    bitmap = SignBitmap(
-        variant=VARIANT_KERNEL,
-        kernel_count=spec.kernel_count,
-        level1=level1,
-        level2=level2,
-    )
-    return SignTensor(signs), bitmap
+    elif spec.kind == KIND_CONV4D:
+        ksize = spec.kernel_size
+        kernels = g_curr.values.reshape(-1, ksize)
+        pos, neg = (kernels > 0).sum(axis=1), (kernels < 0).sum(axis=1)
+        # A dominant-sign tie carries no direction, so the kernel stays unpredicted.
+        level1 = (_consistency(pos, neg, ksize) >= params.tau) & (pos != neg)
+        bitmap = SignBitmap(
+            variant=VARIANT_KERNEL, kernel_count=spec.kernel_count,
+            level1=level1, level2=(pos > neg)[level1],
+        )
+    else:
+        bitmap = SignBitmap()
+    return reconstruct_signs(bitmap, prev_recon, spec), bitmap
 
 
 def reconstruct_signs(bitmap: SignBitmap, prev_recon: np.ndarray | None, spec: LayerSpec) -> SignTensor:
     """Server-side inverse of predict_signs, driven only by the bitmap. A
     flip bitmap keeps or flips the signs of prev_recon, the previous round's
-    reconstruction; no other variant reads it."""
+    reconstruction; no other variant reads it. A kernel bitmap must fit the
+    layer, which the blob parser checks."""
     if bitmap.variant == VARIANT_NONE:
-        return SignTensor.zeros(spec.numel)
+        return SignTensor(np.zeros(spec.numel, dtype=np.int8))
     if bitmap.variant == VARIANT_FLIP:
         if prev_recon is None or prev_recon.size != spec.numel:
             raise IntegrityError("flip-bit bitmap without a matching previous reconstruction")
@@ -294,12 +275,6 @@ def reconstruct_signs(bitmap: SignBitmap, prev_recon: np.ndarray | None, spec: L
         if bitmap.flip:
             np.negative(values, out=values)
         return SignTensor(values)
-    if spec.kind != KIND_CONV4D:
-        raise IntegrityError(f"kernel bitmap for non-conv4d layer {spec.name!r}")
-    if bitmap.kernel_count != spec.kernel_count:
-        raise IntegrityError(
-            f"bitmap covers {bitmap.kernel_count} kernels, layer has {spec.kernel_count}"
-        )
     dominant = np.zeros(spec.kernel_count, dtype=np.int8)
     dominant[bitmap.level1] = np.where(bitmap.level2, 1, -1).astype(np.int8)
     return SignTensor(np.repeat(dominant, spec.kernel_size))

@@ -182,13 +182,13 @@ class SynthConfig:
             raise UsageError(f"unknown trace mode {self.mode!r}")
 
 
-def abs_stats(t: GradientTensor) -> tuple[float, float]:
+def abs_stats(values: np.ndarray, out: np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation of the elementwise magnitudes.
 
-    Built in one buffer; the deviation is a.std()'s, from the same squared
-    deviations summed the same way.
+    Built in ``out``, a float64 array of the values' length; the deviation is
+    a.std()'s, from the same squared deviations summed the same way.
     """
-    a = np.abs(t.values, dtype=np.float64)
+    a = np.abs(values, out=out, dtype=np.float64)
     mean = float(a.mean())
     a -= mean
     return mean, math.sqrt(float(np.square(a, out=a).sum()) / a.size)

@@ -545,6 +545,54 @@ def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.gtrc").exists()
 
 
+@pytest.mark.parametrize("layer", ["fc", "conv1"])
+def test_kernel_bitmap_that_does_not_fit_exits_3(tmp_path, capsys, layer):
+    # A round-2 kernel bitmap on a non-conv layer, or one kernel short of a
+    # conv layer's count: both readers refuse it with the same message.
+    from dataclasses import replace
+
+    from gradzip.codec import lossless_compress
+    from gradzip.pipeline import describe_blob, frame_payload
+    from gradzip.predictor import VARIANT_KERNEL, SignBitmap, decode_bitmap, encode_bitmap
+    from gradzip.trace import ByteReader
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    payloads = read_frames(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    layers = load_trace(trace).layers
+    i = [spec.name for spec in layers].index(layer)
+    blob = payloads[1].blobs[i]
+    # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
+    # the bitmap; a stored blob ends with its CRC32. The crafted blob
+    # carries a valid CRC.
+    assert blob[:2] == b"S\x01"
+    end = 19 + describe_blob(blob, layers[i]).bitmap_bytes
+    if layer == "fc":
+        bitmap = SignBitmap(VARIANT_KERNEL, kernel_count=4, level1=np.zeros(4, bool),
+                            level2=np.zeros(0, bool))
+        message = "kernel bitmap for a non-conv4d layer"
+    else:
+        full = decode_bitmap(ByteReader(blob[19:end]))
+        level1 = full.level1[:-1]
+        bitmap = SignBitmap(VARIANT_KERNEL, kernel_count=level1.size, level1=level1,
+                            level2=full.level2[:int(level1.sum())])
+        message = f"bitmap covers {level1.size} kernels, layer has {full.kernel_count}"
+    blobs = list(payloads[1].blobs)
+    blobs[i] = lossless_compress(blob[1:19] + encode_bitmap(bitmap) + blob[end:-4], "store")
+    bad = tmp_path / "bad.gzp"
+    tampered = replace(payloads[1], blobs=blobs)
+    bad.write_bytes(header + frame_payload(payloads[0]) + frame_payload(tampered))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert run("inspect", bad) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count(message) == 2
+    assert captured.out == ""
+    assert not (tmp_path / "r.gtrc").exists()
+
+
 def test_bin_cap_exceeded_on_the_wire_exits_3(tmp_path, capsys):
     import struct
 
@@ -1054,7 +1102,9 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
     # Every frame's framing, then the round count, then every frame against
     # the layer table: a fault in the last frame stops the command before
     # any frame is decoded, and a framing fault outranks a layer-table
-    # mismatch in an earlier frame.
+    # mismatch in an earlier frame. Frame k must carry round k.
+    import struct
+
     import gradzip.cli as cli
     from gradzip.pipeline import frame_payload
 
@@ -1067,6 +1117,10 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
     digest_at = header + 4 + 2 + 4 + 4  # magic, version u16, client u32, round u32
     wrong_digest = bytearray(data)
     wrong_digest[digest_at] ^= 0xFF
+    round_at = header + len(frame_payload(frames[0])) + 4 + 2 + 4  # frame 2's round u32
+    assert struct.unpack_from("<I", data, round_at)[0] == 2
+    out_of_sequence = bytearray(data)
+    struct.pack_into("<I", out_of_sequence, round_at, 3)
     decodes = []
     monkeypatch.setattr(cli, "decode_payload", lambda *a: decodes.append(a) or 1 / 0)
     bad = tmp_path / "bad.gzp"
@@ -1077,6 +1131,7 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
         (data + frame_payload(frames[-1]), 3, "declares 3 rounds but contains 4"),
         (bytes(wrong_digest) + frame_payload(frames[-1]), 3, "declares 3 rounds but contains 4"),
         (bytes(wrong_digest), 3, "does not match the layer table"),
+        (bytes(out_of_sequence), 3, "payload is round 3, stream expects 2"),
     ]
     for case, code, message in cases:
         bad.write_bytes(case)

@@ -32,9 +32,10 @@ from gradzip.predictor import (
     PredictParams,
     SignBitmap,
     SignTensor,
+    decode_bitmap,
     encode_bitmap,
 )
-from gradzip.trace import GradientTensor, LayerSpec, SynthConfig, synth_trace
+from gradzip.trace import ByteReader, GradientTensor, LayerSpec, SynthConfig, synth_trace
 
 
 def make_params(mode="absolute", value=1e-2, full_batch=False, prediction=True,
@@ -525,6 +526,27 @@ class TestProtocolErrors:
             decompress_round(tampered, SyncState.initial(trace.layers), params)
         with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
             describe_payload(tampered, trace.layers)
+
+    def test_kernel_count_mismatch(self):
+        # A round-2 kernel bitmap one kernel short of the layer's count. The
+        # blob parser, which both readers run, refuses it before any bins
+        # are decoded. The crafted blob carries a valid CRC.
+        trace = structured_trace(seed=23, rounds=2)
+        params = make_params(backend="store")
+        client = SyncState.initial(trace.layers)
+        _, client = compress_round(trace.rounds[0], client, params)
+        payload, infos, _ = encode_round(trace.rounds[1], client, params)
+        spec, blob = trace.layers[0], payload.blobs[0]
+        # Store tag, blob tag u8, flags u8, mu f32, sigma f32, delta f64, then
+        # the bitmap; a stored blob ends with its CRC32.
+        end = 19 + infos[0].bitmap_bytes
+        bitmap = decode_bitmap(ByteReader(blob[19:end]))
+        level1 = bitmap.level1[:-1]
+        short = SignBitmap(VARIANT_KERNEL, kernel_count=level1.size, level1=level1,
+                           level2=bitmap.level2[:int(level1.sum())])
+        blob = lossless_compress(blob[1:19] + encode_bitmap(short) + blob[end:-4], "store")
+        with pytest.raises(IntegrityError, match=f"bitmap covers {spec.kernel_count - 1} kernels"):
+            describe_blob(blob, spec)
 
     def test_describe_blob_checks_literals_like_decode(self):
         # A bound far below float32 resolution turns every element into a

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradzip.errors import IntegrityError, UsageError
 from gradzip.predictor import (
@@ -247,6 +249,35 @@ class TestPredictSigns:
         assert bitmap.variant == "none"
         assert not signs.values.any()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)),
+        tau=st.one_of(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]), st.floats(0.0, 1.0)),
+        data=st.data(),
+    )
+    def test_kernel_bitmap_matches_per_kernel_oracle(self, shape, tau, data):
+        # Entries from a few values with zeros of both signs, so small kernels
+        # often tie or sit exactly at tau.
+        spec = LayerSpec("c", shape)
+        entries = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 2.0])
+        values = np.array(data.draw(st.lists(entries, min_size=spec.numel, max_size=spec.numel)),
+                          dtype=np.float32)
+        signs, bitmap = predict_signs(GradientTensor(spec, values), None, PredictParams(tau=tau))
+        assert bitmap.variant == "kernel_maps" and bitmap.kernel_count == spec.kernel_count
+        kernels = values.reshape(spec.kernel_count, spec.kernel_size)
+        level2 = iter(bitmap.level2.tolist())
+        for kernel, hit, kernel_signs in zip(
+            kernels, bitmap.level1.tolist(), signs.values.reshape(kernels.shape)
+        ):
+            pos, neg = int((kernel > 0).sum()), int((kernel < 0).sum())
+            assert hit == (sign_consistency(kernel) >= tau and pos != neg)
+            want = 0
+            if hit:
+                assert next(level2) == (pos > neg)
+                want = 1 if pos > neg else -1
+            assert (kernel_signs == want).all()
+        assert next(level2, None) is None
+
 
 class TestReconstructSigns:
     def test_roundtrip_mini_batch(self):
@@ -275,15 +306,6 @@ class TestReconstructSigns:
         spec = LayerSpec("fc", (3,))
         out = reconstruct_signs(SignBitmap(), None, spec)
         assert not out.values.any()
-
-    def test_kernel_count_mismatch(self):
-        spec = LayerSpec("c", (2, 2, 3, 3))
-        bitmap = SignBitmap(
-            variant="kernel_maps", kernel_count=3,
-            level1=np.zeros(3, dtype=bool), level2=np.zeros(0, dtype=bool),
-        )
-        with pytest.raises(IntegrityError):
-            reconstruct_signs(bitmap, None, spec)
 
 
 class TestBitmapWire:
