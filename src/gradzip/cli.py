@@ -14,9 +14,11 @@ against the original trace.
 write one round at a time, so their memory is about one round plus one
 predictor state, whatever the number of rounds: every round advances
 that state in place (see pipeline), and ``compress`` writes each round's
-CSV rows as the round comes. ``synth`` generates and writes one round at
-a time too, and ``simulate`` reads one round of each client's trace per
-step and writes that round's CSV rows before it reads the next.
+CSV rows as the round comes. The two readers walk the frames once to check
+them, then read each checked frame by its byte range. ``synth`` generates
+and writes one round at a time too, and ``simulate`` reads one round of
+each client's trace per step and writes that round's CSV rows before it
+reads the next.
 
 Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
 3 integrity, data, or protocol violation. All output files are written
@@ -71,8 +73,8 @@ from .pipeline import (
     check_payload,
     decode_payload,
     describe_payload,
-    frame_payload,
     iter_payloads,
+    parse_payload,
 )
 from .predictor import PredictParams
 from .trace import (
@@ -205,13 +207,14 @@ def _stream_header(mode: str, layers: list[LayerSpec], nrounds: int, predict: Pr
 @contextlib.contextmanager
 def _open_stream(path):
     """Open a stream file: ((mode, predictor parameters), layers, declared
-    round count, payload frames), with the header digest checked.
+    round count, (payload, frame size) pairs), with the header digest checked.
 
     The digest is checked before anything is sized from the layer table.
-    Then every frame's framing, the declared round count, and every frame's
-    check_payload and round number are checked, in that order, passing over
-    the blobs, so a fault anywhere in the file is found before the first
-    decode. The frames are then read one at a time as they are iterated.
+    Then one walk over the frames checks their framing, the declared round
+    count, and each frame's check_payload and round number, in that order,
+    passing over the blobs, so a fault anywhere in the file is found before
+    the first decode. Each checked frame is then read by its byte range as
+    it is iterated: a file changed since fails that read or the frame's checks.
     """
     with open(path, "rb") as fh:
         reader = FileReader(fh)
@@ -226,16 +229,18 @@ def _open_stream(path):
             predict = PredictParams(beta, tau, bool(full_batch))
         except UsageError as exc:
             raise FormatError(f"payload stream: {exc}") from exc
+        ranges = _check_frames(reader, layers, nrounds)
+        frames = ((parse_payload(reader.reread(a, b)), b - a) for a, b in ranges)
+        yield (mode, predict), layers, nrounds, frames
+
+
+def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> list:
+    """Check every frame's header, passing over its blobs; returns the
+    frames' (start, stop) byte ranges."""
+    ranges, fault, start = [], None, reader.pos
+    for count, head in enumerate(iter_payloads(reader, headers_only=True), 1):
+        ranges.append((start, reader.pos))
         start = reader.pos
-        _check_frames(reader, layers, nrounds)
-        reader.seek(start)
-        yield (mode, predict), layers, nrounds, _frames(reader, nrounds)
-
-
-def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> None:
-    count, fault = 0, None
-    for head in iter_payloads(reader, headers_only=True):
-        count += 1
         if fault is None:
             try:
                 check_payload(head, layers)
@@ -243,23 +248,11 @@ def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> 
                     raise ProtocolError(f"payload is round {head.round}, stream expects {count}")
             except GradzipError as exc:
                 fault = exc
-    if count != nrounds:
-        raise IntegrityError(f"stream declares {nrounds} rounds but contains {count}")
+    if len(ranges) != nrounds:
+        raise IntegrityError(f"stream declares {nrounds} rounds but contains {len(ranges)}")
     if fault is not None:
         raise fault
-
-
-def _frames(reader: FileReader, nrounds: int):
-    # The round count again, as the file may have changed since
-    # _check_frames; decode_payload and describe_payload run check_payload.
-    count = 0
-    for payload in iter_payloads(reader):
-        count += 1
-        if count > nrounds:
-            raise IntegrityError(f"stream declares {nrounds} rounds but contains more")
-        yield payload
-    if count != nrounds:
-        raise IntegrityError(f"stream declares {nrounds} rounds but contains {count}")
+    return ranges
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +323,7 @@ def cmd_decompress(args) -> int:
             # Each round is decoded over the state, whose reconstructions
             # are written out before the next round is.
             server = SyncState.initial(layers)
-            for payload in frames:
+            for payload, _ in frames:
                 recons, infos, server = decode_payload(payload, server, predict)
                 if originals is not None:
                     stats = check_bounds(next(originals), recons, payload, infos)
@@ -382,8 +375,7 @@ def cmd_inspect(args) -> int:
             shape = "x".join(str(d) for d in spec.shape)
             lines.append(f"layer {spec.name} kind {spec.kind} shape {shape}")
         total_wire = 0
-        for payload in frames:
-            framed = len(frame_payload(payload))
+        for payload, framed in frames:
             total_wire += framed
             lines.append(
                 f"payload client {payload.client_id} round {payload.round} "

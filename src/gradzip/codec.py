@@ -134,10 +134,10 @@ def quantize(
     """Quantize original - ghat, demoting bound violators to exact literals.
 
     Returns the stream and out, a float32 array of the input's length that
-    holds the reconstruction dequantize will compute. The check runs against
-    that exact float32 value, so float32 rounding can never push an element
-    past the bound: offenders carry their original value. Works _PACK_CHUNK
-    elements at a time in reused buffers.
+    holds the reconstruction dequantize will compute. An element whose bin
+    overflows the cap, or whose float32 reconstruction misses the bound, is
+    a literal carrying its original value, so the bound always holds. Works
+    _PACK_CHUNK elements at a time in reused buffers.
     """
     if not 0.0 < 2.0 * float(delta) < np.inf:
         raise UsageError(f"delta must be positive with a finite bin width 2 * delta, got {delta}")
@@ -162,15 +162,11 @@ def quantize(
         w[~o] = 0.0
         np.copyto(bins[a:b], w, casting="unsafe")
         _bin_centers(bins[a:b], h, delta, out=w)
-        # A centre past the float32 range casts to inf, which the isfinite
-        # test demotes to a literal.
+        # The one bound test, on the float32 value dequantize rebuilds; a
+        # centre past the float32 range casts to inf and fails it.
         with np.errstate(over="ignore"):
             np.copyto(recon32[a:b], w, casting="same_kind")
-        o &= np.isfinite(recon32[a:b])
-        w -= g
-        o &= np.abs(w, out=w) <= delta
-        np.copyto(w, recon32[a:b])
-        w -= g
+        np.subtract(recon32[a:b], g, out=w)
         o &= np.abs(w, out=w) <= delta
     mask = np.logical_not(ok, out=ok)
     bins[mask] = 0

@@ -141,7 +141,6 @@ class CompressedPayload:
     round: int
     spec_digest: bytes
     blobs: list[bytes]
-    version: int = PAYLOAD_VERSION
 
 
 def _predict(
@@ -170,15 +169,6 @@ def _state_crc(memory: np.ndarray, recon: np.ndarray) -> int:
     return zlib.crc32(recon.astype("<f4", copy=False), crc)
 
 
-def _client_bitmap(
-    g: GradientTensor, prev_recon: np.ndarray, first_round: bool, params: PipelineParams
-) -> SignBitmap:
-    """The client's one sign decision: the bitmap its lossy blob carries."""
-    if not params.prediction_enabled or first_round:
-        return SignBitmap()
-    return predict_signs(g, prev_recon, params.predict)[1]
-
-
 def _encode_layer(
     g: GradientTensor, state: SyncState, i: int, params: PipelineParams
 ) -> tuple[bytes, "BlobInfo"]:
@@ -196,7 +186,7 @@ def _encode_layer(
     mu, sigma = abs_stats(g.values, np.empty(spec.numel))
     mu32, sigma32 = np.float32(mu), np.float32(sigma)
     flags = _FLAG_PREDICTION if params.prediction_enabled else 0
-    bitmap = _client_bitmap(g, recon, state.round == 0, params)
+    bitmap = predict_signs(g, recon, params.predict)[1] if flags and state.round else SignBitmap()
     ghat = _predict(state, i, flags, bitmap, mu32, sigma32, params.predict)
     delta = resolve_bound(params.bound, g)
     stream, _ = quantize(g.values, ghat, delta, recon)
@@ -251,9 +241,7 @@ def compress_round(
 
 
 def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
-    """Check a payload's version, layer-table digest and blob count."""
-    if payload.version != PAYLOAD_VERSION:
-        raise FormatError(f"unsupported payload version {payload.version}")
+    """Check a payload's layer-table digest and blob count."""
     if payload.spec_digest != spec_digest(layers):
         raise ProtocolError(
             f"payload for round {payload.round} does not match the layer table"
@@ -395,6 +383,8 @@ def _parse_blob(
             raise IntegrityError(
                 f"layer {spec.name!r}: non-positive or non-finite delta or bin width on wire"
             )
+        if not (0.0 <= mu < np.inf and 0.0 <= sigma < np.inf):
+            raise IntegrityError(f"layer {spec.name!r}: negative or non-finite mu or sigma on wire")
         bitmap_start = reader.pos
         bitmap = decode_bitmap(reader)
         if not flags & _FLAG_PREDICTION and bitmap.variant != VARIANT_NONE:
@@ -439,7 +429,7 @@ def frame_payload(payload: CompressedPayload) -> bytes:
         raise UsageError("spec digest must be 8 bytes")
     parts = [
         PAYLOAD_MAGIC,
-        struct.pack("<HII", payload.version, payload.client_id, payload.round),
+        struct.pack("<HII", PAYLOAD_VERSION, payload.client_id, payload.round),
         payload.spec_digest,
         struct.pack("<I", len(payload.blobs)),
     ]
@@ -471,7 +461,7 @@ def _parse_one(reader: ByteReader, headers_only: bool = False) -> CompressedPayl
     for _ in range(nlayers):
         (blen,) = reader.unpack("<I")
         blobs.append(read(blen))
-    return CompressedPayload(client_id, round_idx, digest, blobs, version)
+    return CompressedPayload(client_id, round_idx, digest, blobs)
 
 
 def iter_payloads(data, headers_only: bool = False):

@@ -264,8 +264,8 @@ def predict_signs(
 def reconstruct_signs(bitmap: SignBitmap, prev_recon: np.ndarray | None, spec: LayerSpec) -> SignTensor:
     """Server-side inverse of predict_signs, driven only by the bitmap. A
     flip bitmap keeps or flips the signs of prev_recon, the previous round's
-    reconstruction; no other variant reads it. A kernel bitmap must fit the
-    layer, which the blob parser checks."""
+    reconstruction; no other variant reads it. A kernel bitmap that does not
+    fit the layer is a caller's error: the blob parser checks wire bitmaps."""
     if bitmap.variant == VARIANT_NONE:
         return SignTensor(np.zeros(spec.numel, dtype=np.int8))
     if bitmap.variant == VARIANT_FLIP:
@@ -275,6 +275,8 @@ def reconstruct_signs(bitmap: SignBitmap, prev_recon: np.ndarray | None, spec: L
         if bitmap.flip:
             np.negative(values, out=values)
         return SignTensor(values)
+    if bitmap.kernel_count != spec.kernel_count:
+        raise UsageError(f"bitmap covers {bitmap.kernel_count} kernels, layer has {spec.kernel_count}")
     dominant = np.zeros(spec.kernel_count, dtype=np.int8)
     dominant[bitmap.level1] = np.where(bitmap.level2, 1, -1).astype(np.int8)
     return SignTensor(np.repeat(dominant, spec.kernel_size))

@@ -35,7 +35,7 @@ def read_frames(path):
     from gradzip.cli import _open_stream
 
     with _open_stream(path) as (_, _, _, frames):
-        return list(frames)
+        return [payload for payload, _ in frames]
 
 
 def read_csv(path):
@@ -589,6 +589,44 @@ def test_kernel_bitmap_that_does_not_fit_exits_3(tmp_path, capsys, layer):
     assert run("inspect", bad) == 3
     captured = capsys.readouterr()
     assert captured.err.count(message) == 2
+    assert captured.out == ""
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["mu", "sigma"])
+@pytest.mark.parametrize("layer", ["conv1", "fc"])
+def test_bad_mu_or_sigma_on_the_wire_exits_3(tmp_path, capsys, layer, field, value):
+    # A round-2 lossy header whose mu or sigma is NaN, inf or negative (a
+    # stored blob with a valid CRC): both readers refuse it with the same
+    # message, before the prediction reads it.
+    import struct
+    from dataclasses import replace
+
+    from gradzip.codec import lossless_compress
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    payloads = read_frames(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    i = [spec.name for spec in load_trace(trace).layers].index(layer)
+    blob = payloads[1].blobs[i]
+    assert blob[:2] == b"S\x01"
+    # Store tag, then the inner blob: tag u8, flags u8, mu f32, sigma f32.
+    inner = bytearray(blob[1:-4])
+    struct.pack_into("<f", inner, {"mu": 2, "sigma": 6}[field], value)
+    blobs = list(payloads[1].blobs)
+    blobs[i] = lossless_compress(bytes(inner), "store")
+    bad = tmp_path / "bad.gzp"
+    tampered = replace(payloads[1], blobs=blobs)
+    bad.write_bytes(header + frame_payload(payloads[0]) + frame_payload(tampered))
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    assert run("inspect", bad) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count(f"layer {layer!r}: negative or non-finite mu or sigma") == 2
     assert captured.out == ""
     assert not (tmp_path / "r.gtrc").exists()
 

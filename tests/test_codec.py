@@ -208,6 +208,15 @@ class TestQuantize:
         assert np.all(np.abs(out.astype(np.float64) - data.astype(np.float64)) <= delta)
         assert stream.literals.view(np.uint32).tolist() == data[stream.literal_mask].view(np.uint32).tolist()
         assert out.view(np.uint32).tolist() == recon32.view(np.uint32).tolist()
+        # Literals are exactly the elements that must be: the bin overflows
+        # the cap, or its float32 reconstruction misses the bound.
+        g = data.astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_bin = np.rint((g - ghat) / (2.0 * delta))
+            capped = np.where(np.abs(want_bin) <= DEFAULT_BIN_CAP, want_bin, 0.0)
+            centre32 = (capped * (2.0 * delta) + ghat).astype(np.float32)
+            misses = ~(np.abs(centre32.astype(np.float64) - g) <= delta)
+        assert stream.literal_mask.tolist() == ((np.abs(want_bin) > DEFAULT_BIN_CAP) | misses).tolist()
 
     def test_monotone_symbol_count(self):
         rng = np.random.default_rng(19)

@@ -307,6 +307,15 @@ class TestReconstructSigns:
         out = reconstruct_signs(SignBitmap(), None, spec)
         assert not out.values.any()
 
+    def test_kernel_count_mismatch(self):
+        spec = LayerSpec("c", (2, 2, 3, 3))
+        bitmap = SignBitmap(
+            variant="kernel_maps", kernel_count=3,
+            level1=np.zeros(3, dtype=bool), level2=np.zeros(0, dtype=bool),
+        )
+        with pytest.raises(UsageError, match="bitmap covers 3 kernels, layer has 4"):
+            reconstruct_signs(bitmap, None, spec)
+
 
 class TestBitmapWire:
     def test_roundtrip_all_variants(self):
