@@ -49,7 +49,6 @@ from .pipeline import (
     compress_round,
     decode_payload,
     decompress_round,
-    describe_blob,
     encode_round,
     frame_payload,
     iter_payloads,

@@ -20,8 +20,8 @@ and writes one round at a time too, and ``simulate`` reads one round of
 each client's trace per step and writes that round's CSV rows before it
 reads the next.
 
-Exit codes: 0 success, 1 usage error, 2 malformed file or frame,
-3 integrity, data, or protocol violation. All output files are written
+Exit codes: 0 success, 1 usage error or out of memory, 2 malformed file or
+frame, 3 integrity, data, or protocol violation. All output files are written
 atomically (temp file plus rename), so a failed run leaves no output file;
 under ``decompress --reference`` that includes a bound violation. Without
 ``--csv``, ``simulate`` writes to stdout as each round finishes. Every
@@ -210,11 +210,12 @@ def _open_stream(path):
     round count, (payload, frame size) pairs), with the header digest checked.
 
     The digest is checked before anything is sized from the layer table.
-    Then one walk over the frames checks their framing, the declared round
-    count, and each frame's check_payload and round number, in that order,
-    passing over the blobs, so a fault anywhere in the file is found before
-    the first decode. Each checked frame is then read by its byte range as
-    it is iterated: a file changed since fails that read or the frame's checks.
+    Then one walk reads every frame whole and checks their framing, the
+    declared round count, and each frame's check_payload and round number,
+    in that order, decoding no blob, so a fault anywhere in the file is
+    found before the first decode. Each checked frame is then read again by
+    its byte range as it is iterated: a file changed since fails that read
+    or the frame's checks.
     """
     with open(path, "rb") as fh:
         reader = FileReader(fh)
@@ -235,17 +236,17 @@ def _open_stream(path):
 
 
 def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> list:
-    """Check every frame's header, passing over its blobs; returns the
-    frames' (start, stop) byte ranges."""
+    """Read and check every frame, decoding no blob; returns the frames'
+    (start, stop) byte ranges."""
     ranges, fault, start = [], None, reader.pos
-    for count, head in enumerate(iter_payloads(reader, headers_only=True), 1):
+    for count, payload in enumerate(iter_payloads(reader), 1):
         ranges.append((start, reader.pos))
         start = reader.pos
         if fault is None:
             try:
-                check_payload(head, layers)
-                if head.round != count:
-                    raise ProtocolError(f"payload is round {head.round}, stream expects {count}")
+                check_payload(payload, layers)
+                if payload.round != count:
+                    raise ProtocolError(f"payload is round {payload.round}, stream expects {count}")
             except GradzipError as exc:
                 fault = exc
     if len(ranges) != nrounds:
@@ -422,7 +423,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     block = entropy_encode(bins)
     t1 = time.perf_counter()
-    decoded = entropy_decode(block)
+    decoded = entropy_decode(block, n)
     t2 = time.perf_counter()
     if not np.array_equal(decoded, bins):
         raise IntegrityError("entropy stage roundtrip mismatch during bench")
@@ -576,6 +577,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"gradzip: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"gradzip: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

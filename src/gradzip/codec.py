@@ -108,7 +108,6 @@ class HuffmanBlock:
     lengths: np.ndarray
     bit_count: int
     stream: bytes
-    symbol_count: int
 
     def __post_init__(self):
         lengths = np.ascontiguousarray(self.lengths, dtype=np.uint8).reshape(-1)
@@ -313,7 +312,7 @@ def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
     """
     values = np.asarray(bins).reshape(-1)
     if values.size == 0:
-        return HuffmanBlock(0, np.zeros(0, dtype=np.uint8), 0, b"", 0)
+        return HuffmanBlock(0, np.zeros(0, dtype=np.uint8), 0, b"")
     lo, hi = int(values.min()), int(values.max())
     span = hi - lo + 1
     if span > _MAX_ALPHABET_RANGE:
@@ -329,7 +328,7 @@ def entropy_encode(bins: np.ndarray) -> HuffmanBlock:
     lens[used] = _huffman_code_lengths(counts[used])
     bit_count = int(counts @ lens)
     stream = _pack_codes(values, lo, _canonical_codes(lens), lens, bit_count)
-    return HuffmanBlock(lo, lens, bit_count, stream, int(values.size))
+    return HuffmanBlock(lo, lens, bit_count, stream)
 
 
 @dataclass
@@ -343,7 +342,6 @@ class _Automaton:
     """
 
     states: int  # internal nodes; the error state is index `states`
-    max_len: int
     len_gcd: int  # greatest common divisor of the code lengths
     symbols: np.ndarray  # int32 symbols in canonical order
     bit_next: np.ndarray  # (states + 1, 2) next state
@@ -354,18 +352,18 @@ class _Automaton:
     slots: int
 
 
-def _check_table(block: HuffmanBlock, numel: int | None):
+def _check_table(block: HuffmanBlock, numel: int):
     """Check a code table, decoding no bin: symbols (at most numel), a bit
     count numel codes can fill, Kraft's inequality and 32-bit symbols. Returns
     the used symbols in canonical order, their lengths and the codes per length."""
     order, lens = _canonical_order(block.lengths)
     if order.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
-    if numel is not None and order.size > numel:
+    if order.size > numel:
         raise IntegrityError(f"Huffman table declares {order.size} symbols for {numel} elements")
     count = np.bincount(lens)
     min_len, max_len = int(lens[0]), count.size - 1
-    if numel is not None and not numel * min_len <= block.bit_count <= numel * max_len:
+    if not numel * min_len <= block.bit_count <= numel * max_len:
         raise IntegrityError(
             f"{block.bit_count} bits cannot hold {numel} codes of {min_len}..{max_len} bits"
         )
@@ -377,7 +375,7 @@ def _check_table(block: HuffmanBlock, numel: int | None):
     return order, lens, count
 
 
-def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
+def _build_automaton(block: HuffmanBlock, numel: int) -> _Automaton:
     order, lens, count = _check_table(block, numel)
     min_len, max_len = int(lens[0]), count.size - 1
     first_code, first_rank = _canonical_starts(count)
@@ -429,7 +427,7 @@ def _build_automaton(block: HuffmanBlock, numel: int | None) -> _Automaton:
         nib_next[a * 16 : a * 16 + at.size] = at << 4
         nib_count[a * 16 : a * 16 + at.size] = done
     return _Automaton(
-        states, max_len, int(np.gcd.reduce(lens)), symbols, bit_next, bit_rank,
+        states, int(np.gcd.reduce(lens)), symbols, bit_next, bit_rank,
         nib_next, nib_count, nib_emit, slots,
     )
 
@@ -491,7 +489,7 @@ def _chunk_states(step: np.ndarray, chunks: np.ndarray, window: int, period: int
     return states
 
 
-def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
+def entropy_decode(block: HuffmanBlock, numel: int) -> np.ndarray:
     """Exact inverse of entropy_encode. Corrupt streams raise IntegrityError.
 
     The stream is cut into k-bit chunks, k = 8 or 4, and a decoding
@@ -499,13 +497,13 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     state before every chunk at once). The codes each chunk completes are
     then gathered from the 4-bit table in one pass, and the bits after the
     last whole chunk are walked one at a time. The path must end at the
-    root, never entering the error state. numel, when given, is the symbol
-    count the block must hold; _check_table checks the table against it
-    before any decoder table is built. The symbols come out as int32.
+    root, never entering the error state. numel is the symbol count the
+    block must hold; _check_table checks the table against it before any
+    decoder table is built. The symbols come out as int32.
     """
     bit_count = block.bit_count
     if bit_count == 0:
-        if block.symbol_count or numel:
+        if numel:
             raise IntegrityError("empty bitstream for a nonzero symbol count")
         return np.zeros(0, dtype=np.int32)
     a = _build_automaton(block, numel)
@@ -526,9 +524,7 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
         np.right_shift(raw, 4, out=chunks[0::2])
         np.bitwise_and(raw, 15, out=chunks[1::2])
         chunks = chunks[: bit_count >> 2]
-    codes = numel or block.symbol_count
-    per_code = bit_count / codes if codes else a.max_len
-    window = min(chunks.size, math.ceil(_SYNC_CODES * per_code / k))
+    window = min(chunks.size, math.ceil(_SYNC_CODES * bit_count / numel / k))
     states = _chunk_states(step, chunks, window, a.len_gcd // math.gcd(a.len_gcd, k))
     state, tail = int(states[-1]) >> k, []
     for i in range(chunks.size * k, bit_count):
@@ -543,7 +539,7 @@ def entropy_decode(block: HuffmanBlock, numel: int | None = None) -> np.ndarray:
     del states
     per_chunk = step_count[entry]
     total = int(per_chunk.sum(dtype=np.intp)) + len(tail)
-    if numel is not None and total != numel:
+    if total != numel:
         raise IntegrityError(f"decoded {total} bins for a {numel}-element layer")
     out = np.empty(total, dtype=np.int32)
     offsets = np.arange(min(total, k * _DECODE_BLOCK))
@@ -581,7 +577,7 @@ def decode_block(reader: ByteReader) -> HuffmanBlock:
     stream = reader.take((bit_count + 7) // 8)
     if bit_count & 7 and stream[-1] & (0xFF >> (bit_count & 7)):
         raise IntegrityError("nonzero padding bits after the Huffman bitstream")
-    return HuffmanBlock(min_symbol, lengths.copy(), bit_count, stream, 0)
+    return HuffmanBlock(min_symbol, lengths.copy(), bit_count, stream)
 
 
 def encode_stream(stream: QuantizedStream) -> tuple[bytes, int]:

@@ -241,7 +241,8 @@ def compress_round(
 
 
 def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
-    """Check a payload's layer-table digest and blob count."""
+    """Check a payload's layer-table digest, its blob count, and each blob's
+    length against the fewest bytes its layer can be coded in."""
     if payload.spec_digest != spec_digest(layers):
         raise ProtocolError(
             f"payload for round {payload.round} does not match the layer table"
@@ -251,6 +252,11 @@ def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
             f"payload for round {payload.round} has {len(payload.blobs)} blobs "
             f"for {len(layers)} layers"
         )
+    for spec, blob in zip(layers, payload.blobs):
+        if len(blob) < _min_blob_bytes(spec.numel):
+            raise IntegrityError(
+                f"layer {spec.name!r}: a {len(blob)}-byte blob cannot hold {spec.numel} elements"
+            )
 
 
 def decompress_round(
@@ -310,9 +316,9 @@ def decode_payload(
 
 @dataclass
 class BlobInfo:
-    """Header-level description of one layer blob: what describe_blob reads
-    without decoding the bins, and what the encoder knows of each blob it
-    writes."""
+    """Header-level description of one layer blob: what describe_payload
+    reads without decoding the bins, and what the encoder knows of each blob
+    it writes."""
 
     tag: int
     wire_bytes: int
@@ -343,6 +349,17 @@ class BlobInfo:
         )
 
 
+def _min_blob_bytes(numel: int) -> int:
+    """The fewest bytes a wrapped blob of a layer of numel elements can have.
+
+    A lossless inner blob holds 4 bytes per element; a lossy one at least one
+    code bit and one mask bit per element. DEFLATE inflates at most 1032:1
+    (a 258-byte match in 2 bits). A literal section without the per-element
+    mask would halve the lossy term, and this bound with it.
+    """
+    return min(1 + 4 * numel, 2 * ((numel + 7) // 8)) // 1032
+
+
 def _max_inner_bytes(numel: int) -> int:
     """The largest inner blob a layer of numel elements can have: a lossless
     one, or a lossy header with the largest sign bitmap and stream, and the
@@ -353,7 +370,7 @@ def _max_inner_bytes(numel: int) -> int:
 
 
 def _parse_blob(
-    blob: bytes, spec: LayerSpec, first_round: bool = False
+    blob: bytes, spec: LayerSpec, first_round: bool
 ) -> tuple[BlobInfo, SignBitmap | None, np.ndarray | EncodedStream]:
     """Inflate and validate one layer blob, leaving the bins entropy coded.
 
@@ -412,11 +429,6 @@ def _parse_blob(
     return info, bitmap, body
 
 
-def describe_blob(blob: bytes, spec: LayerSpec) -> BlobInfo:
-    """Describe and validate one layer blob without entropy-decoding its bins."""
-    return _parse_blob(blob, spec)[0]
-
-
 def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> list[BlobInfo]:
     """Check a payload against a layer table and describe each of its blobs."""
     check_payload(payload, layers)
@@ -446,7 +458,7 @@ def parse_payload(data: bytes) -> CompressedPayload:
     return payload
 
 
-def _parse_one(reader: ByteReader, headers_only: bool = False) -> CompressedPayload:
+def _parse_one(reader: ByteReader) -> CompressedPayload:
     if reader.take(4) != PAYLOAD_MAGIC:
         raise FormatError("not a payload frame (bad magic)")
     version, client_id, round_idx = reader.unpack("<HII")
@@ -456,19 +468,17 @@ def _parse_one(reader: ByteReader, headers_only: bool = False) -> CompressedPayl
     (nlayers,) = reader.unpack("<I")
     if nlayers == 0:
         raise FormatError("payload declares zero layers")
-    read = reader.skip if headers_only else reader.take
     blobs = []
     for _ in range(nlayers):
         (blen,) = reader.unpack("<I")
-        blobs.append(read(blen))
+        blobs.append(reader.take(blen))
     return CompressedPayload(client_id, round_idx, digest, blobs)
 
 
-def iter_payloads(data, headers_only: bool = False):
+def iter_payloads(data):
     """Yield consecutive payload frames from a concatenated stream, given as
-    bytes or as a ByteReader (a FileReader reads one frame per step). With
-    headers_only, each blob's length is checked and the blob passed over,
-    so every blob of the yielded frames is None."""
+    bytes or as a ByteReader (a FileReader reads one whole frame per step,
+    blobs included)."""
     reader = data if isinstance(data, ByteReader) else ByteReader(data)
     while reader.remaining:
-        yield _parse_one(reader, headers_only)
+        yield _parse_one(reader)

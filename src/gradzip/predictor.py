@@ -170,7 +170,7 @@ def predict_magnitude(
     pred_abs = np.empty(n)
     mean, dev = abs_stats(recon, pred_abs)
     scale = max(dev, SIGMA_FLOOR)
-    sigma, mu = max(float(sigma_curr), 0.0), float(mu_curr)
+    sigma, mu = float(sigma_curr), float(mu_curr)
     # One pass a block at a time, so every step reads the previous one's
     # output from cache: it takes the magnitudes from the reconstruction
     # again and builds z_prev, z_pred (over the memory block it reads) and

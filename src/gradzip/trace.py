@@ -222,10 +222,6 @@ class ByteReader:
         self.pos += n
         return chunk
 
-    def skip(self, n: int) -> None:
-        """Pass over the next n bytes, which must be there."""
-        self.take(n)
-
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
@@ -265,14 +261,6 @@ class FileReader(ByteReader):
         chunk = self.fh.read(n)
         self._advance(n, len(chunk))
         return chunk
-
-    def skip(self, n: int) -> None:
-        self._check(n)
-        self.seek(self.pos + n)
-
-    def seek(self, pos: int) -> None:
-        self.fh.seek(pos)
-        self.pos = pos
 
     def readinto(self, buf: np.ndarray) -> None:
         """Fill buf, a contiguous array, with the next buf.nbytes bytes."""

@@ -41,7 +41,7 @@ from gradzip.pipeline import (
     _max_inner_bytes,
     compress_round,
     decompress_round,
-    describe_blob,
+    describe_payload,
     frame_payload,
     parse_payload,
 )
@@ -141,8 +141,8 @@ def test_c01_error_bound_never_violated(capsys):
         for tensors in trace.rounds:
             payload, client = compress_round(tensors, client, params)
             recons, server = decompress_round(payload, server, params)
-            for spec, g, recon, blob in zip(layers, tensors, recons, payload.blobs):
-                info = describe_blob(blob, spec)
+            infos = describe_payload(payload, layers)
+            for g, recon, info in zip(tensors, recons, infos):
                 diff = np.abs(recon.values.astype(np.float64)
                               - g.values.astype(np.float64))
                 if info.tag == TAG_LOSSY:
@@ -316,7 +316,7 @@ def _pooled_bins(trace, params):
                 continue
             reader.unpack("<Bffd")
             decode_bitmap(reader)
-            chunks.append(entropy_decode(decode_block(reader)))
+            chunks.append(entropy_decode(decode_block(reader), spec.numel))
     return np.concatenate(chunks)
 
 
@@ -387,7 +387,7 @@ def test_c09_codec_roundtrips(capsys):
             span = int(rng.integers(1, 9))
             a = rng.integers(-span, span + 1, size=size).astype(np.int32)
         block = entropy_encode(a)
-        if not np.array_equal(entropy_decode(block), a):
+        if not np.array_equal(entropy_decode(block, size), a):
             entropy_bad += 1
         total_syms += size
         if size >= 1000:

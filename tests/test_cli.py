@@ -353,26 +353,34 @@ def test_bench_emits_csv(tmp_path, capsys):
     assert all(float(r["rate"]) > 0 for r in rows)
 
 
-def test_console_entry_point_separates_streams(tmp_path):
-    # The child imports gradzip from wherever this process found it.
+def run_child(*argv, address_space=None):
+    """One command in a child process, its address space capped at
+    address_space bytes when given; returns the finished process. The child
+    imports gradzip from wherever this process found it."""
+    import resource
+
     src = os.path.dirname(os.path.dirname(gradzip.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     ))
-    trace = tmp_path / "t.gtrc"
-    proc = subprocess.run(
-        [sys.executable, "-m", "gradzip.cli", "synth", str(trace),
-         "--layers", "fc:64x16", "--rounds", "2"],
-        capture_output=True, text=True, env=env,
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "gradzip.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=cap if address_space else None,
     )
+
+
+def test_console_entry_point_separates_streams(tmp_path):
+    trace = tmp_path / "t.gtrc"
+    proc = run_child("synth", trace, "--layers", "fc:64x16", "--rounds", "2")
     assert proc.returncode == 0
     assert proc.stdout == ""
     assert "2-round trace" in proc.stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "gradzip.cli", "simulate", str(trace),
-         "--bandwidths", "1"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_child("simulate", trace, "--bandwidths", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(CSV_COLUMNS[:3]))
 
@@ -552,7 +560,7 @@ def test_kernel_bitmap_that_does_not_fit_exits_3(tmp_path, capsys, layer):
     from dataclasses import replace
 
     from gradzip.codec import lossless_compress
-    from gradzip.pipeline import describe_blob, frame_payload
+    from gradzip.pipeline import describe_payload, frame_payload
     from gradzip.predictor import VARIANT_KERNEL, SignBitmap, decode_bitmap, encode_bitmap
     from gradzip.trace import ByteReader
 
@@ -569,7 +577,7 @@ def test_kernel_bitmap_that_does_not_fit_exits_3(tmp_path, capsys, layer):
     # the bitmap; a stored blob ends with its CRC32. The crafted blob
     # carries a valid CRC.
     assert blob[:2] == b"S\x01"
-    end = 19 + describe_blob(blob, layers[i]).bitmap_bytes
+    end = 19 + describe_payload(payloads[1], layers)[i].bitmap_bytes
     if layer == "fc":
         bitmap = SignBitmap(VARIANT_KERNEL, kernel_count=4, level1=np.zeros(4, bool),
                             level2=np.zeros(0, bool))
@@ -769,6 +777,17 @@ def test_full_batch_follows_the_trace_mode(tmp_path, capsys):
         assert run(*argv, "--full-batch") == 1
         assert "--full-batch" in capsys.readouterr().err
     assert not (tmp_path / "x.gzp").exists()
+
+
+def test_out_of_memory_exits_1_without_a_traceback(tmp_path):
+    # 10**10 elements need 80 GB for one generator array: under a 4 GB
+    # address-space cap, synth reports that in one line and writes nothing.
+    out = tmp_path / "big.gtrc"
+    proc = run_child("synth", out, "--layers", "a:100000x100000", address_space=4 << 30)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("gradzip: out of memory:")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1136,6 +1155,101 @@ def test_overlong_declarations_are_rejected_before_reading(tmp_path, capsys):
     assert captured.err.count("header declares") == 3
 
 
+def crafted_stream(layers, rounds):
+    """A stream whose header declares layers and whose frame r holds the
+    blobs rounds[r - 1], with a valid header digest and layer-table digest."""
+    from gradzip.cli import _stream_header
+    from gradzip.pipeline import CompressedPayload, frame_payload, spec_digest
+    from gradzip.predictor import PredictParams
+
+    head = _stream_header(MODE_MINI_BATCH, layers, len(rounds), PredictParams())
+    return head + b"".join(
+        frame_payload(CompressedPayload(0, r, spec_digest(layers), blobs))
+        for r, blobs in enumerate(rounds, 1)
+    )
+
+
+@pytest.mark.parametrize("shape,backend", [
+    ((1048576, 1024), "store"),
+    ((65536, 65536, 3, 3), "store"),
+    ((2147483648, 2147483648), "store"),
+    ((2147483648, 2147483648), "default"),
+])
+def test_layer_larger_than_its_blob_exits_3(tmp_path, shape, backend):
+    # A 10-byte blob for a layer no blob that short can code: both readers
+    # refuse the stream by its bytes, before the layer table sizes any
+    # memory, so they finish under a 4 GB address-space cap.
+    from gradzip.codec import lossless_compress
+    from gradzip.trace import LayerSpec
+
+    spec = LayerSpec("big", shape)
+    blob = lossless_compress(bytes(5) if backend == "store" else b"\x00", backend)
+    assert len(blob) == 10
+    bad, out = tmp_path / "bad.gzp", tmp_path / "r.gtrc"
+    bad.write_bytes(crafted_stream([spec], [[blob]]))
+    message = f"gradzip: layer 'big': a 10-byte blob cannot hold {spec.numel} elements\n"
+    for argv in (("decompress", bad, out), ("inspect", bad)):
+        proc = run_child(*argv, address_space=4 << 30)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (3, message, ""), argv
+    assert not out.exists()
+
+
+def test_header_fuzz_both_readers_agree(tmp_path):
+    # Every byte of each axis word in the stream header's layer table set to
+    # 0x00, 0x01, 0xff and xor 0x80, with the header digest and every
+    # frame's layer-table digest recomputed, so each case reaches the frame
+    # checks: decompress and inspect exit alike, with 0, 2 or 3.
+    import contextlib
+    import io
+    import struct
+    from hashlib import blake2b
+
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, layers=FUZZ_LAYERS, rounds=2)
+    stream = tmp_path / "t.gzp"
+    assert run("compress", trace, stream) == 0
+    data = stream.read_bytes()
+    layers = load_trace(trace).layers
+    table = encode_layer_table(layers)
+    start = 4 + 2 + 1 + 4  # magic, version u16, mode u8, layer count u32
+    assert data[start:start + len(table)] == table
+    end = start + len(table) + 4 + struct.calcsize("<ddB")  # rounds u32, parameters
+    frames = bytearray(data[end + 8:])
+    digests, at = [], 0  # each frame's digest follows magic, version, client and round
+    for p in read_frames(stream):
+        digests.append(at + 4 + 2 + 4 + 4)
+        at += len(frame_payload(p))
+    words, at = [], 0
+    for spec in layers:
+        at += 2 + len(spec.name.encode()) + 1  # name length u16, name, axis count u8
+        words += range(at, at + 4 * len(spec.shape))
+        at += 4 * len(spec.shape)
+    bad, out, problems, count = tmp_path / "bad.gzp", tmp_path / "r.gtrc", [], 0
+
+    def run_quiet(*argv):
+        with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+            return run(*argv)
+
+    for off in words:
+        for byte in sorted({0x00, 0x01, 0xFF, table[off] ^ 0x80} - {table[off]}):
+            count += 1
+            mutated = table[:off] + bytes([byte]) + table[off + 1:]
+            head = data[:start] + mutated + data[start + len(table):end]
+            for d in digests:
+                frames[d:d + 8] = blake2b(mutated, digest_size=8).digest()
+            bad.write_bytes(head + blake2b(head, digest_size=8).digest() + frames)
+            try:
+                codes = run_quiet("decompress", bad, out), run_quiet("inspect", bad)
+            except Exception as exc:
+                problems.append((off, byte, repr(exc)))
+                continue
+            if codes[0] != codes[1] or codes[0] not in (0, 2, 3):
+                problems.append((off, byte, codes))
+    assert count > 90
+    assert problems == []
+
+
 def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monkeypatch):
     # Every frame's framing, then the round count, then every frame against
     # the layer table: a fault in the last frame stops the command before
@@ -1145,6 +1259,7 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
 
     import gradzip.cli as cli
     from gradzip.pipeline import frame_payload
+    from gradzip.trace import LayerSpec
 
     trace = make_trace(tmp_path, rounds=3)
     stream = tmp_path / "t.gzp"
@@ -1159,6 +1274,10 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
     assert struct.unpack_from("<I", data, round_at)[0] == 2
     out_of_sequence = bytearray(data)
     struct.pack_into("<I", out_of_sequence, round_at, 3)
+    # Blobs of 100 bytes, the fewest a layer of 4128 * 100 elements can be
+    # coded in, then one byte short in the last frame.
+    big = LayerSpec("big", (4128, 100))
+    short_blob = crafted_stream([big], [[bytes(100)], [bytes(100)], [bytes(99)]])
     decodes = []
     monkeypatch.setattr(cli, "decode_payload", lambda *a: decodes.append(a) or 1 / 0)
     bad = tmp_path / "bad.gzp"
@@ -1170,6 +1289,7 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
         (bytes(wrong_digest) + frame_payload(frames[-1]), 3, "declares 3 rounds but contains 4"),
         (bytes(wrong_digest), 3, "does not match the layer table"),
         (bytes(out_of_sequence), 3, "payload is round 3, stream expects 2"),
+        (short_blob, 3, "layer 'big': a 99-byte blob cannot hold 412800 elements"),
     ]
     for case, code, message in cases:
         bad.write_bytes(case)

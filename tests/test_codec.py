@@ -264,8 +264,6 @@ def reference_decode(block):
     bits, else bit by bit against the canonical tables.
     """
     if block.bit_count == 0:
-        if block.symbol_count:
-            raise IntegrityError("empty bitstream for a nonzero symbol count")
         return np.zeros(0, dtype=np.int64)
     lengths = block.lengths
     used = np.nonzero(lengths)[0]
@@ -332,10 +330,12 @@ def reference_decode(block):
 
 
 def reference_decode_count(block, numel):
-    """reference_decode plus the symbol-count check decode_stream makes."""
+    """reference_decode plus the symbol-count checks entropy_decode makes."""
     out = reference_decode(block)
     if out.size != numel:
         raise IntegrityError(f"decoded {out.size} bins for a {numel}-element layer")
+    if numel and np.count_nonzero(block.lengths) > numel:
+        raise IntegrityError(f"Huffman table declares more symbols than {numel} elements")
     return out
 
 
@@ -388,7 +388,7 @@ huffman_inputs = st.one_of(
 
 def roundtrip_bins(bins):
     block = entropy_encode(np.asarray(bins))
-    return entropy_decode(block)
+    return entropy_decode(block, np.asarray(bins).size)
 
 
 class TestHuffman:
@@ -396,12 +396,12 @@ class TestHuffman:
         bins = np.zeros(17, dtype=np.int64)
         block = entropy_encode(bins)
         assert block.bit_count == 17  # one bit per symbol
-        np.testing.assert_array_equal(entropy_decode(block), bins)
+        np.testing.assert_array_equal(entropy_decode(block, 17), bins)
 
     def test_empty_input(self):
         block = entropy_encode(np.zeros(0, dtype=np.int64))
         assert block.bit_count == 0
-        assert entropy_decode(block).size == 0
+        assert entropy_decode(block, 0).size == 0
 
     def test_random_roundtrips(self):
         rng = np.random.default_rng(23)
@@ -495,7 +495,7 @@ def reference_properties(schedule):
             picked = [int(p * p * lengths.size) for p in picks]
             message = np.array(picked + list(range(lengths.size))) + min_symbol
             stream, bit_count = pack_bits(lengths, min_symbol, message)
-            block = HuffmanBlock(min_symbol, lengths, bit_count, stream, 0)
+            block = HuffmanBlock(min_symbol, lengths, bit_count, stream)
             with mock.patch.multiple(codec, **schedule):
                 np.testing.assert_array_equal(entropy_decode(block, message.size), message)
             np.testing.assert_array_equal(reference_decode(block), message)
@@ -528,10 +528,16 @@ def reference_properties(schedule):
             if not flip:
                 block = HuffmanBlock(
                     block.min_symbol, block.lengths, bit_count % (8 * len(block.stream) + 1),
-                    block.stream, 0,
+                    block.stream,
                 )
+            # Given the count the reference decodes, or the input's if it
+            # refuses the block, both decoders agree.
+            reference = outcome(reference_decode, block)
+            count = bins.size if reference == "IntegrityError" else len(reference)
             with mock.patch.multiple(codec, **schedule):
-                assert outcome(entropy_decode, block) == outcome(reference_decode, block)
+                assert outcome(entropy_decode, block, count) == outcome(
+                    reference_decode_count, block, count
+                )
                 assert outcome(entropy_decode, block, bins.size) == outcome(
                     reference_decode_count, block, bins.size
                 )
@@ -585,7 +591,7 @@ class TestBlockSerialization:
         np.testing.assert_array_equal(back.lengths, block.lengths)
         assert back.bit_count == block.bit_count
         assert back.stream == block.stream
-        np.testing.assert_array_equal(entropy_decode(back), bins)
+        np.testing.assert_array_equal(entropy_decode(back, bins.size), bins)
 
     def test_truncated_stream_detected(self):
         bins = np.arange(-50, 50)
@@ -598,10 +604,10 @@ class TestBlockSerialization:
         # Flip bits in the payload of a single-symbol block: any 1 bit is invalid.
         block = entropy_encode(np.zeros(16, dtype=np.int64))
         corrupted = HuffmanBlock(
-            block.min_symbol, block.lengths.copy(), block.bit_count, b"\xff\xff", 16
+            block.min_symbol, block.lengths.copy(), block.bit_count, b"\xff\xff"
         )
         with pytest.raises(IntegrityError):
-            entropy_decode(corrupted)
+            entropy_decode(corrupted, 16)
 
     def test_symbols_outside_32_bits_rejected(self):
         # Bins decode straight to int32, so a table whose symbols run past
@@ -612,7 +618,7 @@ class TestBlockSerialization:
         block = decode_block(ByteReader(bytes(raw)))
         assert block.min_symbol == (1 << 31) - 3
         with pytest.raises(IntegrityError, match="32-bit range"):
-            entropy_decode(block)
+            entropy_decode(block, 7)
         with pytest.raises(IntegrityError, match="32-bit range"):
             reference_decode(block)
         for ends in ([-(1 << 31), 1 - (1 << 31)], [(1 << 31) - 2, (1 << 31) - 1]):
@@ -622,13 +628,14 @@ class TestBlockSerialization:
 
     def test_oversubscribed_code_lengths_rejected(self):
         # Three one-bit codes break the Kraft inequality: 3 * 2**-1 > 1.
-        with pytest.raises(IntegrityError):
-            entropy_decode(HuffmanBlock(0, [1, 1, 1], 8, b"\xff", 0))
+        # Eight of them fill the 8 bits, so only that check can refuse them.
+        with pytest.raises(IntegrityError, match="over-subscribe"):
+            entropy_decode(HuffmanBlock(0, [1, 1, 1], 8, b"\xff"), 8)
 
     def test_inflated_bit_count_rejected_before_allocating(self):
         # Ten one-bit codes cannot fill 8 Mbit: decode_stream must refuse the
         # block without building a per-bit table for the whole stream.
-        block = HuffmanBlock(0, np.array([1, 1], dtype=np.uint8), 8 << 20, bytes(1 << 20), 0)
+        block = HuffmanBlock(0, np.array([1, 1], dtype=np.uint8), 8 << 20, bytes(1 << 20))
         encoded = EncodedStream(block, np.zeros(10, dtype=bool), np.zeros(0, dtype=np.float32))
         tracemalloc.start()
         try:
@@ -642,7 +649,7 @@ class TestBlockSerialization:
     def test_more_symbols_than_elements_rejected_before_allocating(self):
         # 4096 twelve-bit codes form a complete code, but a 10-element layer
         # cannot use them all: decode_stream refuses before building a table.
-        block = HuffmanBlock(0, np.full(4096, 12, dtype=np.uint8), 120, bytes(15), 0)
+        block = HuffmanBlock(0, np.full(4096, 12, dtype=np.uint8), 120, bytes(15))
         encoded = EncodedStream(block, np.zeros(10, dtype=bool), np.zeros(0, dtype=np.float32))
         tracemalloc.start()
         try:
@@ -655,7 +662,7 @@ class TestBlockSerialization:
 
     def test_bit_count_beyond_stream(self):
         with pytest.raises(IntegrityError):
-            HuffmanBlock(0, np.array([1], dtype=np.uint8), 64, b"\x00", 1)
+            HuffmanBlock(0, np.array([1], dtype=np.uint8), 64, b"\x00")
 
 
 def traced_peak(fn, *args):
@@ -677,7 +684,7 @@ class TestDecoderMemory:
         lens = np.full(1 << 16, 16, dtype=np.int64)
         message = rng.permutation(1 << 16)
         stream = _pack_codes(message, 0, _canonical_codes(lens), lens, 16 << 16)
-        block = HuffmanBlock(0, lens, 16 << 16, stream, 0)
+        block = HuffmanBlock(0, lens, 16 << 16, stream)
         out, peak = traced_peak(entropy_decode, block, message.size)
         np.testing.assert_array_equal(out, message)
         np.testing.assert_array_equal(reference_decode(block), message)

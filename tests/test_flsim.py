@@ -25,7 +25,7 @@ from gradzip.pipeline import (
     SyncState,
     compress_round,
     decode_payload,
-    describe_blob,
+    describe_payload,
     frame_payload,
 )
 from gradzip.predictor import PredictParams
@@ -262,7 +262,7 @@ class TestVerifyRound:
     def test_one_ulp_past_bound_names_round_and_layer(self):
         tensors, recons, payload, infos, client, server = one_verified_round()
         layer = 1  # "fc", a lossy layer
-        info = describe_blob(payload.blobs[layer], sim_layers()[layer])
+        info = describe_payload(payload, sim_layers())[layer]
         assert info.tag == TAG_LOSSY
         orig = float(tensors[layer].values[5])
         past = just_past_bound(orig, info.delta)

@@ -18,7 +18,6 @@ from gradzip.pipeline import (
     compress_round,
     decode_payload,
     decompress_round,
-    describe_blob,
     encode_round,
     describe_payload,
     frame_payload,
@@ -464,6 +463,22 @@ class TestFraming:
         rounds = [p.round for p in iter_payloads(b"".join(chunks))]
         assert rounds == [1, 2, 3]
 
+    def test_most_compressible_layer_clears_the_blob_length_bound(self):
+        # An all-zero layer, lossy and deflated, is the shortest blob the
+        # encoder writes for its size: 1,073 bytes for 4096 x 1024 (zlib
+        # 1.2.13) against a bound of 1,016. Both rounds, the second with
+        # prediction, decode.
+        spec = LayerSpec("zeros", (4096, 1024))
+        zeros = GradientTensor(spec, np.zeros(spec.numel, dtype=np.float32))
+        params = make_params()
+        client, server = SyncState.initial([spec]), SyncState.initial([spec])
+        for _ in range(2):
+            payload, client = compress_round([zeros], client, params)
+            assert len(payload.blobs[0]) >= pipeline._min_blob_bytes(spec.numel)
+            recons, _, server = decode_payload(payload, server, params.predict)
+            assert not recons[0].values.any()
+
+
 
 class TestProtocolErrors:
     def test_digest_mismatch(self):
@@ -542,8 +557,11 @@ class TestProtocolErrors:
         short = SignBitmap(VARIANT_KERNEL, kernel_count=level1.size, level1=level1,
                            level2=bitmap.level2[:int(level1.sum())])
         blob = lossless_compress(blob[1:19] + encode_bitmap(short) + blob[end:-4], "store")
+        tampered = CompressedPayload(
+            payload.client_id, payload.round, payload.spec_digest, [blob] + payload.blobs[1:],
+        )
         with pytest.raises(IntegrityError, match=f"bitmap covers {spec.kernel_count - 1} kernels"):
-            describe_blob(blob, spec)
+            describe_payload(tampered, trace.layers)
 
     def test_describe_blob_checks_literals_like_decode(self):
         # A bound far below float32 resolution turns every element into a
@@ -553,7 +571,7 @@ class TestProtocolErrors:
         params = make_params(value=1e-30, backend="store")
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
         spec = trace.layers[0]
-        assert describe_blob(payload.blobs[0], spec).literal_count == spec.numel
+        assert describe_payload(payload, trace.layers)[0].literal_count == spec.numel
         inner = payload.blobs[0][1:-4]
         blob = lossless_compress(
             inner[:-8] + np.array([np.nan], dtype="<f4").tobytes() + inner[-4:], "store"
@@ -563,7 +581,7 @@ class TestProtocolErrors:
             [blob] + payload.blobs[1:],
         )
         with pytest.raises(DataError):
-            describe_blob(blob, spec)
+            describe_payload(tampered, trace.layers)
         with pytest.raises(DataError):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
@@ -573,7 +591,6 @@ class TestProtocolErrors:
         trace = structured_trace(seed=19, rounds=1)
         params = make_params(backend="store")
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
-        spec = trace.layers[0]
         # Store tag, blob tag u8, flags u8, mu f32, sigma f32, then delta f64.
         # The crafted blob carries a valid CRC.
         inner = bytearray(payload.blobs[0][1:-4])
@@ -585,7 +602,7 @@ class TestProtocolErrors:
             [bytes(blob)] + payload.blobs[1:],
         )
         with pytest.raises(IntegrityError, match="delta"):
-            describe_blob(bytes(blob), spec)
+            describe_payload(tampered, trace.layers)
         with pytest.raises(IntegrityError, match="delta"):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
@@ -601,7 +618,7 @@ class TestProtocolErrors:
         assert len(bomb) < 70_000
         tampered = CompressedPayload(payload.client_id, payload.round, payload.spec_digest, [bomb])
         for decode in (
-            lambda: describe_blob(bomb, layers[0]),
+            lambda: describe_payload(tampered, layers),
             lambda: decompress_round(tampered, SyncState.initial(layers), params),
         ):
             tracemalloc.start()
@@ -701,8 +718,6 @@ class TestStateDigest:
         for tensors in trace.rounds:
             payload, infos, state = pipeline.encode_round(tensors, state, params)
             assert infos == describe_payload(payload, trace.layers)
-            for blob, spec, info in zip(payload.blobs, trace.layers, infos):
-                assert describe_blob(blob, spec) == info
         assert {i.tag for i in infos} == {pipeline.TAG_LOSSLESS, pipeline.TAG_LOSSY}
 
     def test_lossy_blob_ends_in_the_state_digest(self):
