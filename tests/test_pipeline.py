@@ -479,7 +479,6 @@ class TestFraming:
             assert not recons[0].values.any()
 
 
-
 class TestProtocolErrors:
     def test_digest_mismatch(self):
         trace = structured_trace(seed=14, rounds=1)
