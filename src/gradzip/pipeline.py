@@ -5,10 +5,11 @@ through magnitude prediction, sign prediction, residual quantization, entropy
 coding, and the lossless backend. The client keeps the reconstruction the
 server will compute and feeds the predictors from it, and both sides derive
 each prediction through one step from the blob's wire fields, so they evolve
-bitwise-identical state using only the framed payload as a channel. Every
-round advances the SyncState it is given in place, layer by layer, each
-layer writing only its own arrays; what a round returns is valid until the
-next round. A caller that wants to branch from a state keeps its own copy.
+bitwise-identical state using only the framed payload as a channel. One driver
+runs every layer step of a round, in layer order, and names the layer in the
+step's errors. Each layer writes only its own arrays of the SyncState, which
+advances in place; what a round returns is valid until the next round. A
+caller that wants to branch from a state keeps its own copy.
 
 Every byte that can change a reconstruction is checked on the wire: a
 DEFLATE blob by its zlib Adler-32, a stored blob by its CRC32, and a lossy
@@ -58,7 +59,7 @@ from .codec import (
     read_stream,
     resolve_bound,
 )
-from .errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
+from .errors import DataError, FormatError, GradzipError, IntegrityError, ProtocolError, UsageError
 from .predictor import (
     VARIANT_KERNEL,
     VARIANT_NONE,
@@ -143,6 +144,19 @@ class CompressedPayload:
     blobs: list[bytes]
 
 
+def _each_layer(layers: list[LayerSpec], items: list, step, *args) -> list:
+    """Returns ``step(i, item, *args)`` for each layer i and its item, in layer
+    order. A GradzipError from a step is raised again as the same class, its
+    message prefixed with the layer's name."""
+    out = []
+    for i, (spec, item) in enumerate(zip(layers, items)):
+        try:
+            out.append(step(i, item, *args))
+        except GradzipError as exc:
+            raise type(exc)(f"layer {spec.name!r}: {exc}") from exc
+    return out
+
+
 def _predict(
     state: SyncState, i: int, flags: int, bitmap: SignBitmap,
     mu32: np.float32, sigma32: np.float32, params: PredictParams,
@@ -170,14 +184,14 @@ def _state_crc(memory: np.ndarray, recon: np.ndarray) -> int:
 
 
 def _encode_layer(
-    g: GradientTensor, state: SyncState, i: int, params: PipelineParams
+    i: int, g: GradientTensor, state: SyncState, params: PipelineParams
 ) -> tuple[bytes, "BlobInfo"]:
     """Layer i of a client round: (wrapped blob, the blob's description).
     Layer i's magnitude memory and reconstruction in ``state`` are written
     over with the ones the server will compute."""
     spec, recon = state.layers[i], state.prev_recon[i]
     if g.spec != spec:
-        raise UsageError(f"layer {i} spec mismatch: {g.spec.name!r} vs {spec.name!r}")
+        raise UsageError(f"gradient is for layer {g.spec.name!r}")
     if spec.numel <= params.lossy_threshold:
         inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
         blob = lossless_compress(inner, params.backend)
@@ -218,11 +232,8 @@ def encode_round(
     """
     if len(tensors) != len(state.layers):
         raise UsageError(f"{len(tensors)} tensors for {len(state.layers)} layers")
-    blobs, infos = [], []
-    for i, g in enumerate(tensors):
-        blob, info = _encode_layer(g, state, i, params)
-        blobs.append(blob)
-        infos.append(info)
+    coded = _each_layer(state.layers, tensors, _encode_layer, state, params)
+    blobs, infos = map(list, zip(*coded))
     state.round += 1
     payload = CompressedPayload(client_id, state.round, spec_digest(state.layers), blobs)
     return payload, infos, state
@@ -252,11 +263,19 @@ def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
             f"payload for round {payload.round} has {len(payload.blobs)} blobs "
             f"for {len(layers)} layers"
         )
-    for spec, blob in zip(layers, payload.blobs):
-        if len(blob) < _min_blob_bytes(spec.numel):
-            raise IntegrityError(
-                f"layer {spec.name!r}: a {len(blob)}-byte blob cannot hold {spec.numel} elements"
-            )
+    _each_layer(layers, payload.blobs, _check_size, layers)
+
+
+def _check_size(i: int, blob: bytes, layers: list[LayerSpec]) -> None:
+    """Refuse a wrapped blob shorter than the fewest bytes layer i can be
+    coded in. A lossless inner blob holds 4 bytes per element; a lossy one at
+    least one code bit and one mask bit per element. DEFLATE inflates at most
+    1032:1 (a 258-byte match in 2 bits). A literal section without the
+    per-element mask would halve the lossy term, and this bound with it.
+    """
+    numel = layers[i].numel
+    if len(blob) < min(1 + 4 * numel, 2 * ((numel + 7) // 8)) // 1032:
+        raise IntegrityError(f"a {len(blob)}-byte blob cannot hold {numel} elements")
 
 
 def decompress_round(
@@ -268,7 +287,7 @@ def decompress_round(
     return recons, next_state
 
 
-def _decode_layer(blob: bytes, state: SyncState, i: int, params: PredictParams) -> "BlobInfo":
+def _decode_layer(i: int, blob: bytes, state: SyncState, params: PredictParams) -> "BlobInfo":
     """Layer i of a server round: returns the blob's description and writes
     layer i's new magnitude memory and reconstruction over the state's. A
     lossy layer whose state after the round differs from the client's, by
@@ -284,7 +303,7 @@ def _decode_layer(blob: bytes, state: SyncState, i: int, params: PredictParams) 
     dequantize(stream, ghat, info.delta, recon)
     if _state_crc(state.memory[i], recon) != info.state_crc:
         raise ProtocolError(
-            f"client/server state mismatch at round {state.round + 1}, layer {spec.name!r}: "
+            f"client/server state mismatch at round {state.round + 1}: "
             f"the payload's state digest differs from the server's"
         )
     return info
@@ -298,17 +317,17 @@ def decode_payload(
     The reconstructions are the state's arrays, so they are valid until its
     next round. ``predict`` is all the decoder reads of the pipeline
     parameters (a stream carries it in its header): the rest is in the
-    payload. A lossy layer whose state after the round differs from the
-    client's raises ProtocolError naming the round and the layer; a round
-    that raises leaves ``state`` partly advanced, so it may not be used
-    again.
+    payload. An error raised in a layer's step names the layer; a lossy layer
+    whose state after the round differs from the client's raises
+    ProtocolError naming the round. A round that raises leaves ``state``
+    partly advanced, so it may not be used again.
     """
     check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
         )
-    infos = [_decode_layer(blob, state, i, predict) for i, blob in enumerate(payload.blobs)]
+    infos = _each_layer(state.layers, payload.blobs, _decode_layer, state, predict)
     state.round = payload.round
     tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, state.prev_recon)]
     return tensors, infos, state
@@ -349,17 +368,6 @@ class BlobInfo:
         )
 
 
-def _min_blob_bytes(numel: int) -> int:
-    """The fewest bytes a wrapped blob of a layer of numel elements can have.
-
-    A lossless inner blob holds 4 bytes per element; a lossy one at least one
-    code bit and one mask bit per element. DEFLATE inflates at most 1032:1
-    (a 258-byte match in 2 bits). A literal section without the per-element
-    mask would halve the lossy term, and this bound with it.
-    """
-    return min(1 + 4 * numel, 2 * ((numel + 7) // 8)) // 1032
-
-
 def _max_inner_bytes(numel: int) -> int:
     """The largest inner blob a layer of numel elements can have: a lossless
     one, or a lossy header with the largest sign bitmap and stream, and the
@@ -376,14 +384,12 @@ def _parse_blob(
 
     Returns the blob's description, its sign bitmap (None for a lossless
     blob) and its body: the float32 values of a lossless blob, read in
-    place, or the parsed stream of a lossy one. A blob of round 1 has no previous signs to
-    predict from, so it may not carry a sign bitmap, and a kernel bitmap must
-    fit the layer's kernels.
+    place, or the parsed stream of a lossy one. A blob of round 1 has no
+    previous signs to predict from, so it may not carry a sign bitmap, and a
+    kernel bitmap must fit the layer's kernels. Its errors leave the layer
+    unnamed: the round driver that runs it adds the name.
     """
-    try:
-        inner = lossless_decompress(blob, _max_inner_bytes(spec.numel))
-    except IntegrityError as exc:
-        raise IntegrityError(f"layer {spec.name!r}: {exc}") from exc
+    inner = lossless_decompress(blob, _max_inner_bytes(spec.numel))
     reader = ByteReader(inner, truncation_error=IntegrityError)
     (tag,) = reader.unpack("<B")
     if tag == TAG_LOSSLESS:
@@ -391,30 +397,26 @@ def _parse_blob(
         bitmap = None
         body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4")
         if not np.isfinite(body).all():
-            raise DataError(f"layer {spec.name!r}: lossless blob holds non-finite values")
+            raise DataError("lossless blob holds non-finite values")
     elif tag == TAG_LOSSY:
         flags, mu, sigma, delta = reader.unpack("<Bffd")
         if flags & ~_FLAG_PREDICTION:
-            raise FormatError(f"layer {spec.name!r}: unknown blob flags {flags:#x}")
+            raise FormatError(f"unknown blob flags {flags:#x}")
         if not 0.0 < 2.0 * delta < np.inf:
-            raise IntegrityError(
-                f"layer {spec.name!r}: non-positive or non-finite delta or bin width on wire"
-            )
+            raise IntegrityError("non-positive or non-finite delta or bin width on wire")
         if not (0.0 <= mu < np.inf and 0.0 <= sigma < np.inf):
-            raise IntegrityError(f"layer {spec.name!r}: negative or non-finite mu or sigma on wire")
+            raise IntegrityError("negative or non-finite mu or sigma on wire")
         bitmap_start = reader.pos
         bitmap = decode_bitmap(reader)
         if not flags & _FLAG_PREDICTION and bitmap.variant != VARIANT_NONE:
-            raise IntegrityError(
-                f"layer {spec.name!r}: sign bitmap present without prediction"
-            )
+            raise IntegrityError("sign bitmap present without prediction")
         if bitmap.variant != VARIANT_NONE and first_round:
-            raise IntegrityError(f"layer {spec.name!r}: sign bitmap in round 1")
+            raise IntegrityError("sign bitmap in round 1")
         if bitmap.variant == VARIANT_KERNEL and spec.kind != KIND_CONV4D:
-            raise IntegrityError(f"layer {spec.name!r}: kernel bitmap for a non-conv4d layer")
+            raise IntegrityError("kernel bitmap for a non-conv4d layer")
         if bitmap.variant == VARIANT_KERNEL and bitmap.kernel_count != spec.kernel_count:
-            raise IntegrityError(f"layer {spec.name!r}: bitmap covers {bitmap.kernel_count} "
-                                 f"kernels, layer has {spec.kernel_count}")
+            raise IntegrityError(f"bitmap covers {bitmap.kernel_count} kernels, "
+                                 f"layer has {spec.kernel_count}")
         bitmap_bytes = reader.pos - bitmap_start
         body = read_stream(reader, spec.numel)
         (state_crc,) = reader.unpack("<I")
@@ -423,9 +425,9 @@ def _parse_blob(
             bitmap_bytes, body.block.bit_count, body.literals.size, state_crc,
         )
     else:
-        raise FormatError(f"layer {spec.name!r}: unknown blob tag {tag}")
+        raise FormatError(f"unknown blob tag {tag}")
     if reader.remaining:
-        raise IntegrityError(f"layer {spec.name!r}: trailing bytes in blob")
+        raise IntegrityError("trailing bytes in blob")
     return info, bitmap, body
 
 
@@ -433,7 +435,8 @@ def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> lis
     """Check a payload against a layer table and describe each of its blobs."""
     check_payload(payload, layers)
     first_round = payload.round == 1
-    return [_parse_blob(blob, spec, first_round)[0] for spec, blob in zip(layers, payload.blobs)]
+    return _each_layer(layers, payload.blobs,
+                       lambda i, blob: _parse_blob(blob, layers[i], first_round)[0])
 
 
 def frame_payload(payload: CompressedPayload) -> bytes:
@@ -468,10 +471,7 @@ def _parse_one(reader: ByteReader) -> CompressedPayload:
     (nlayers,) = reader.unpack("<I")
     if nlayers == 0:
         raise FormatError("payload declares zero layers")
-    blobs = []
-    for _ in range(nlayers):
-        (blen,) = reader.unpack("<I")
-        blobs.append(reader.take(blen))
+    blobs = [reader.take(reader.unpack("<I")[0]) for _ in range(nlayers)]
     return CompressedPayload(client_id, round_idx, digest, blobs)
 
 

@@ -896,9 +896,11 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     # the blob parser. decompress and inspect exit 2 or 3, or 0; decompress
     # exits 0 only with the untampered output, apart from the values a
     # lossless blob carries, and inspect refuses whatever decompress refuses
-    # without decoding bins. A lossless blob parses the same in every round
-    # but for its tag, so past round 1 only its tag byte is mutated. A case
-    # in round r is a stream of rounds 1..r, so no later round is decoded.
+    # without decoding bins. Every refusal names the mutated blob's layer, and
+    # where both readers refuse they print the same message. A lossless blob
+    # parses the same in every round but for its tag, so past round 1 only
+    # its tag byte is mutated. A case in round r is a stream of rounds 1..r,
+    # so no later round is decoded.
     import contextlib
     import io
     from dataclasses import replace
@@ -951,7 +953,7 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
         rec.unlink(missing_ok=True)
         try:
             code, err = run_quiet("decompress", bad, rec)
-            seen, _ = run_quiet("inspect", bad)
+            seen, seen_err = run_quiet("inspect", bad)
         except Exception as exc:
             problems.append((where, repr(exc)))
             continue
@@ -964,8 +966,12 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
                 expect[r][i] = GradientTensor(want[r][i].spec, values)
             if raw(load_trace(rec).rounds) != raw(expect):
                 problems.append((where, "exit 0 with a changed reconstruction"))
+        elif f"layer {want[r][i].spec.name!r}: " not in err:
+            problems.append((where, f"refusal names no layer: {err.strip()}"))
         elif seen == 0 and not any(m in err for m in NEEDS_BINS):
             problems.append((where, f"inspect passes what decompress refuses: {err.strip()}"))
+        elif seen and seen_err != err:
+            problems.append((where, f"readers differ: {err.strip()} / {seen_err.strip()}"))
     assert count > 4000
     assert problems == []
 

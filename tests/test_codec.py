@@ -717,7 +717,7 @@ class TestDecoderMemory:
         trace = synth_trace(SynthConfig(seed=61, layers=(spec,), rounds=2))
         params = PipelineParams(PredictParams(), ErrorBoundConfig("relative", 1e-2))
         _, state = compress_round(trace.rounds[0], SyncState.initial([spec]), params)
-        (_, info), peak = traced_peak(_encode_layer, trace.rounds[1][0], state, 0, params)
+        (_, info), peak = traced_peak(_encode_layer, 0, trace.rounds[1][0], state, params)
         assert info.bitmap_variant == "kernel_maps" and info.predicted_kernels
         assert peak <= 26e6
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gradzip import pipeline, predictor
 from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig, lossless_compress
-from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError
+from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
 from gradzip.pipeline import (
     CompressedPayload,
     PipelineParams,
@@ -474,7 +474,7 @@ class TestFraming:
         client, server = SyncState.initial([spec]), SyncState.initial([spec])
         for _ in range(2):
             payload, client = compress_round([zeros], client, params)
-            assert len(payload.blobs[0]) >= pipeline._min_blob_bytes(spec.numel)
+            pipeline._check_size(0, payload.blobs[0], [spec])  # raises below the bound
             recons, _, server = decode_payload(payload, server, params.predict)
             assert not recons[0].values.any()
 
@@ -685,7 +685,8 @@ class TestStateDigest:
         arr = server.memory[layer] if part == "mag" else server.prev_recon[layer]
         # The exponent's top bit: 0.0 becomes 2.0, so the change cannot round away.
         arr.view(np.uint8)[arr.itemsize - 1] ^= 0x40
-        with pytest.raises(ProtocolError, match=r"round 2, layer 'fc'"):
+        mismatch = r"layer 'fc': client/server state mismatch at round 2"
+        with pytest.raises(ProtocolError, match=mismatch):
             decode_payload(p2, server, params.predict)
 
     def test_wrong_beta_is_a_state_mismatch(self):
@@ -701,7 +702,8 @@ class TestStateDigest:
             if r == 0:
                 _, _, server = decode_payload(payload, server, wrong)
                 continue
-            with pytest.raises(ProtocolError, match=r"round 2, layer 'conv1'"):
+            mismatch = r"layer 'conv1': client/server state mismatch at round 2"
+            with pytest.raises(ProtocolError, match=mismatch):
                 decode_payload(payload, server, wrong)
 
     @pytest.mark.parametrize("mode,full_batch,prediction,backend", [
@@ -733,3 +735,64 @@ class TestStateDigest:
             inner = lossless_decompress(payload.blobs[0], cap)
             crc = zlib.crc32(state.prev_recon[0].tobytes(), zlib.crc32(state.memory[0].tobytes()))
             assert inner[-4:] == struct.pack("<I", crc)
+
+
+class TestLayerDriver:
+    LAYERS = (LayerSpec("conv1", (16, 8, 3, 3)), LayerSpec("fc", (64, 48)))
+
+    @staticmethod
+    def fc_faults(inner, info):
+        # Round 1 inner blob: tag u8, flags u8, mu f32, sigma f32, delta f64,
+        # the bitmap's tag byte ("none") at 18, then the Huffman block: min
+        # symbol i32 at 19, table span u32 at 23. The stream ends with the
+        # literal section (count u32, mask, values) and the state digest u32.
+        assert inner[18] == 0
+        span = inner[:23] + struct.pack("<I", (1 << 20) + 1) + inner[27:]
+        tag = inner[:18] + bytes([9]) + inner[19:]
+        cut = inner[:len(inner) - 4 - 4 * info.literal_count - 10]
+        return [
+            (span, IntegrityError, "Huffman table span 1048577 too large"),
+            (tag, FormatError, "unknown bitmap tag 9"),
+            (cut, IntegrityError, "truncated input"),
+        ]
+
+    def test_faults_below_the_pipeline_name_their_layer(self):
+        # Each crafted fc blob, re-wrapped as a stored blob with a valid CRC32,
+        # trips a check in the codec, the predictor or the byte reader. Both
+        # readers raise the same class and message, which names the layer.
+        from gradzip.codec import lossless_decompress
+
+        trace = synth_trace(SynthConfig(seed=29, layers=self.LAYERS, rounds=1))
+        params = make_params(backend="store")
+        payload, infos, _ = encode_round(trace.rounds[0], SyncState.initial(trace.layers), params)
+        cap = pipeline._max_inner_bytes(self.LAYERS[1].numel)
+        inner = lossless_decompress(payload.blobs[1], cap)
+        for crafted, cls, message in self.fc_faults(inner, infos[1]):
+            tampered = CompressedPayload(
+                payload.client_id, payload.round, payload.spec_digest,
+                [payload.blobs[0], lossless_compress(crafted, "store")],
+            )
+            errors = []
+            for read in (
+                lambda: describe_payload(tampered, trace.layers),
+                lambda: decode_payload(tampered, SyncState.initial(trace.layers), params.predict),
+            ):
+                with pytest.raises(cls) as exc:
+                    read()
+                errors.append(str(exc.value))
+                assert type(exc.value.__cause__) is cls
+            assert errors[0] == errors[1]
+            assert errors[0].startswith("layer 'fc': " + message)
+
+    def test_encoder_names_both_layers_of_a_swap(self):
+        trace = synth_trace(SynthConfig(seed=29, layers=self.LAYERS, rounds=1))
+        swapped = trace.rounds[0][::-1]
+        with pytest.raises(UsageError, match=r"^layer 'conv1': gradient is for layer 'fc'$"):
+            encode_round(swapped, SyncState.initial(trace.layers), make_params())
+
+    def test_other_exceptions_pass_through(self):
+        def step(i, item):
+            raise MemoryError("no room")
+
+        with pytest.raises(MemoryError, match=r"^no room$"):
+            pipeline._each_layer(self.LAYERS, [b""], step)
