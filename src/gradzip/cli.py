@@ -1,7 +1,7 @@
 """Command-line front end: compress, decompress, simulate, synth, inspect, bench.
 
 Payload stream files written by ``compress`` start with a small header
-(magic ``GZPS``, version 2, training mode, layer table, round count,
+(magic ``GZPS``, version 3, training mode, layer table, round count,
 predictor parameters beta f64, tau f64 and full_batch u8, then an 8-byte
 blake2b digest of all of these) followed by one framed payload per round.
 The header makes ``decompress`` and ``inspect`` self contained; the frames
@@ -75,6 +75,7 @@ from .pipeline import (
     describe_payload,
     iter_payloads,
     parse_payload,
+    spec_digest,
 )
 from .predictor import PredictParams
 from .trace import (
@@ -91,7 +92,7 @@ from .trace import (
 )
 
 STREAM_MAGIC = b"GZPS"
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 _STREAM_PARAMS = "<ddB"  # beta, tau, full_batch
 
 
@@ -239,12 +240,13 @@ def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> 
     """Read and check every frame, decoding no blob; returns the frames'
     (start, stop) byte ranges."""
     ranges, fault, start = [], None, reader.pos
+    digest = spec_digest(layers)
     for count, payload in enumerate(iter_payloads(reader), 1):
         ranges.append((start, reader.pos))
         start = reader.pos
         if fault is None:
             try:
-                check_payload(payload, layers)
+                check_payload(payload, layers, digest)
                 if payload.round != count:
                     raise ProtocolError(f"payload is round {payload.round}, stream expects {count}")
             except GradzipError as exc:
@@ -470,7 +472,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                         f"(default {DEFAULT_LOSSY_THRESHOLD})")
     p.add_argument("--backend", choices=(BACKEND_DEFAULT, BACKEND_STORE),
                    default=BACKEND_DEFAULT,
-                   help="lossless byte backend for the final stage")
+                   help="byte backend of lossy layer blobs: zlib (default) or "
+                        "store; lossless layers are always coded by byte plane "
+                        "and stored")
     p.add_argument("--prediction", choices=("on", "off"), default="on",
                    help="gradient prediction stage (default on)")
 

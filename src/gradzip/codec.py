@@ -9,6 +9,8 @@ stores the element's ORIGINAL float32 value, not the residual, so it
 reconstructs with zero error and the bound holds unconditionally. Bins are
 entropy coded with a canonical Huffman code and the result is passed through
 a general lossless backend (DEFLATE by default, raw store as a fallback).
+Values sent exactly are coded by byte plane, as only their high byte is
+compressible.
 
 The Huffman decoder is a byte-oriented automaton (Choueka, Klein and Perl,
 1985) over the internal nodes of the code tree: one table lookup per 8- or
@@ -634,6 +636,65 @@ def decode_stream(encoded: EncodedStream) -> QuantizedStream:
     if encoded.literals.size and bins[mask].any():
         raise IntegrityError("bins under the literal mask must be zero")
     return QuantizedStream(bins, mask, encoded.literals)
+
+
+def encode_planes(values: np.ndarray) -> bytes:
+    """Byte-plane coding of float32 values, exact for every float32.
+
+    Only the high byte of a gradient float (sign and top 7 exponent bits) is
+    compressible; the three low bytes are close to uniform. So the high
+    bytes go through raw DEFLATE with run-length matching (Z_RLE) and each
+    low plane is stored: zero-plane flags u8 (bit k set: plane k, byte k of
+    every value, is all zero and omitted), the raw DEFLATE stream of the high
+    bytes, which ends itself, then planes 2, 1 and 0 that are not all zero.
+    """
+    raw = np.ascontiguousarray(values, dtype="<f4").view(np.uint8)
+    planes = np.ascontiguousarray(raw.reshape(-1, 4).T)
+    stored = planes[:3].any(axis=1)
+    flags = sum(1 << k for k in range(3) if not stored[k])
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+    parts = [struct.pack("<B", flags), deflate.compress(planes[3]), deflate.flush()]
+    return b"".join(parts + [planes[k] for k in (2, 1, 0) if stored[k]])
+
+
+def read_planes(reader: ByteReader, numel: int) -> np.ndarray:
+    """Parse what encode_planes wrote for numel values; returns them as
+    float32. There is one encoding per array: unknown flag bits, a high
+    plane stream that does not end or inflates to other than numel bytes,
+    and a stored plane that is all zero raise."""
+    (flags,) = reader.unpack("<B")
+    if flags & ~0b111:
+        raise FormatError(f"unknown zero-plane flags {flags:#x}")
+    inflate = zlib.decompressobj(-15)
+    rest = memoryview(reader.data)[reader.pos:]
+    try:
+        high = inflate.decompress(rest, numel + 1)
+    except zlib.error as exc:
+        raise IntegrityError(f"high byte plane corrupt: {exc}") from exc
+    if len(high) > numel:
+        raise IntegrityError(f"high byte plane inflates past {numel} bytes")
+    if not inflate.eof:
+        raise IntegrityError("high byte plane corrupt: incomplete or truncated stream")
+    if len(high) != numel:
+        raise IntegrityError(f"high byte plane inflates to {len(high)} bytes for {numel} elements")
+    reader.take(len(rest) - len(inflate.unused_data))
+    out = np.zeros(4 * numel, dtype=np.uint8)
+    out[3::4] = np.frombuffer(high, dtype=np.uint8)
+    for k in (2, 1, 0):
+        if not flags >> k & 1:
+            plane = reader.take(numel)
+            if plane.count(0) == numel:
+                raise IntegrityError(f"stored byte plane {k} is all zero")
+            out[k::4] = np.frombuffer(plane, dtype=np.uint8)
+    return out.view("<f4")
+
+
+def max_planes_bytes(numel: int) -> int:
+    """The largest encode_planes output for numel values: every low plane
+    stored, and the high plane at zlib's deflateBound for raw DEFLATE with
+    the default window and memory (stored blocks, at worst)."""
+    deflated = numel + (numel >> 12) + (numel >> 14) + (numel >> 25) + 7
+    return 1 + deflated + 3 * numel
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:

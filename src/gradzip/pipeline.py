@@ -1,13 +1,13 @@
 """Round-level compression pipeline and client/server synchronization.
 
-One round runs per layer: small layers are stored losslessly; large layers go
-through magnitude prediction, sign prediction, residual quantization, entropy
-coding, and the lossless backend. The client keeps the reconstruction the
-server will compute and feeds the predictors from it, and both sides derive
-each prediction through one step from the blob's wire fields, so they evolve
-bitwise-identical state using only the framed payload as a channel. One driver
-runs every layer step of a round, in layer order, and names the layer in the
-step's errors. Each layer writes only its own arrays of the SyncState, which
+One round runs per layer: small layers are sent exactly, by byte plane; large
+layers go through magnitude prediction, sign prediction, residual
+quantization, entropy coding, and the lossless backend. The client keeps the
+reconstruction the server will compute and feeds the predictors from it, and
+both sides derive each prediction through one step from the blob's wire
+fields, so they evolve bitwise-identical state using only the framed payload
+as a channel. One loop, _each_layer, runs every layer step of a round, in
+layer order, and names the layer in the step's errors. Each layer writes only its own arrays of the SyncState, which
 advances in place; what a round returns is valid until the next round. A
 caller that wants to branch from a state keeps its own copy.
 
@@ -17,17 +17,22 @@ blob's result by the CRC32 of the client's state after the round, which the
 server recomputes from its own. A client therefore needs no mirror of the
 server to know that the server will decode what it sent.
 
-Wire formats (little-endian), version 2:
+Wire formats (little-endian), version 3:
 
     layer blob (before the lossless backend wrap):
         tag u8: 0 = lossless_only, 1 = lossy
-        lossless_only: raw float32 values
+        lossless_only: the float32 values by byte plane (codec.encode_planes):
+               zero-plane flags u8 (bit k: plane k is all zero and omitted),
+               raw DEFLATE stream of the high bytes, then the stored low
+               planes 2, 1 and 0 that are not all zero, one byte per value
         lossy: flags u8 (bit 0 = prediction used), mu f32, sigma f32,
                delta f64, sign bitmap, Huffman block, literal section,
                state digest u32: CRC32 of the layer's magnitude memory
                (f64) and then its reconstruction (f32) after the round
 
-    wrapped blob: "Z" + zlib stream, or "S" + layer blob + CRC32 u32
+    wrapped blob: "Z" + zlib stream, or "S" + layer blob + CRC32 u32. The
+        encoder stores every lossless_only blob, whose high plane is already
+        deflated; the backend parameter picks the wrap of lossy blobs.
 
     payload frame:
         magic "GEBC", version u16, client u32, round u32,
@@ -40,6 +45,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from hashlib import blake2b
 
 import numpy as np
@@ -51,11 +57,14 @@ from .codec import (
     ErrorBoundConfig,
     decode_stream,
     dequantize,
+    encode_planes,
     encode_stream,
     lossless_compress,
     lossless_decompress,
+    max_planes_bytes,
     max_stream_bytes,
     quantize,
+    read_planes,
     read_stream,
     resolve_bound,
 )
@@ -75,7 +84,7 @@ from .predictor import (
 from .trace import KIND_CONV4D, ByteReader, GradientTensor, LayerSpec, abs_stats, encode_layer_table
 
 PAYLOAD_MAGIC = b"GEBC"
-PAYLOAD_VERSION = 2
+PAYLOAD_VERSION = 3
 DEFAULT_LOSSY_THRESHOLD = 1024
 
 TAG_LOSSLESS = 0
@@ -118,6 +127,11 @@ class SyncState:
     memory: list[np.ndarray]
     prev_recon: list[np.ndarray]
     round: int = 0
+
+    @cached_property
+    def digest(self) -> bytes:
+        """The layer table's spec_digest, computed once."""
+        return spec_digest(self.layers)
 
     @classmethod
     def initial(cls, layers: list[LayerSpec]) -> "SyncState":
@@ -166,14 +180,19 @@ def _predict(
     Takes the blob's wire fields (flags, sign bitmap, mu and sigma) and the
     layer's shared history, returns ghat, and writes the next magnitude
     memory over ``state.memory[i]``. Signs come only from the bitmap, so the
-    client predicts exactly what the server rebuilds from the same blob.
+    client predicts exactly what the server rebuilds from the same blob. A
+    layer with no predicted sign predicts zero, and only its memory moves.
     """
     spec, prev_recon = state.layers[i], state.prev_recon[i]
-    if not flags & _FLAG_PREDICTION:
-        return np.zeros(spec.numel, dtype=np.float64)
-    pred_abs = predict_magnitude(prev_recon, float(mu32), float(sigma32), state.memory[i], params)
-    signs = reconstruct_signs(bitmap, prev_recon, spec)
-    return np.multiply(pred_abs, signs.values, out=pred_abs)
+    signed = bitmap.variant != VARIANT_NONE
+    if flags & _FLAG_PREDICTION:
+        pred_abs = predict_magnitude(
+            prev_recon, float(mu32), float(sigma32), state.memory[i], params, signed
+        )
+        if signed:
+            signs = reconstruct_signs(bitmap, prev_recon, spec)
+            return np.multiply(pred_abs, signs.values, out=pred_abs)
+    return np.zeros(spec.numel, dtype=np.float64)
 
 
 def _state_crc(memory: np.ndarray, recon: np.ndarray) -> int:
@@ -193,8 +212,8 @@ def _encode_layer(
     if g.spec != spec:
         raise UsageError(f"gradient is for layer {g.spec.name!r}")
     if spec.numel <= params.lossy_threshold:
-        inner = struct.pack("<B", TAG_LOSSLESS) + g.values.astype("<f4", copy=False).tobytes()
-        blob = lossless_compress(inner, params.backend)
+        inner = struct.pack("<B", TAG_LOSSLESS) + encode_planes(g.values)
+        blob = lossless_compress(inner, BACKEND_STORE)
         np.copyto(recon, g.values)
         return blob, BlobInfo(TAG_LOSSLESS, len(blob), len(inner))
     mu, sigma = abs_stats(g.values, np.empty(spec.numel))
@@ -235,7 +254,7 @@ def encode_round(
     coded = _each_layer(state.layers, tensors, _encode_layer, state, params)
     blobs, infos = map(list, zip(*coded))
     state.round += 1
-    payload = CompressedPayload(client_id, state.round, spec_digest(state.layers), blobs)
+    payload = CompressedPayload(client_id, state.round, state.digest, blobs)
     return payload, infos, state
 
 
@@ -251,10 +270,13 @@ def compress_round(
     return payload, next_state
 
 
-def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
+def check_payload(
+    payload: CompressedPayload, layers: list[LayerSpec], digest: bytes | None = None
+) -> None:
     """Check a payload's layer-table digest, its blob count, and each blob's
-    length against the fewest bytes its layer can be coded in."""
-    if payload.spec_digest != spec_digest(layers):
+    length against the fewest bytes its layer can be coded in. ``digest`` is
+    the table's spec_digest, if the caller holds it."""
+    if payload.spec_digest != (spec_digest(layers) if digest is None else digest):
         raise ProtocolError(
             f"payload for round {payload.round} does not match the layer table"
         )
@@ -268,13 +290,16 @@ def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
 
 def _check_size(i: int, blob: bytes, layers: list[LayerSpec]) -> None:
     """Refuse a wrapped blob shorter than the fewest bytes layer i can be
-    coded in. A lossless inner blob holds 4 bytes per element; a lossy one at
-    least one code bit and one mask bit per element. DEFLATE inflates at most
-    1032:1 (a 258-byte match in 2 bits). A literal section without the
-    per-element mask would halve the lossy term, and this bound with it.
+    coded in. A lossy inner blob holds at least one code bit and one mask bit
+    per element, and DEFLATE inflates at most 1032:1 (a 258-byte match in 2
+    bits). A lossless inner blob holds its high byte plane deflated, at least
+    numel / 1032 bytes, and the encoder stores it, so it passes as well; only
+    a lossless blob deflated a second time could fall below the bound. A
+    literal section without the per-element mask would halve the lossy term,
+    and this bound with it.
     """
     numel = layers[i].numel
-    if len(blob) < min(1 + 4 * numel, 2 * ((numel + 7) // 8)) // 1032:
+    if len(blob) < 2 * ((numel + 7) // 8) // 1032:
         raise IntegrityError(f"a {len(blob)}-byte blob cannot hold {numel} elements")
 
 
@@ -322,7 +347,7 @@ def decode_payload(
     ProtocolError naming the round. A round that raises leaves ``state``
     partly advanced, so it may not be used again.
     """
-    check_payload(payload, state.layers)
+    check_payload(payload, state.layers, state.digest)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
@@ -374,7 +399,7 @@ def _max_inner_bytes(numel: int) -> int:
     state digest."""
     bitmap = 5 + 2 * ((numel + 7) // 8)  # tag, kernel count, two bit levels
     lossy = 1 + struct.calcsize("<Bffd") + bitmap + max_stream_bytes(numel) + 4
-    return max(1 + 4 * numel, lossy)
+    return max(1 + max_planes_bytes(numel), lossy)
 
 
 def _parse_blob(
@@ -383,8 +408,8 @@ def _parse_blob(
     """Inflate and validate one layer blob, leaving the bins entropy coded.
 
     Returns the blob's description, its sign bitmap (None for a lossless
-    blob) and its body: the float32 values of a lossless blob, read in
-    place, or the parsed stream of a lossy one. A blob of round 1 has no
+    blob) and its body: the float32 values of a lossless blob, or the
+    parsed stream of a lossy one. A blob of round 1 has no
     previous signs to predict from, so it may not carry a sign bitmap, and a
     kernel bitmap must fit the layer's kernels. Its errors leave the layer
     unnamed: the round driver that runs it adds the name.
@@ -395,7 +420,7 @@ def _parse_blob(
     if tag == TAG_LOSSLESS:
         info = BlobInfo(tag, len(blob), len(inner))
         bitmap = None
-        body = np.frombuffer(reader.take(4 * spec.numel), dtype="<f4")
+        body = read_planes(reader, spec.numel)
         if not np.isfinite(body).all():
             raise DataError("lossless blob holds non-finite values")
     elif tag == TAG_LOSSY:

@@ -152,7 +152,8 @@ def predict_magnitude(
     sigma_curr: float,
     memory: np.ndarray,
     params: PredictParams,
-) -> np.ndarray:
+    denormalize: bool = True,
+) -> np.ndarray | None:
     """EMA prediction of elementwise magnitudes in normalized space.
 
     Takes the previous round's signed reconstruction, standardizes its
@@ -161,7 +162,9 @@ def predict_magnitude(
     z_pred = (1 - beta) * memory + beta * z_prev, then de-normalizes with the
     current round's transmitted statistics. The returned prediction is a new
     float64 array clamped to be nonnegative. The unclamped z_pred is written
-    over ``memory``, a float64 array of the input's length.
+    over ``memory``, a float64 array of the input's length. Without
+    denormalize only the memory is written, by the same operations, and
+    None is returned: a layer with no predicted sign needs no magnitude.
     """
     recon = np.asarray(recon).reshape(-1)
     n, beta = recon.size, params.beta
@@ -183,10 +186,11 @@ def predict_magnitude(
         p *= beta
         z *= 1.0 - beta
         z += p
-        np.multiply(z, sigma, out=p)
-        p += mu
-        np.maximum(p, 0.0, out=p)
-    return pred_abs
+        if denormalize:
+            np.multiply(z, sigma, out=p)
+            p += mu
+            np.maximum(p, 0.0, out=p)
+    return pred_abs if denormalize else None
 
 
 def gradient_correlation(a: np.ndarray, b: np.ndarray) -> float:

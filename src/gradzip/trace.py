@@ -34,6 +34,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,7 +81,7 @@ class LayerSpec:
         other rank."""
         return KIND_CONV4D if len(self.shape) == 4 else KIND_OTHER
 
-    @property
+    @cached_property
     def numel(self) -> int:
         return int(math.prod(self.shape))
 

@@ -20,26 +20,26 @@ LAYERS = "conv1:16x8x3x3,conv2:16x16x3x3,fc:40x40,b:10"
 
 # name -> sha256 of the artifact's bytes (files) or of its stdout (text).
 EXPECTED = {
-    "abs.gzs": "dff073030ae1ebdfea6fc7179e6a2ab5bb06202bad39634ae1bf9f432f24fb30",
-    "abs.gzs.csv": "a058181ee01f32194b78046479a6aafeb3696d3199d1992132155eb94378f2de",
+    "abs.gzs": "222f231126d0f885a3616c2d1ed017c9a59993a697c6d5f3d577f2d9a0ecc2a9",
+    "abs.gzs.csv": "31dedbf0e0552f2d303c2147b740bd2996935614304cd7cdb5e582d99f1d2934",
     "abs.rec": "0c6687130c249e3e118e1fcfdeb1d68c95d8fab61573651f787a4ad278c42b6f",
-    "default.gzs": "44089a2c554f7205a21c34cb34fb7255a6eda4d113db99388f4259b7745e97f5",
-    "default.gzs.csv": "f80dc65f2322bc9388105c3c75b5163a72bb3e0517c4e9f8ef807f95d83616b2",
+    "default.gzs": "d232ac18a20c41df831ba5c5d97295449eb76e2aef1a0a21a1d898f37e337a5b",
+    "default.gzs.csv": "61c70ac31407e9a44079b99d4f52d70ca668d36e6b5899e25da60e587435b58d",
     "default.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
     "fb-reference": "93bba05131c95c55a4be56b0aade5aa5cb19c619d62cfc18d94e163166528002",
     "fb.gtrc": "654f0d97bf438c3ba1c46580200980b79357fe9b9946a920cd770cc1e663946d",
-    "fb.gzs": "6e4dd910ceaecf7826f01e3a459dabb3efa45ae5bd8cef2d94970978e6806a8c",
-    "fb.gzs.csv": "002af92d5993c6a4669a9020159ecf682f5079889d8ff9018a9229eee8c21f02",
+    "fb.gzs": "87ee3f782bef1238546d79d75a7a455fa9a0d3f2ca6ba75492b684d5976cc97f",
+    "fb.gzs.csv": "dd0364a540f621b8e90fed542e69504ab5bda45383eb23e5865d8b3dff88dd32",
     "fb.rec": "f17fc89271cb21f880753e15c67f9b2f57b91aee6f23cd5a57e0f831e3571253",
-    "inspect-default": "3ae633f376657dcabf772329ab23394489d534906dbcafe3028b6aa1a01263f4",
-    "inspect-fb": "624ff717456e2aa1a38ea5e970776fe0a0940e718855650e773ad61f77cadc20",
+    "inspect-default": "38b7c39055309b56db5c91fe52b3e5714ee602a297fc0ad939cae144fa021fb5",
+    "inspect-fb": "3489eafc38d1a793415f1386d8d07e8107bfe1ba608995672ab818a849b0a40b",
     "mb.gtrc": "6d86c4a7bcc43bb710d1ae888f80b04f151235db34614b96c6ee24d794805373",
     "mb2.gtrc": "5177b731a0a41441a5bc0afc925d83c2e4c59b7bc0213a2cd6a0ef0a7286ef23",
-    "off.gzs": "826591964b710a5b6a5e5a76ddedfca286ae2611c9768a37a4ae51d7085b598b",
-    "off.gzs.csv": "8eef371f64be70af982cfb447da67bad4022338346c1104fcc1f6f41d77aaeea",
-    "sim.csv": "63635aa00c7df44fb81d835ff9ad89da7ba475edabd1aecd6943eed7cddaa04d",
-    "store.gzs": "6cebb63fa84d0e448995c81cb4659b01289143dda5ab95d64a06cb5821eda5f2",
-    "store.gzs.csv": "d2fcc4ea8d99774fde4a4e1cef154d37c75582dad14c39bc4ea571eac9b9572f",
+    "off.gzs": "964fe30659116adccced08ba7b69af314e0934d1b1a57298f3cdc54910ff2f11",
+    "off.gzs.csv": "d705f22e9712a1c47f9cf355cb122223717ac56704329037fdb80b3b108e8b9a",
+    "sim.csv": "4ec2ff26f512bfd42c6ce14596496b0afebdf49d1fd0a3555da3394a17469cf2",
+    "store.gzs": "421702a6c934154a66bf325699c2b45f4b9b05fdd18be7151955db781957b0ca",
+    "store.gzs.csv": "fff9c4f5b3d0660116a29cc885b90e21db6d81d0624b814d36fbc65edb9c932d",
     "store.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
 }
 

@@ -453,28 +453,95 @@ def test_non_finite_wire_delta_exits_3(tmp_path, capsys):
 
 
 def test_non_finite_lossless_blob_exits_3(tmp_path, capsys):
-    import struct
+    from dataclasses import replace
 
-    from gradzip.codec import lossless_compress
+    from gradzip.codec import encode_planes, lossless_compress
+    from gradzip.pipeline import frame_payload
 
     trace = make_trace(tmp_path, layers="conv:8x4x3x3,b:10", rounds=2, seed=1)
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out, "--backend", "store") == 0
-    data = bytearray(out.read_bytes())
-    blob = read_frames(out)[0].blobs[1]
-    # Store tag, blob tag u8 (lossless), then layer b's float32 values. The
-    # crafted blob carries a valid CRC.
-    assert blob[:2] == b"S\x00"
-    at = data.find(blob)
-    inner = bytearray(blob[1:-4])
-    inner[1:5] = struct.pack("<f", float("nan"))
-    data[at:at + len(blob)] = lossless_compress(bytes(inner), "store")
+    data = out.read_bytes()
+    payloads = read_frames(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    # Store tag, blob tag u8 (lossless), then layer b's values by byte plane,
+    # the first one a NaN. The crafted blob carries a valid CRC.
+    assert payloads[0].blobs[1][:2] == b"S\x00"
+    values = load_trace(trace).rounds[0][1].values.copy()
+    values[0] = np.nan
+    blobs = [payloads[0].blobs[0], lossless_compress(b"\x00" + encode_planes(values), "store")]
     bad = tmp_path / "bad.gzp"
-    bad.write_bytes(bytes(data))
+    bad.write_bytes(header + frame_payload(replace(payloads[0], blobs=blobs))
+                    + frame_payload(payloads[1]))
     capsys.readouterr()
     assert run("inspect", bad) == 3
     assert run("decompress", bad, tmp_path / "r.gtrc") == 3
     assert capsys.readouterr().err.count("lossless blob holds non-finite values") == 2
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+def _raw_deflate(data, finish=True):
+    import zlib
+
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
+    return deflate.compress(data) + deflate.flush(zlib.Z_FINISH if finish else zlib.Z_SYNC_FLUSH)
+
+
+def _plane_cases():
+    """(name, inner blob of a 10-element lossless layer from its values'
+    planes, exit code, message) for each refusal of a byte-plane blob."""
+    def blob(planes, flags=0, high=None, stored=(2, 1, 0), tail=b""):
+        high = _raw_deflate(planes[3]) if high is None else high
+        return bytes([0, flags]) + high + b"".join(planes[k] for k in stored) + tail
+
+    return [
+        ("unknown flag bit", lambda p: blob(p, flags=0x08), 2, "unknown zero-plane flags 0x8"),
+        ("short high plane", lambda p: blob(p, high=_raw_deflate(p[3][:-1])), 3,
+         "high byte plane inflates to 9 bytes for 10 elements"),
+        ("long high plane", lambda p: blob(p, high=_raw_deflate(p[3] + b"\x00")), 3,
+         "high byte plane inflates past 10 bytes"),
+        ("unended high plane", lambda p: blob(p, flags=0x07, high=_raw_deflate(p[3], False),
+                                              stored=()), 3,
+         "high byte plane corrupt: incomplete or truncated stream"),
+        ("corrupt high plane", lambda p: blob(p, high=b"\x07" + _raw_deflate(p[3])), 3,
+         "high byte plane corrupt: Error -3"),
+        ("stored zero plane", lambda p: blob(p)[:-10] + bytes(10), 3, "stored byte plane 0 is all zero"),
+        ("missing plane bytes", lambda p: blob(p)[:-1], 3, "truncated input: wanted 10 bytes"),
+        ("missing plane", lambda p: blob(p, stored=(2, 1)), 3, "truncated input: wanted 10 bytes"),
+        ("trailing plane bytes", lambda p: blob(p, tail=b"\x01"), 3, "trailing bytes in blob"),
+    ]
+
+
+@pytest.mark.parametrize("case", _plane_cases(), ids=lambda c: c[0])
+def test_malformed_lossless_blob_exits_alike(tmp_path, capsys, case):
+    # Each malformed byte-plane blob, stored with a valid CRC32: decompress
+    # and inspect exit with the same code and the same message, naming the
+    # layer.
+    from dataclasses import replace
+
+    from gradzip.codec import lossless_compress
+    from gradzip.pipeline import frame_payload
+
+    _, craft, code, message = case
+    trace = make_trace(tmp_path, layers="conv:8x4x3x3,b:10", rounds=2, seed=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = out.read_bytes()
+    payloads = read_frames(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    raw = load_trace(trace).rounds[0][1].values.view(np.uint8).reshape(-1, 4)
+    planes = [raw[:, k].tobytes() for k in range(4)]
+    assert all(any(p) for p in planes)
+    blobs = [payloads[0].blobs[0], lossless_compress(craft(planes), "store")]
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(header + frame_payload(replace(payloads[0], blobs=blobs))
+                    + frame_payload(payloads[1]))
+    capsys.readouterr()
+    assert run("inspect", bad) == code
+    assert run("decompress", bad, tmp_path / "r.gtrc") == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == err[1]
+    assert f"layer 'b': {message}" in err[0]
     assert not (tmp_path / "r.gtrc").exists()
 
 
@@ -899,10 +966,12 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     # without decoding bins. Every refusal names the mutated blob's layer, and
     # where both readers refuse they print the same message. A lossless blob
     # parses the same in every round but for its tag, so past round 1 only
-    # its tag byte is mutated. A case in round r is a stream of rounds 1..r,
-    # so no later round is decoded.
+    # its tag byte is mutated; one that decodes must give what a plain
+    # reading of its byte planes gives. A case in round r is a stream of
+    # rounds 1..r, so no later round is decoded.
     import contextlib
     import io
+    import zlib
     from dataclasses import replace
 
     from gradzip.codec import lossless_compress, lossless_decompress
@@ -936,13 +1005,23 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     def raw(rounds):
         return [[g.values.tobytes() for g in tensors] for tensors in rounds]
 
+    def planes_of(inner, n):
+        # Zero-plane flags, raw DEFLATE of the high bytes, stored planes.
+        inflate = zlib.decompressobj(-15)
+        out = np.zeros((n, 4), dtype=np.uint8)
+        out[:, 3] = np.frombuffer(inflate.decompress(inner[2:]), dtype=np.uint8)
+        stored = [k for k in (2, 1, 0) if not inner[1] >> k & 1]
+        for j, k in enumerate(stored):
+            out[:, k] = np.frombuffer(inflate.unused_data[j * n:(j + 1) * n], dtype=np.uint8)
+        return out.view("<f4").reshape(-1)
+
     def run_quiet(*argv):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = run(*argv)
         return code, err.getvalue()
 
-    bad, problems, count = tmp_path / "bad.gzp", [], 0
+    bad, problems, count, lossless_decoded = tmp_path / "bad.gzp", [], 0, 0
     for r, i, inner in cases():
         count += 1
         blobs = list(payloads[r].blobs)
@@ -962,8 +1041,9 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
         elif code == 0:
             expect = [list(t) for t in want[:r + 1]]
             if inner[0] == TAG_LOSSLESS:  # the values are the data itself
-                values = np.frombuffer(inner[1:], dtype="<f4")
+                values = planes_of(inner, want[r][i].spec.numel)
                 expect[r][i] = GradientTensor(want[r][i].spec, values)
+                lossless_decoded += values.tobytes() != want[r][i].values.tobytes()
             if raw(load_trace(rec).rounds) != raw(expect):
                 problems.append((where, "exit 0 with a changed reconstruction"))
         elif f"layer {want[r][i].spec.name!r}: " not in err:
@@ -974,6 +1054,7 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
             problems.append((where, f"readers differ: {err.strip()} / {seen_err.strip()}"))
     assert count > 4000
     assert problems == []
+    assert lossless_decoded
 
 
 def test_predictor_params_travel_in_the_header(tmp_path, capsys):
@@ -997,7 +1078,7 @@ def test_version_1_stream_exits_2(tmp_path, capsys):
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out) == 0
     data = bytearray(out.read_bytes())
-    assert data[4:6] == struct.pack("<H", 2)
+    assert data[4:6] == struct.pack("<H", 3)
     data[4:6] = struct.pack("<H", 1)
     bad = tmp_path / "bad.gzp"
     bad.write_bytes(bytes(data))
@@ -1005,6 +1086,27 @@ def test_version_1_stream_exits_2(tmp_path, capsys):
     assert run("inspect", bad) == 2
     err = capsys.readouterr().err
     assert err.count("unsupported version 1") == 2
+
+
+def test_version_2_stream_exits_2(tmp_path, capsys):
+    # Version 3 changed the lossless blob: a version 2 stream header, or a
+    # version 2 frame under a version 3 header, is refused by both readers.
+    import struct
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = out.read_bytes()
+    frame = data.index(b"GEBC")
+    assert data[4:6] == data[frame + 4:frame + 6] == struct.pack("<H", 3)
+    bad = tmp_path / "bad.gzp"
+    for at, message in ((4, "payload stream: unsupported version 2"),
+                        (frame + 4, "unsupported payload version 2")):
+        bad.write_bytes(data[:at] + struct.pack("<H", 2) + data[at + 2:])
+        assert run("decompress", bad, tmp_path / "r.gtrc") == 2
+        assert run("inspect", bad) == 2
+        assert capsys.readouterr().err.count(message) == 2
+    assert not (tmp_path / "r.gtrc").exists()
 
 
 def test_mode_byte_flip_exits_3(tmp_path, capsys):

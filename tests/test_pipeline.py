@@ -2,14 +2,22 @@ import copy
 import math
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gradzip import pipeline, predictor
-from gradzip.codec import DEFAULT_BIN_CAP, ErrorBoundConfig, lossless_compress
+from gradzip.codec import (
+    DEFAULT_BIN_CAP,
+    ErrorBoundConfig,
+    encode_planes,
+    lossless_compress,
+    max_planes_bytes,
+)
 from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
 from gradzip.pipeline import (
     CompressedPayload,
@@ -97,6 +105,58 @@ class TestLosslessPath:
         g = GradientTensor(spec, np.ones(10, dtype=np.float32))
         _, new_state = compress_round([g], state, params)
         assert new_state.memory[0] is state.memory[0]
+
+    @settings(max_examples=60, deadline=None)
+    @example(bits=np.array([0x80000000], dtype=np.uint32), keep=0xFFFFFFFF, backend="default")
+    @example(bits=np.array([1, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF], dtype=np.uint32),
+             keep=0xFFFFFFFF, backend="store")
+    @example(bits=np.zeros(4096, dtype=np.uint32), keep=0xFFFFFFFF, backend="default")
+    @example(bits=np.full(832, 0x3E7BE76D, dtype=np.uint32), keep=0xFFFF0000, backend="default")
+    @given(
+        bits=st.integers(1, 4096).flatmap(lambda n: hnp.arrays(np.uint32, n)),
+        keep=st.sampled_from([0xFFFFFFFF, 0xFFFFFF00, 0xFFFF00FF, 0xFF00FFFF,
+                              0xFFFF0000, 0xFF0000FF, 0xFF000000]),
+        backend=st.sampled_from(["default", "store"]),
+    )
+    def test_every_finite_float32_array_round_trips_bitwise(self, bits, keep, backend):
+        # Any finite float32 array, low byte planes zeroed by ``keep`` or
+        # not, comes back bit for bit: -0.0, subnormals and +-float32 max
+        # included. A non-finite pattern loses its lowest exponent bit, which
+        # makes it finite. The blob is stored whatever the backend.
+        bits = bits & np.uint32(keep)
+        bits[(bits & 0x7F800000) == 0x7F800000] &= np.uint32(~0x00800000 & 0xFFFFFFFF)
+        values = bits.view(np.float32)
+        spec = LayerSpec("v", (values.size,))
+        params = make_params(lossy_threshold=4096, backend=backend)
+        payload, infos, _ = encode_round([GradientTensor(spec, values)], SyncState.initial([spec]), params)
+        assert payload.blobs[0][:2] == b"S\x00"
+        assert infos[0].inner_bytes <= 1 + max_planes_bytes(values.size)
+        recons, _, _ = decode_payload(
+            parse_payload(frame_payload(payload)), SyncState.initial([spec]), params.predict
+        )
+        assert recons[0].values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 4096, 70_000])
+    def test_largest_lossless_blob_fits_the_cap(self, n):
+        # An incompressible high plane in stored DEFLATE blocks, under a
+        # DEFLATE wrap, is the largest valid lossless inner blob: it fits
+        # the cap, and the encoder's own blob is no larger.
+        rng = np.random.default_rng(n)
+        bits = rng.integers(0, 1 << 32, n, dtype=np.uint32) | 0x00010101
+        bits[(bits & 0x7F800000) == 0x7F800000] &= np.uint32(0xFF7FFFFF)
+        values = bits.view(np.float32)
+        raw = values.view(np.uint8).reshape(-1, 4)
+        stored = zlib.compressobj(0, zlib.DEFLATED, -15)
+        high = stored.compress(raw[:, 3].tobytes()) + stored.flush()
+        inner = b"\x00\x00" + high + b"".join(raw[:, k].tobytes() for k in (2, 1, 0))
+        assert len(inner) <= pipeline._max_inner_bytes(n)
+        assert len(encode_planes(values)) <= max_planes_bytes(n)
+        spec = LayerSpec("v", (n,))
+        state = SyncState.initial([spec])
+        payload = CompressedPayload(0, 1, state.digest, [lossless_compress(inner)])
+        recons, infos, _ = decode_payload(payload, state, PredictParams())
+        assert recons[0].values.tobytes() == values.tobytes()
+        assert infos[0].inner_bytes == len(inner)
 
 
 class TestErrorBound:
@@ -438,9 +498,10 @@ class TestFraming:
 
     def test_unsupported_version(self):
         raw = bytearray(frame_payload(self.make_payload()))
-        struct.pack_into("<H", raw, 4, 3)  # the version u16 after the magic
-        with pytest.raises(FormatError):
-            parse_payload(bytes(raw))
+        for version in (2, 4):  # the version u16 after the magic
+            struct.pack_into("<H", raw, 4, version)
+            with pytest.raises(FormatError, match=f"unsupported payload version {version}"):
+                parse_payload(bytes(raw))
 
     def test_trailing_bytes(self):
         raw = frame_payload(self.make_payload()) + b"x"

@@ -77,8 +77,9 @@ class TestPredictMagnitude:
     def test_in_place_matches_separate_buffers(self, n, constant):
         # The signed float32 reconstruction and its float64 magnitudes, each
         # run on its own copy of one memory, give bitwise the same prediction
-        # and memory, and the input is left as it was. A constant magnitude,
-        # and n = 1, standardize by SIGMA_FLOOR.
+        # and memory, and the input is left as it was; without denormalize
+        # the memory alone comes out the same. A constant magnitude, and
+        # n = 1, standardize by SIGMA_FLOOR.
         rng = np.random.default_rng(n)
         recon = rng.normal(size=n).astype(np.float32)
         if constant:
@@ -97,6 +98,9 @@ class TestPredictMagnitude:
         assert got.tobytes() == want.tobytes()
         assert got_mem.tobytes() == want_mem.tobytes()
         assert not np.array_equal(got_mem, memory)
+        only_mem = memory.copy()
+        assert predict_magnitude(recon, 0.7, 0.4, only_mem, params, denormalize=False) is None
+        assert only_mem.tobytes() == want_mem.tobytes()
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
