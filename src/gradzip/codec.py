@@ -181,7 +181,8 @@ def dequantize(
 ) -> np.ndarray:
     """Invert quantize: the same float32 reconstruction, literals restored
     exactly, written to and returned as out, a float32 array of the
-    stream's length."""
+    stream's length. A reconstruction that is not finite once the literals
+    are written raises DataError; out then holds it, partly written."""
     n = stream.bins.size
     recon32 = _float32_out(out, n)
     t = np.empty(min(n, _PACK_CHUNK))
@@ -190,10 +191,12 @@ def dequantize(
         _bin_centers(stream.bins[a:b], ghat[a:b], delta, out=t[: b - a])
         # In a stream quantize wrote, only a literal's centre can be past the
         # float32 range (that is why it is one), and the literal is written
-        # over it below. Any other inf fails the state digest.
+        # over it below. A crafted stream can put any centre there.
         with np.errstate(over="ignore"):
             np.copyto(recon32[a:b], t[: b - a], casting="same_kind")
     recon32[stream.literal_mask] = stream.literals
+    if not np.isfinite(recon32).all():
+        raise DataError("reconstruction holds non-finite values")
     return recon32
 
 

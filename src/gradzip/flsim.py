@@ -149,6 +149,8 @@ class RoundReport:
 _CHECK_BLOCK = 1 << 16
 
 
+# inf - inf is NaN, which fails the bound test.
+@np.errstate(invalid="ignore")
 def check_bounds(
     originals: list[GradientTensor],
     recons: list[GradientTensor],
@@ -159,7 +161,8 @@ def check_bounds(
 
     ``infos`` describes the payload's blobs, as decode_payload returns them.
     A lossy layer may be off by at most its wire delta, a lossless layer not
-    at all. A violation raises IntegrityError naming the round, the client and
+    at all, and a NaN error (a non-finite value on either side) is never in
+    bound. A violation raises IntegrityError naming the round, the client and
     the layer. The errors are taken _CHECK_BLOCK elements at a time, in one
     reused buffer.
     """
@@ -178,7 +181,7 @@ def check_bounds(
         err = float(worst.max())
         lossy = info.tag == TAG_LOSSY
         limit = info.delta if lossy else 0.0
-        if err > limit:
+        if not err <= limit:  # NaN fails too
             raise IntegrityError(
                 f"error bound violated at round {payload.round}, client "
                 f"{payload.client_id}, layer {g.spec.name!r}: {err} > {limit}"
@@ -235,12 +238,14 @@ def client_rounds(
     it, are valid until its next step. A round that raises ends it.
     """
     client = SyncState.initial(layers)
+    # Wrapped while the arrays are zeros: a non-finite value a round
+    # writes is then check_bounds' to refuse, naming round and layer.
+    recons = client.recons
     for tensors in rounds:
         t0 = time.perf_counter()
         payload, infos, client = encode_round(tensors, client, params, client_id)
         t1 = time.perf_counter()
         wire = frame_payload(payload)
-        recons = [GradientTensor(spec, r) for spec, r in zip(layers, client.prev_recon)]
         stats = check_bounds(tensors, recons, payload, infos)
         t_comp, t_decomp = (t1 - t0, 0.0) if fixed_times is None else fixed_times
         s_bytes = sum(ls.s_bytes for ls in stats)
@@ -251,7 +256,7 @@ def client_rounds(
         yield wire, row, client
         # Free this round before the next one is read into a fresh buffer
         # (see trace.open_trace).
-        del tensors, recons, payload, wire, infos, stats
+        del tensors, payload, wire, infos, stats
 
 
 def verified_rounds(

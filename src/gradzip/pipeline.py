@@ -117,10 +117,12 @@ class SyncState:
     """Predictor history shared (in structure) by client and server.
 
     Holds, per layer, the magnitude predictor's memory (float64) and the
-    previous round's reconstructed gradient (float32), as flat arrays. The
-    previous sign tensor is derived from the reconstruction when a flip
-    bitmap needs it, never stored. After processing round t on both sides
-    the two states must serialize to identical bytes.
+    previous round's reconstructed gradient (float32), as flat arrays. Each
+    round writes over these arrays in place; none is ever replaced, so
+    ``recons`` wraps them once. The previous sign tensor is derived from the
+    reconstruction when a flip bitmap needs it, never stored. After
+    processing round t on both sides the two states must serialize to
+    identical bytes.
     """
 
     layers: list[LayerSpec]
@@ -132,6 +134,12 @@ class SyncState:
     def digest(self) -> bytes:
         """The layer table's spec_digest, computed once."""
         return spec_digest(self.layers)
+
+    @cached_property
+    def recons(self) -> list[GradientTensor]:
+        """The reconstructions as GradientTensors over ``prev_recon``'s
+        arrays, built once: they read each round's values as it ends."""
+        return [GradientTensor(spec, r) for spec, r in zip(self.layers, self.prev_recon)]
 
     @classmethod
     def initial(cls, layers: list[LayerSpec]) -> "SyncState":
@@ -315,8 +323,9 @@ def decompress_round(
 def _decode_layer(i: int, blob: bytes, state: SyncState, params: PredictParams) -> "BlobInfo":
     """Layer i of a server round: returns the blob's description and writes
     layer i's new magnitude memory and reconstruction over the state's. A
-    lossy layer whose state after the round differs from the client's, by
-    the blob's state digest, raises ProtocolError."""
+    lossy layer whose reconstruction is not finite raises DataError (from
+    dequantize), and one whose state after the round differs from the
+    client's, by the blob's state digest, raises ProtocolError."""
     spec, recon = state.layers[i], state.prev_recon[i]
     info, bitmap, body = _parse_blob(blob, spec, state.round == 0)
     if info.tag == TAG_LOSSLESS:
@@ -339,13 +348,16 @@ def decode_payload(
 ) -> tuple[list[GradientTensor], list["BlobInfo"], SyncState]:
     """Decode one payload; returns reconstructions, the description of each
     parsed blob, and ``state`` itself, advanced in place as by encode_round.
-    The reconstructions are the state's arrays, so they are valid until its
-    next round. ``predict`` is all the decoder reads of the pipeline
-    parameters (a stream carries it in its header): the rest is in the
-    payload. An error raised in a layer's step names the layer; a lossy layer
-    whose state after the round differs from the client's raises
-    ProtocolError naming the round. A round that raises leaves ``state``
-    partly advanced, so it may not be used again.
+    The reconstructions are ``state.recons``'s tensors in a fresh list: the
+    same objects every round, over the state's arrays, so they are valid
+    until its next round and are to be read, not written. ``predict`` is all
+    the decoder reads of the pipeline parameters (a stream carries it in its
+    header): the rest is in the payload. An error raised in a layer's step
+    names the layer, and stops the round before the next layer: a
+    non-finite reconstruction raises DataError, and a lossy layer whose
+    state after the round differs from the client's raises ProtocolError
+    naming the round. A round that raises leaves ``state`` partly advanced,
+    so it may not be used again.
     """
     check_payload(payload, state.layers, state.digest)
     if payload.round != state.round + 1:
@@ -354,8 +366,7 @@ def decode_payload(
         )
     infos = _each_layer(state.layers, payload.blobs, _decode_layer, state, predict)
     state.round = payload.round
-    tensors = [GradientTensor(spec, r) for spec, r in zip(state.layers, state.prev_recon)]
-    return tensors, infos, state
+    return list(state.recons), infos, state
 
 
 @dataclass

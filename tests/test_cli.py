@@ -1406,3 +1406,129 @@ def test_stream_faults_are_found_before_the_first_decode(tmp_path, capsys, monke
             assert message in capsys.readouterr().err, (message, argv)
             assert not out.exists()
     assert decodes == []
+
+
+@pytest.mark.parametrize("message", [
+    "payload declares zero layers",
+    "layer 'fc': unknown blob flags",
+    "layer 'fc': sign bitmap present without prediction",
+    "layer 'fc': flip bit byte must be 0 or 1",
+    "layer 'fc': Huffman table declares no symbols",
+])
+def test_crafted_wire_faults_exit_alike(tmp_path, capsys, message):
+    # Round 2 of a stored stream, with one field crafted: a frame with no
+    # blobs, or layer fc's blob stored again with a valid CRC32. Both readers
+    # refuse it with the same exit code and message.
+    import struct
+    from dataclasses import replace
+
+    from gradzip.codec import lossless_compress
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, rounds=2)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    payloads = read_frames(out)
+    header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
+    # fc's inner blob: tag u8, flags u8 (prediction), mu f32, sigma f32,
+    # delta f64, the bitmap's tag byte ("none") at 18, then the Huffman
+    # block: min symbol i32, table span u32, bit count u64 and the code
+    # lengths from 35.
+    blob = payloads[1].blobs[2]
+    assert blob[:3] == b"S\x01\x01" and blob[19] == 0
+    inner = blob[1:-4]
+    (span,) = struct.unpack_from("<I", inner, 23)
+    crafted = {
+        "unknown blob flags": (2, inner[:1] + b"\x03" + inner[2:]),
+        # A flip bitmap (tag 1, flip byte 0) with the prediction flag clear.
+        "sign bitmap present without prediction":
+            (3, inner[:1] + b"\x00" + inner[2:18] + b"\x01\x00" + inner[19:]),
+        "flip bit byte must be 0 or 1": (2, inner[:18] + b"\x01\x02" + inner[19:]),
+        "Huffman table declares no symbols": (3, inner[:35] + bytes(span) + inner[35 + span:]),
+    }
+    if message == "payload declares zero layers":
+        code, tampered = 2, replace(payloads[1], blobs=[])
+    else:
+        code, inner = crafted[message.removeprefix("layer 'fc': ")]
+        blobs = list(payloads[1].blobs)
+        blobs[2] = lossless_compress(inner, "store")
+        tampered = replace(payloads[1], blobs=blobs)
+    bad, r = tmp_path / "bad.gzp", tmp_path / "r.gtrc"
+    bad.write_bytes(header + frame_payload(payloads[0]) + frame_payload(tampered))
+    capsys.readouterr()
+    errs = []
+    for argv in (("decompress", bad, r), ("inspect", bad)):
+        assert run(*argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errs.append(captured.err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("gradzip: " + "format error: " * (code == 2) + message)
+    assert not r.exists()
+
+
+def test_overflowing_lossy_blob_is_refused_in_its_layer_step(tmp_path, capsys):
+    # Round 2 of layer fc, stored, with delta 1e38: most bin centres pass the
+    # float32 range. Its state digest is forged to the one the server
+    # computes from it, so only the reconstruction's own check can refuse
+    # it. It does so in fc's step, before layer fc2 is decoded.
+    import copy
+    import struct
+    from dataclasses import replace
+
+    from gradzip import pipeline
+    from gradzip.cli import _open_stream
+    from gradzip.codec import decode_stream, lossless_compress
+    from gradzip.errors import DataError
+
+    trace = make_trace(tmp_path, layers="fc:64x48,fc2:32x40", rounds=2, seed=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out, "--backend", "store") == 0
+    data = out.read_bytes()
+    with _open_stream(out) as ((_, predict), layers, _, frames):
+        payloads = [payload for payload, _ in frames]
+    header = data[:len(data) - sum(len(pipeline.frame_payload(p)) for p in payloads)]
+    server = pipeline.SyncState.initial(layers)
+    pipeline.decode_payload(payloads[0], server, predict)
+    # Store tag, then the inner blob: tag u8, flags u8, mu f32, sigma f32,
+    # delta f64; it ends with the state digest u32.
+    blob = payloads[1].blobs[0]
+    assert blob[:2] == b"S\x01"
+    delta = 1e38
+    inner = bytearray(blob[1:-4])
+    inner[10:18] = struct.pack("<d", delta)
+    # The server's state after this blob: its prediction's memory, and the
+    # bin centres cast to float32 with the literals written over them.
+    forged = copy.deepcopy(server)
+    info, bitmap, body = pipeline._parse_blob(
+        lossless_compress(bytes(inner), "store"), layers[0], False
+    )
+    stream = decode_stream(body)
+    ghat = pipeline._predict(
+        forged, 0, info.flags, bitmap, np.float32(info.mu), np.float32(info.sigma), predict
+    )
+    with np.errstate(over="ignore"):
+        recon = (stream.bins * (2.0 * delta) + ghat).astype(np.float32)
+    recon[stream.literal_mask] = stream.literals
+    assert not np.isfinite(recon).all()
+    inner[-4:] = struct.pack("<I", pipeline._state_crc(forged.memory[0], recon))
+    tampered = replace(
+        payloads[1], blobs=[lossless_compress(bytes(inner), "store"), payloads[1].blobs[1]]
+    )
+
+    fc2_before = server.memory[1].tobytes(), server.prev_recon[1].tobytes()
+    with pytest.raises(DataError, match=r"^layer 'fc': ") as exc:
+        pipeline.decode_payload(tampered, server, predict)
+    assert (server.memory[1].tobytes(), server.prev_recon[1].tobytes()) == fc2_before
+    assert server.round == 1
+    assert str(exc.value) == "layer 'fc': reconstruction holds non-finite values"
+
+    bad, r = tmp_path / "bad.gzp", tmp_path / "r.gtrc"
+    bad.write_bytes(header + pipeline.frame_payload(payloads[0]) + pipeline.frame_payload(tampered))
+    capsys.readouterr()
+    assert run("decompress", bad, r) == 3
+    assert capsys.readouterr().err == (
+        "gradzip: layer 'fc': reconstruction holds non-finite values\n"
+    )
+    assert not r.exists()

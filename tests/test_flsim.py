@@ -279,6 +279,18 @@ class TestVerifyRound:
             with pytest.raises(IntegrityError, match=r"round 2, client 3, layer 'fc'"):
                 check_bounds(tensors, bumped, payload, infos)
 
+    @pytest.mark.parametrize("layer", [1, 2])  # "fc" (lossy), "bias" (lossless)
+    def test_nan_in_a_reconstruction_names_round_and_layer(self, layer):
+        # A NaN error compares false with any limit: it must still fail. The
+        # NaN is written after the tensor's own check has run.
+        tensors, recons, payload, infos, _, _ = one_verified_round()
+        bad = list(recons)
+        bad[layer] = GradientTensor(recons[layer].spec, recons[layer].values.copy())
+        bad[layer].values[3] = np.nan
+        name = sim_layers()[layer].name
+        with pytest.raises(IntegrityError, match=rf"round 2, client 3, layer '{name}': nan > "):
+            check_bounds(tensors, bad, payload, infos)
+
     @pytest.mark.parametrize("part", ["mag", "prev_recon"])
     def test_flipped_server_state_bit_names_layer(self, part):
         _, _, payload, _, client, server = one_verified_round()
@@ -384,11 +396,52 @@ class TestClientRounds:
         with pytest.raises(IntegrityError, match=r"round 1, client 0, layer 'conv1'"):
             list(client_rounds(trace.layers, trace.rounds, cfg.params))
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_inf_put_into_a_lossless_gradient_names_round_and_layer(self, r):
+        # A GradientTensor is checked when it is made; one written to after
+        # that reaches the encoder, which sends a lossless layer as it is.
+        # The bound check refuses the inf it reconstructs.
+        cfg = make_cfg(nclients=1, rounds=2)
+        trace = cfg.traces[0]
+        trace.rounds[r - 1][2].values[4] = np.inf  # "bias", lossless
+        with pytest.raises(IntegrityError, match=rf"round {r}, client 0, layer 'bias'"):
+            list(client_rounds(trace.layers, trace.rounds, cfg.params))
+
     def test_compress_time_measured_decompress_time_zero(self):
         cfg = make_cfg(nclients=1, rounds=2)
         trace = cfg.traces[0]
         for _, row, _ in client_rounds(trace.layers, trace.rounds, cfg.params):
             assert row.t_comp_s > 0.0 and row.t_decomp_s == 0.0
+
+
+class TestStateTensors:
+    def test_each_state_wraps_its_reconstructions_once(self, monkeypatch):
+        # Every round hands out the same GradientTensors over the state's
+        # arrays: at most one is made per layer per state, however many
+        # rounds run.
+        cfg = make_cfg(nclients=1, rounds=4)
+        trace = cfg.traces[0]
+        client = SyncState.initial(trace.layers)
+        payloads = []
+        for tensors in trace.rounds:
+            payload, client = compress_round(tensors, client, cfg.params)
+            payloads.append(payload)
+        made = []
+        real = GradientTensor.__post_init__
+        monkeypatch.setattr(
+            GradientTensor, "__post_init__", lambda self: made.append(self) or real(self)
+        )
+        server = SyncState.initial(trace.layers)
+        handed = [decode_payload(p, server, cfg.params.predict)[0] for p in payloads]
+        assert len(made) <= len(trace.layers)
+        for recons in handed:
+            assert recons is not server.recons
+            assert all(r is s for r, s in zip(recons, server.recons))
+            assert all(r.values is a for r, a in zip(recons, server.prev_recon))
+        made.clear()
+        steps = list(client_rounds(trace.layers, trace.rounds, cfg.params))
+        assert len(steps) == 4
+        assert len(made) <= len(trace.layers)
 
 
 class TestCompareModes:

@@ -1,6 +1,9 @@
 """README's "Quick start" commands and "Library use" examples run as
-written, and print what README shows."""
+written, and print what README shows; the package exports what "Library
+use" imports."""
 
+import ast
+import inspect
 import re
 import shlex
 from pathlib import Path
@@ -36,6 +39,28 @@ def test_library_use_blocks_run_and_keep_both_sides_in_sync():
     assert [r.values.tobytes() for r in ns["recons"]] == [
         r.tobytes() for r in client.prev_recon
     ]
+
+
+def test_package_exports_what_library_use_imports_and_the_errors():
+    import gradzip
+    from gradzip import errors
+
+    imported = {
+        alias.name
+        for block in library_use_blocks()
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "gradzip"
+        for alias in node.names
+    }
+    error_classes = {
+        name for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.GradzipError)
+    }
+    exported = {
+        name for name, obj in vars(gradzip).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert exported == imported | error_classes
 
 
 def quick_start_sessions():
