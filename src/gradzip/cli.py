@@ -75,7 +75,6 @@ from .pipeline import (
     describe_payload,
     iter_payloads,
     parse_payload,
-    spec_digest,
 )
 from .predictor import PredictParams
 from .trace import (
@@ -240,13 +239,12 @@ def _check_frames(reader: FileReader, layers: list[LayerSpec], nrounds: int) -> 
     """Read and check every frame, decoding no blob; returns the frames'
     (start, stop) byte ranges."""
     ranges, fault, start = [], None, reader.pos
-    digest = spec_digest(layers)
     for count, payload in enumerate(iter_payloads(reader), 1):
         ranges.append((start, reader.pos))
         start = reader.pos
         if fault is None:
             try:
-                check_payload(payload, layers, digest)
+                check_payload(payload, layers)
                 if payload.round != count:
                     raise ProtocolError(f"payload is round {payload.round}, stream expects {count}")
             except GradzipError as exc:

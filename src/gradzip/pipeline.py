@@ -108,7 +108,8 @@ class PipelineParams:
 
 
 def spec_digest(layers: list[LayerSpec]) -> bytes:
-    """8-byte digest of the layer table; payloads carry it to fail fast on desync."""
+    """8-byte digest of the layer table; payloads carry it to fail fast on
+    desync. Each LayerSpec holds its table entry, so no caller keeps it."""
     return blake2b(encode_layer_table(layers), digest_size=8).digest()
 
 
@@ -129,11 +130,6 @@ class SyncState:
     memory: list[np.ndarray]
     prev_recon: list[np.ndarray]
     round: int = 0
-
-    @cached_property
-    def digest(self) -> bytes:
-        """The layer table's spec_digest, computed once."""
-        return spec_digest(self.layers)
 
     @cached_property
     def recons(self) -> list[GradientTensor]:
@@ -215,11 +211,16 @@ def _encode_layer(
 ) -> tuple[bytes, "BlobInfo"]:
     """Layer i of a client round: (wrapped blob, the blob's description).
     Layer i's magnitude memory and reconstruction in ``state`` are written
-    over with the ones the server will compute."""
+    over with the ones the server will compute. A lossless layer's values
+    are sent as they are, so a non-finite one (written into the tensor
+    after it was made) raises DataError, as the reader would, before the
+    blob or the state is written."""
     spec, recon = state.layers[i], state.prev_recon[i]
     if g.spec != spec:
         raise UsageError(f"gradient is for layer {g.spec.name!r}")
     if spec.numel <= params.lossy_threshold:
+        if not np.isfinite(g.values).all():
+            raise DataError(f"non-finite gradient values at round {state.round + 1}")
         inner = struct.pack("<B", TAG_LOSSLESS) + encode_planes(g.values)
         blob = lossless_compress(inner, BACKEND_STORE)
         np.copyto(recon, g.values)
@@ -262,7 +263,7 @@ def encode_round(
     coded = _each_layer(state.layers, tensors, _encode_layer, state, params)
     blobs, infos = map(list, zip(*coded))
     state.round += 1
-    payload = CompressedPayload(client_id, state.round, state.digest, blobs)
+    payload = CompressedPayload(client_id, state.round, spec_digest(state.layers), blobs)
     return payload, infos, state
 
 
@@ -278,13 +279,10 @@ def compress_round(
     return payload, next_state
 
 
-def check_payload(
-    payload: CompressedPayload, layers: list[LayerSpec], digest: bytes | None = None
-) -> None:
+def check_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> None:
     """Check a payload's layer-table digest, its blob count, and each blob's
-    length against the fewest bytes its layer can be coded in. ``digest`` is
-    the table's spec_digest, if the caller holds it."""
-    if payload.spec_digest != (spec_digest(layers) if digest is None else digest):
+    length against the fewest bytes its layer can be coded in."""
+    if payload.spec_digest != spec_digest(layers):
         raise ProtocolError(
             f"payload for round {payload.round} does not match the layer table"
         )
@@ -359,7 +357,7 @@ def decode_payload(
     naming the round. A round that raises leaves ``state`` partly advanced,
     so it may not be used again.
     """
-    check_payload(payload, state.layers, state.digest)
+    check_payload(payload, state.layers)
     if payload.round != state.round + 1:
         raise ProtocolError(
             f"payload is round {payload.round}, server expects {state.round + 1}"
@@ -478,6 +476,10 @@ def describe_payload(payload: CompressedPayload, layers: list[LayerSpec]) -> lis
 def frame_payload(payload: CompressedPayload) -> bytes:
     if len(payload.spec_digest) != 8:
         raise UsageError("spec digest must be 8 bytes")
+    if not (0 <= payload.client_id <= 0xFFFFFFFF and 0 <= payload.round <= 0xFFFFFFFF):
+        raise UsageError(
+            f"client {payload.client_id} or round {payload.round} outside 0..4294967295"
+        )
     parts = [
         PAYLOAD_MAGIC,
         struct.pack("<HII", PAYLOAD_VERSION, payload.client_id, payload.round),

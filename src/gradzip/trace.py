@@ -59,7 +59,7 @@ _LEVEL_SPREAD = 0.8
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """Name and shape of one model layer."""
+    """Name and shape of one model layer, refused unless the layer table can hold them."""
 
     name: str
     shape: tuple[int, ...]
@@ -69,10 +69,16 @@ class LayerSpec:
         object.__setattr__(self, "shape", shape)
         if not self.name:
             raise UsageError("layer name must be non-empty")
+        try:
+            size = len(self.name.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise UsageError(f"layer {self.name!r}: name is not encodable as UTF-8") from None
+        if size > 0xFFFF:
+            raise UsageError(f"layer {self.name[:16]!r}...: name is {size} UTF-8 bytes, over 65535")
         if not 1 <= len(shape) <= 4:
             raise UsageError(f"layer {self.name!r}: shape must have 1-4 axes, got {len(shape)}")
-        if any(d <= 0 for d in shape):
-            raise UsageError(f"layer {self.name!r}: dimensions must be positive, got {shape}")
+        if not all(0 < d <= 0xFFFFFFFF for d in shape):
+            raise UsageError(f"layer {self.name!r}: dimensions must be in 1..4294967295, got {shape}")
 
     @property
     def kind(self) -> str:
@@ -84,6 +90,12 @@ class LayerSpec:
     @cached_property
     def numel(self) -> int:
         return int(math.prod(self.shape))
+
+    @cached_property
+    def table_entry(self) -> bytes:
+        """The layer's entry in the layer table (see the trace file format)."""
+        name, naxes = self.name.encode("utf-8"), len(self.shape)
+        return struct.pack("<H", len(name)) + name + struct.pack(f"<B{naxes}I", naxes, *self.shape)
 
     @property
     def kernel_size(self) -> int:
@@ -197,15 +209,7 @@ def abs_stats(values: np.ndarray, out: np.ndarray) -> tuple[float, float]:
 
 def encode_layer_table(layers: list[LayerSpec]) -> bytes:
     """Binary layer table shared by trace files and payload spec digests."""
-    out = bytearray()
-    for spec in layers:
-        name = spec.name.encode("utf-8")
-        if len(name) > 0xFFFF:
-            raise FormatError(f"layer name too long: {spec.name!r}")
-        out += struct.pack("<H", len(name)) + name
-        out += struct.pack("<B", len(spec.shape))
-        out += struct.pack(f"<{len(spec.shape)}I", *spec.shape)
-    return bytes(out)
+    return b"".join(spec.table_entry for spec in layers)
 
 
 class ByteReader:
@@ -308,7 +312,15 @@ def encode_header(magic: bytes, version: int, mode: str, layers, nrounds: int) -
     """File header shared by trace files and payload streams.
 
     magic, version u16, mode u8, layer count u32, layer table, rounds u32.
+    What decode_header refuses raises UsageError here: an unknown mode, no
+    layers, or a round count outside 1..2^32-1.
     """
+    if mode not in _MODE_CODES:
+        raise UsageError(f"unknown trace mode {mode!r}")
+    if not layers:
+        raise UsageError("a header needs at least one layer")
+    if not 0 < nrounds <= 0xFFFFFFFF:
+        raise UsageError(f"round count {nrounds} outside 1..4294967295")
     head = magic + struct.pack("<HBI", version, _MODE_CODES[mode], len(layers))
     return head + encode_layer_table(list(layers)) + struct.pack("<I", nrounds)
 
@@ -333,12 +345,24 @@ def decode_header(reader: ByteReader, magic: bytes, version: int, what: str):
 
 def write_trace(path, mode: str, layers: list[LayerSpec], nrounds: int, rounds) -> None:
     """Write a GTRC file from an iterable of nrounds rounds, one round at a
-    time. Byte-deterministic for equal rounds."""
+    time. Byte-deterministic for equal rounds.
+
+    A header open_trace would refuse raises UsageError (see encode_header)
+    before the file is opened. So does an iterable that yields more or
+    fewer than nrounds rounds, once the count shows, leaving the file partly
+    written (the CLI writes through a temp file).
+    """
+    head = encode_header(TRACE_MAGIC, TRACE_VERSION, mode, layers, nrounds)
     with open(path, "wb") as fh:
-        fh.write(encode_header(TRACE_MAGIC, TRACE_VERSION, mode, layers, nrounds))
-        for tensors in rounds:
+        fh.write(head)
+        count = 0
+        for count, tensors in enumerate(rounds, 1):
+            if count > nrounds:
+                raise UsageError(f"round {count} past the {nrounds} declared")
             for tensor in tensors:
                 fh.write(tensor.values.astype("<f4", copy=False).data)
+        if count != nrounds:
+            raise UsageError(f"{count} rounds for the {nrounds} declared")
 
 
 @contextlib.contextmanager

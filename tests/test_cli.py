@@ -65,6 +65,33 @@ def test_synth_rejects_bad_layer_string(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("synth", "{out}", "--layers", "\udcff:4x4"),  # argv's byte 0xff, as Python decodes it
+    ("synth", "{out}", "--layers", "a:4294967296"),
+    ("synth", "{out}", "--layers", "a" * 70000 + ":4"),
+    ("synth", "{out}", "--layers", "fc:4", "--rounds", "4294967296"),
+    ("bench", "--layers", "a" * 70000 + ":4", "--csv", "{out}"),
+], ids=["name-not-utf8", "dim-over-u32", "name-over-u16", "rounds-over-u32", "bench-name-over-u16"])
+def test_what_the_trace_format_cannot_hold_exits_1(tmp_path, capsys, argv):
+    # The layer table holds UTF-8 names of at most 65535 bytes and u32
+    # dimensions, and a trace header a u32 round count.
+    out = tmp_path / "out"
+    assert run(*(a.format(out=out) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gradzip: usage error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_an_undecodable_layer_name_in_argv_exits_1(tmp_path):
+    out = tmp_path / "out"
+    proc = run_child("synth", out, "--layers", "\udcff:4x4")  # passed as the byte 0xff
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("gradzip: usage error: layer '\\udcff'")
+    assert proc.stderr.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
 def test_compress_writes_stream_and_csv(tmp_path):
     trace = make_trace(tmp_path)
     out = tmp_path / "t.gzp"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gradzip.codec import ErrorBoundConfig
-from gradzip.errors import IntegrityError, ProtocolError, UsageError
+from gradzip.errors import DataError, IntegrityError, ProtocolError, UsageError
 from gradzip.flsim import (
     CommModel,
     SimConfig,
@@ -399,12 +399,12 @@ class TestClientRounds:
     @pytest.mark.parametrize("r", [1, 2])
     def test_inf_put_into_a_lossless_gradient_names_round_and_layer(self, r):
         # A GradientTensor is checked when it is made; one written to after
-        # that reaches the encoder, which sends a lossless layer as it is.
-        # The bound check refuses the inf it reconstructs.
+        # that reaches the encoder, which sends a lossless layer as it is,
+        # so the encoder refuses the inf before it writes the blob.
         cfg = make_cfg(nclients=1, rounds=2)
         trace = cfg.traces[0]
         trace.rounds[r - 1][2].values[4] = np.inf  # "bias", lossless
-        with pytest.raises(IntegrityError, match=rf"round {r}, client 0, layer 'bias'"):
+        with pytest.raises(DataError, match=rf"^layer 'bias': .* at round {r}$"):
             list(client_rounds(trace.layers, trace.rounds, cfg.params))
 
     def test_compress_time_measured_decompress_time_zero(self):

@@ -98,6 +98,19 @@ class TestLosslessPath:
         np.testing.assert_array_equal(recons[0].values, g.values)
         np.testing.assert_array_equal(new_state.prev_recon[0], g.values)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value_put_in_after_construction_is_refused(self, bad):
+        # A GradientTensor is checked when it is made; a value written to it
+        # after that is refused by the encoder, with the class the reader
+        # raises for it, before the blob or the layer's state is written.
+        spec = LayerSpec("b", (10,))
+        g = GradientTensor(spec, np.ones(10, dtype=np.float32))
+        g.values[3] = bad
+        state = SyncState.initial([spec])
+        with pytest.raises(DataError, match=r"^layer 'b': non-finite gradient values at round 1$"):
+            compress_round([g], state, make_params(lossy_threshold=1024))
+        assert state.round == 0 and not state.prev_recon[0].any()
+
     def test_small_layer_leaves_memory_untouched(self):
         spec = LayerSpec("bias", (10,))
         state = SyncState.initial([spec])
@@ -153,7 +166,7 @@ class TestLosslessPath:
         assert len(encode_planes(values)) <= max_planes_bytes(n)
         spec = LayerSpec("v", (n,))
         state = SyncState.initial([spec])
-        payload = CompressedPayload(0, 1, state.digest, [lossless_compress(inner)])
+        payload = CompressedPayload(0, 1, spec_digest([spec]), [lossless_compress(inner)])
         recons, infos, _ = decode_payload(payload, state, PredictParams())
         assert recons[0].values.tobytes() == values.tobytes()
         assert infos[0].inner_bytes == len(inner)
@@ -512,6 +525,15 @@ class TestFraming:
         raw = frame_payload(self.make_payload())
         with pytest.raises(FormatError):
             parse_payload(raw[: len(raw) - 5])
+
+    @pytest.mark.parametrize("client_id, round_idx", [(-1, 1), (2**32, 1), (0, -1), (0, 2**32)])
+    def test_client_id_or_round_outside_u32_is_refused(self, client_id, round_idx):
+        trace = structured_trace(seed=12, rounds=1)
+        state = SyncState.initial(trace.layers)
+        payload, _, _ = encode_round(trace.rounds[0], state, make_params(), client_id)
+        payload.round = round_idx
+        with pytest.raises(UsageError, match=f"client {client_id} or round {round_idx} outside"):
+            frame_payload(payload)
 
     def test_stream_iteration(self):
         trace = structured_trace(seed=13, rounds=3)

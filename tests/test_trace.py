@@ -1,17 +1,27 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from gradzip.errors import DataError, FormatError, IntegrityError, UsageError
+from gradzip.errors import DataError, FormatError, IntegrityError, ProtocolError, UsageError
+from gradzip.pipeline import CompressedPayload, check_payload, spec_digest
 from gradzip.trace import (
+    MODE_MINI_BATCH,
+    ByteReader,
     GradientTensor,
     GradientTrace,
     LayerSpec,
     SynthConfig,
     abs_stats,
+    decode_layer_table,
+    encode_header,
+    encode_layer_table,
     load_trace,
     open_trace,
+    synth_rounds,
     synth_trace,
     write_trace,
 )
@@ -57,6 +67,114 @@ class TestLayerSpec:
         assert spec.numel == 4 * 3 * 25
         with pytest.raises(UsageError):
             LayerSpec("f", (4, 3)).kernel_size
+
+
+def reference_table(layers) -> bytes:
+    """The layer table packed field by field: name length u16, UTF-8 name,
+    axis count u8, axes u32."""
+    out = bytearray()
+    for name, shape in layers:
+        raw = name.encode("utf-8")
+        out += struct.pack("<H", len(raw)) + raw
+        out += struct.pack("<B", len(shape))
+        out += struct.pack(f"<{len(shape)}I", *shape)
+    return bytes(out)
+
+
+# Names drawn from every Unicode plane but the surrogates (hypothesis'
+# default text); 1-4 axes with dimensions up to the u32 limit.
+NAMES = st.text(min_size=1, max_size=12)
+SHAPES = st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4).map(tuple)
+TABLES = st.lists(st.tuples(NAMES, SHAPES), min_size=1, max_size=8)
+
+
+class TestLayerTable:
+    @settings(max_examples=200, deadline=None)
+    @given(TABLES)
+    @example([("conv\u00e9", (64, 32, 3, 3)), ("\u5c42\U0001f600", (2**32 - 1,))])
+    def test_encoding_matches_the_reference_and_decodes_back(self, table):
+        layers = [LayerSpec(name, shape) for name, shape in table]
+        data = encode_layer_table(layers)
+        assert data == reference_table(table)
+        reader = ByteReader(data)
+        assert decode_layer_table(reader, len(layers)) == layers
+        assert reader.remaining == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(TABLES, TABLES)
+    def test_a_payload_for_another_table_is_refused(self, table, other):
+        layers = [LayerSpec(name, shape) for name, shape in table]
+        others = [LayerSpec(name, shape) for name, shape in other]
+        assume(encode_layer_table(others) != encode_layer_table(layers))
+        payload = CompressedPayload(0, 1, spec_digest(others), [b""] * len(layers))
+        with pytest.raises(ProtocolError, match="does not match the layer table"):
+            check_payload(payload, layers)
+
+    @settings(max_examples=50, deadline=None)
+    @given(NAMES, SHAPES, st.integers(0, 3), st.sampled_from([0, 2**32]))
+    def test_a_dimension_outside_u32_is_refused(self, name, shape, at, bad):
+        shape = list(shape)
+        shape[at % len(shape)] = bad
+        with pytest.raises(UsageError, match=r"dimensions must be in 1\.\.4294967295"):
+            LayerSpec(name, shape)
+
+    @pytest.mark.parametrize("name", [
+        "\udcff",  # a lone surrogate, as argv carries an undecodable byte
+        "a\udcffb",
+        "x" * 65536,
+        "\u00e9" * 32768,
+        "\u20ac" * 21845 + "x",
+    ], ids=["surrogate", "surrogate-inside", "65536-ascii", "65536-2-byte", "65536-3-byte"])
+    def test_a_name_the_table_cannot_hold_is_refused(self, name):
+        with pytest.raises(UsageError, match="name"):
+            LayerSpec(name, (4,))
+
+    @pytest.mark.parametrize("name", ["x" * 65535, "\u00e9" * 32767 + "x"],
+                             ids=["ascii", "2-byte"])
+    def test_a_name_of_65535_bytes_is_held(self, name):
+        spec = LayerSpec(name, (2**32 - 1, 1))
+        reader = ByteReader(encode_layer_table([spec]))
+        assert decode_layer_table(reader, 1) == [spec]
+
+
+class TestHeaderWriters:
+    @pytest.mark.parametrize("layers, nrounds, message", [
+        ((), 1, "at least one layer"),
+        (small_layers(), 0, "round count 0"),
+        (small_layers(), 2**32, "round count 4294967296"),
+    ])
+    def test_encode_header_refuses_what_decode_header_refuses(self, layers, nrounds, message):
+        with pytest.raises(UsageError, match=message):
+            encode_header(b"GTRC", 1, MODE_MINI_BATCH, layers, nrounds)
+
+    def test_encode_header_refuses_an_unknown_mode(self):
+        with pytest.raises(UsageError, match="unknown trace mode"):
+            encode_header(b"GTRC", 1, "half_batch", small_layers(), 1)
+
+    @pytest.mark.parametrize("layers, nrounds", [((), 1), (small_layers(), 0)])
+    def test_write_trace_refuses_a_header_open_trace_refuses(self, tmp_path, layers, nrounds):
+        p = tmp_path / "t.gtrc"
+        with pytest.raises(UsageError):
+            write_trace(p, MODE_MINI_BATCH, list(layers), nrounds, [])
+        assert not p.exists()
+
+    def test_write_trace_refuses_more_rounds_than_declared_by_u32(self, tmp_path):
+        cfg = SynthConfig(seed=1, layers=small_layers(), rounds=2**32)
+        p = tmp_path / "t.gtrc"
+        with pytest.raises(UsageError, match="round count 4294967296"):
+            write_trace(p, cfg.mode, cfg.layers, cfg.rounds, synth_rounds(cfg))
+        assert not p.exists()
+
+    @pytest.mark.parametrize("declared, made, message", [
+        (3, 2, "2 rounds for the 3 declared"),
+        (1, 2, "round 2 past the 1 declared"),
+    ])
+    def test_write_trace_refuses_a_round_count_other_than_declared(
+        self, tmp_path, declared, made, message
+    ):
+        cfg = SynthConfig(seed=2, layers=small_layers(), rounds=made)
+        with pytest.raises(UsageError, match=message):
+            write_trace(tmp_path / "t.gtrc", cfg.mode, cfg.layers, declared, synth_rounds(cfg))
 
 
 class TestGradientTensor:
