@@ -1,7 +1,7 @@
 """Command-line front end: compress, decompress, simulate, synth, inspect, bench.
 
 Payload stream files written by ``compress`` start with a small header
-(magic ``GZPS``, version 3, training mode, layer table, round count,
+(magic ``GZPS``, version 4, training mode, layer table, round count,
 predictor parameters beta f64, tau f64 and full_batch u8, then an 8-byte
 blake2b digest of all of these) followed by one framed payload per round.
 The header makes ``decompress`` and ``inspect`` self contained; the frames
@@ -91,7 +91,7 @@ from .trace import (
 )
 
 STREAM_MAGIC = b"GZPS"
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 _STREAM_PARAMS = "<ddB"  # beta, tau, full_batch
 
 
@@ -382,7 +382,15 @@ def cmd_inspect(args) -> int:
                 f"payload client {payload.client_id} round {payload.round} "
                 f"bytes {framed}"
             )
-            for spec, info in zip(layers, describe_payload(payload, layers)):
+            infos = describe_payload(payload, layers)
+            section = [info for info in infos if info.tag != TAG_LOSSY]
+            if section:
+                lines.append(
+                    f"  lossless section: layers {len(section)} "
+                    f"wire {sum(i.wire_bytes for i in section)} "
+                    f"inner {sum(i.inner_bytes for i in section)}"
+                )
+            for spec, info in zip(layers, infos):
                 if info.tag != TAG_LOSSY:
                     lines.append(
                         f"  {spec.name}: tag lossless_only wire {info.wire_bytes} "
@@ -472,7 +480,7 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
                    default=BACKEND_DEFAULT,
                    help="byte backend of lossy layer blobs: zlib (default) or "
                         "store; lossless layers are always coded by byte plane "
-                        "and stored")
+                        "in one stored section per round")
     p.add_argument("--prediction", choices=("on", "off"), default="on",
                    help="gradient prediction stage (default on)")
 

@@ -30,7 +30,7 @@ import heapq
 import math
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,13 +103,16 @@ class HuffmanBlock:
 
     lengths[i] is the code length of symbol min_symbol + i (0 = unused).
     The bitstream packs codes MSB-first; bit_count is the payload length in
-    bits, which also tells the decoder when to stop.
+    bits, which also tells the decoder when to stop. A block is not changed
+    once made: the table check it passed is kept with it.
     """
 
     min_symbol: int
     lengths: np.ndarray
     bit_count: int
     stream: bytes
+    # (numel, what _check_table returned) once the table passed it for numel.
+    checked: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lengths = np.ascontiguousarray(self.lengths, dtype=np.uint8).reshape(-1)
@@ -360,7 +363,10 @@ class _Automaton:
 def _check_table(block: HuffmanBlock, numel: int):
     """Check a code table, decoding no bin: symbols (at most numel), a bit
     count numel codes can fill, Kraft's inequality and 32-bit symbols. Returns
-    the used symbols in canonical order, their lengths and the codes per length."""
+    the used symbols in canonical order, their lengths and the codes per length.
+    A table is checked once per numel: read_stream's check serves the decoder."""
+    if block.checked is not None and block.checked[0] == numel:
+        return block.checked[1]
     order, lens = _canonical_order(block.lengths)
     if order.size == 0:
         raise IntegrityError("Huffman table declares no symbols")
@@ -377,6 +383,7 @@ def _check_table(block: HuffmanBlock, numel: int):
     lo, hi = block.min_symbol + int(order.min()), block.min_symbol + int(order.max())
     if lo < -(1 << 31) or hi >= 1 << 31:
         raise IntegrityError("Huffman table declares symbols outside the 32-bit range")
+    block.checked = (numel, (order, lens, count))
     return order, lens, count
 
 
@@ -641,33 +648,70 @@ def decode_stream(encoded: EncodedStream) -> QuantizedStream:
     return QuantizedStream(bins, mask, encoded.literals)
 
 
-def encode_planes(values: np.ndarray) -> bytes:
-    """Byte-plane coding of float32 values, exact for every float32.
+def encode_planes(values: np.ndarray, sizes) -> bytes:
+    """Byte-plane coding of the float32 values of consecutive layers of the
+    given sizes, exact for every float32.
 
     Only the high byte of a gradient float (sign and top 7 exponent bits) is
     compressible; the three low bytes are close to uniform. So the high
     bytes go through raw DEFLATE with run-length matching (Z_RLE) and each
-    low plane is stored: zero-plane flags u8 (bit k set: plane k, byte k of
-    every value, is all zero and omitted), the raw DEFLATE stream of the high
-    bytes, which ends itself, then planes 2, 1 and 0 that are not all zero.
+    low plane is stored: one zero-plane flag byte per layer (bit k set:
+    plane k, byte k of each of the layer's values, is all zero and omitted),
+    one raw DEFLATE stream of every layer's high bytes, which ends itself
+    and ends a block at each layer boundary (Z_BLOCK), so that each layer
+    keeps its own Huffman tables, then planes 2, 1 and 0 in turn, each with
+    the bytes of every layer whose flag bit for it is clear, in layer order.
+    A single layer is coded as it would be on its own.
     """
+    sizes = np.asarray(sizes, dtype=np.intp)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
     raw = np.ascontiguousarray(values, dtype="<f4").view(np.uint8)
     planes = np.ascontiguousarray(raw.reshape(-1, 4).T)
-    stored = planes[:3].any(axis=1)
-    flags = sum(1 << k for k in range(3) if not stored[k])
+    stored = np.logical_or.reduceat(planes[:3], starts, axis=1)
+    flags = np.packbits(~stored, axis=0, bitorder="little")[0]
     deflate = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
-    parts = [struct.pack("<B", flags), deflate.compress(planes[3]), deflate.flush()]
-    return b"".join(parts + [planes[k] for k in (2, 1, 0) if stored[k]])
+    high = planes[3]
+    parts = [flags]
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        parts.append(deflate.compress(high[a:b]))
+        if b < high.size:
+            parts.append(deflate.flush(zlib.Z_BLOCK))
+    parts.append(deflate.flush())
+    for k in (2, 1, 0):
+        if stored[k].all():
+            parts.append(planes[k])
+        elif stored[k].any():
+            parts.append(planes[k][np.repeat(stored[k], sizes)])
+    return b"".join(parts)
 
 
-def read_planes(reader: ByteReader, numel: int) -> np.ndarray:
-    """Parse what encode_planes wrote for numel values; returns them as
-    float32. There is one encoding per array: unknown flag bits, a high
-    plane stream that does not end or inflates to other than numel bytes,
-    and a stored plane that is all zero raise."""
-    (flags,) = reader.unpack("<B")
-    if flags & ~0b111:
-        raise FormatError(f"unknown zero-plane flags {flags:#x}")
+# Shifts of the flag bits of planes 2, 1 and 0, as a column.
+_LOW_PLANES = np.array([[2], [1], [0]], dtype=np.uint8)
+
+
+def _in_layer(cls, j: int, message: str):
+    """A read_planes error in layer j's own bytes; its ``index`` is j, so
+    that the caller can name the layer."""
+    exc = cls(message)
+    exc.index = j
+    return exc
+
+
+def read_planes(reader: ByteReader, sizes) -> np.ndarray:
+    """Parse what encode_planes wrote for layers of the given sizes; returns
+    their values, joined, as float32. There is one encoding per array: a
+    high plane stream that does not end or inflates to other than the sizes'
+    sum raises, and so do a layer's unknown flag bits and a layer's stored
+    plane that is all zero, as errors whose ``index`` is the layer's
+    position in sizes."""
+    sizes = np.asarray(sizes, dtype=np.intp)
+    numel = int(sizes.sum())
+    flags = np.frombuffer(reader.take(sizes.size), dtype=np.uint8)
+    unknown = flags > 0b111
+    if unknown.any():
+        j = int(unknown.argmax())
+        raise _in_layer(FormatError, j, f"unknown zero-plane flags {int(flags[j]):#x}")
     inflate = zlib.decompressobj(-15)
     rest = memoryview(reader.data)[reader.pos:]
     try:
@@ -681,23 +725,28 @@ def read_planes(reader: ByteReader, numel: int) -> np.ndarray:
     if len(high) != numel:
         raise IntegrityError(f"high byte plane inflates to {len(high)} bytes for {numel} elements")
     reader.take(len(rest) - len(inflate.unused_data))
-    out = np.zeros(4 * numel, dtype=np.uint8)
-    out[3::4] = np.frombuffer(high, dtype=np.uint8)
-    for k in (2, 1, 0):
-        if not flags >> k & 1:
-            plane = reader.take(numel)
-            if plane.count(0) == numel:
-                raise IntegrityError(f"stored byte plane {k} is all zero")
-            out[k::4] = np.frombuffer(plane, dtype=np.uint8)
-    return out.view("<f4")
+    # kept[i, j]: plane 2 - i of layer j is stored. The stored bytes hold
+    # each kept (plane, layer) part in this order, plane by plane.
+    kept = (flags >> _LOW_PLANES & 1) == 0
+    parts = (kept * sizes)[kept]
+    stored = np.frombuffer(reader.take(int(parts.sum())), dtype=np.uint8)
+    if parts.size:
+        nonzero = np.logical_or.reduceat(stored, np.cumsum(parts) - parts)
+        if not nonzero.all():
+            i, j = np.argwhere(kept)[nonzero.argmin()]
+            raise _in_layer(IntegrityError, int(j), f"stored byte plane {2 - i} is all zero")
+    out = np.zeros((numel, 4), dtype=np.uint8)
+    out[:, 3] = np.frombuffer(high, dtype=np.uint8)
+    out[:, 2::-1].T[np.repeat(kept, sizes, axis=1)] = stored
+    return out.view("<f4").reshape(-1)
 
 
-def max_planes_bytes(numel: int) -> int:
-    """The largest encode_planes output for numel values: every low plane
-    stored, and the high plane at zlib's deflateBound for raw DEFLATE with
-    the default window and memory (stored blocks, at worst)."""
-    deflated = numel + (numel >> 12) + (numel >> 14) + (numel >> 25) + 7
-    return 1 + deflated + 3 * numel
+def max_planes_bytes(sizes) -> int:
+    """The largest encode_planes output for layers of the given sizes: per
+    layer, its flag byte, every low plane stored, and its part of the high
+    plane stream at zlib's deflateBound for raw DEFLATE with the default
+    window and memory (stored blocks, at worst), as each part ends a block."""
+    return sum(8 + 4 * n + (n >> 12) + (n >> 14) + (n >> 25) for n in map(int, sizes))
 
 
 def lossless_compress(data: bytes, backend: str = BACKEND_DEFAULT) -> bytes:

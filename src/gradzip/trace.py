@@ -199,10 +199,14 @@ def abs_stats(values: np.ndarray, out: np.ndarray) -> tuple[float, float]:
     """Mean and population standard deviation of the elementwise magnitudes.
 
     Built in ``out``, a float64 array of the values' length; the deviation is
-    a.std()'s, from the same squared deviations summed the same way.
+    a.std()'s, from the same squared deviations summed the same way. The
+    mean is finite exactly when every value is; when it is not, it is
+    returned with a NaN deviation, and no warning.
     """
     a = np.abs(values, out=out, dtype=np.float64)
     mean = float(a.mean())
+    if not math.isfinite(mean):
+        return mean, math.nan
     a -= mean
     return mean, math.sqrt(float(np.square(a, out=a).sum()) / a.size)
 
@@ -348,9 +352,11 @@ def write_trace(path, mode: str, layers: list[LayerSpec], nrounds: int, rounds) 
     time. Byte-deterministic for equal rounds.
 
     A header open_trace would refuse raises UsageError (see encode_header)
-    before the file is opened. So does an iterable that yields more or
-    fewer than nrounds rounds, once the count shows, leaving the file partly
-    written (the CLI writes through a temp file).
+    before the file is opened. So do an iterable that yields more or fewer
+    than nrounds rounds, once the count shows, and a round whose tensors are
+    not one per declared layer, in order, naming the round and the layer;
+    either leaves the file partly written (the CLI writes through a temp
+    file).
     """
     head = encode_header(TRACE_MAGIC, TRACE_VERSION, mode, layers, nrounds)
     with open(path, "wb") as fh:
@@ -359,7 +365,13 @@ def write_trace(path, mode: str, layers: list[LayerSpec], nrounds: int, rounds) 
         for count, tensors in enumerate(rounds, 1):
             if count > nrounds:
                 raise UsageError(f"round {count} past the {nrounds} declared")
-            for tensor in tensors:
+            if len(tensors) != len(layers):
+                raise UsageError(f"round {count}: {len(tensors)} tensors for {len(layers)} layers")
+            for spec, tensor in zip(layers, tensors):
+                if tensor.spec is not spec and tensor.spec != spec:
+                    raise UsageError(
+                        f"round {count}, layer {spec.name!r}: tensor is for layer {tensor.spec.name!r}"
+                    )
                 fh.write(tensor.values.astype("<f4", copy=False).data)
         if count != nrounds:
             raise UsageError(f"{count} rounds for the {nrounds} declared")

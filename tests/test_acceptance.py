@@ -308,12 +308,11 @@ def _pooled_bins(trace, params):
     chunks = []
     for tensors in trace.rounds:
         payload, client = compress_round(tensors, client, params)
-        for spec, blob in zip(trace.layers, payload.blobs):
+        lossy = [spec for spec, lossless in zip(trace.layers, payload.lossless) if not lossless]
+        for spec, blob in zip(lossy, payload.blobs):
             inner = lossless_decompress(blob, _max_inner_bytes(spec.numel))
             reader = ByteReader(inner)
-            (tag,) = reader.unpack("<B")
-            if tag != TAG_LOSSY:
-                continue
+            assert reader.unpack("<B") == (TAG_LOSSY,)
             reader.unpack("<Bffd")
             decode_bitmap(reader)
             chunks.append(entropy_decode(decode_block(reader), spec.numel))

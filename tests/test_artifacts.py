@@ -20,26 +20,26 @@ LAYERS = "conv1:16x8x3x3,conv2:16x16x3x3,fc:40x40,b:10"
 
 # name -> sha256 of the artifact's bytes (files) or of its stdout (text).
 EXPECTED = {
-    "abs.gzs": "222f231126d0f885a3616c2d1ed017c9a59993a697c6d5f3d577f2d9a0ecc2a9",
-    "abs.gzs.csv": "31dedbf0e0552f2d303c2147b740bd2996935614304cd7cdb5e582d99f1d2934",
+    "abs.gzs": "2b64c894416cf4b2407d21abc0a9e6adfe8658639d3302a5b365a31a4eab6360",
+    "abs.gzs.csv": "66f9dec999f9cf99976af25cf68cb3c341594c4283404d15ea257c71e7044ccb",
     "abs.rec": "0c6687130c249e3e118e1fcfdeb1d68c95d8fab61573651f787a4ad278c42b6f",
-    "default.gzs": "d232ac18a20c41df831ba5c5d97295449eb76e2aef1a0a21a1d898f37e337a5b",
-    "default.gzs.csv": "61c70ac31407e9a44079b99d4f52d70ca668d36e6b5899e25da60e587435b58d",
+    "default.gzs": "3da4b421e06675f7a661850b8df6502b613dcbfa46f9f8bee1dc1ca7fbf166c4",
+    "default.gzs.csv": "283f0f99fe2ea35ee8955ee7bd2e566ba43eac853c21207175d09c8bf1e9bded",
     "default.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
     "fb-reference": "93bba05131c95c55a4be56b0aade5aa5cb19c619d62cfc18d94e163166528002",
     "fb.gtrc": "654f0d97bf438c3ba1c46580200980b79357fe9b9946a920cd770cc1e663946d",
-    "fb.gzs": "87ee3f782bef1238546d79d75a7a455fa9a0d3f2ca6ba75492b684d5976cc97f",
-    "fb.gzs.csv": "dd0364a540f621b8e90fed542e69504ab5bda45383eb23e5865d8b3dff88dd32",
+    "fb.gzs": "96dd45c6121ebb6542b665358804fbad95148a79570f6bf162eb621baa8d8085",
+    "fb.gzs.csv": "05686d09a7a07043edeb640ac1bb0169e2b1a3c6cf98245162d9a6a5e1f91de2",
     "fb.rec": "f17fc89271cb21f880753e15c67f9b2f57b91aee6f23cd5a57e0f831e3571253",
-    "inspect-default": "38b7c39055309b56db5c91fe52b3e5714ee602a297fc0ad939cae144fa021fb5",
-    "inspect-fb": "3489eafc38d1a793415f1386d8d07e8107bfe1ba608995672ab818a849b0a40b",
+    "inspect-default": "e3c4404b36ba97017a1d596d962558a7e97e0432b46589216bc815d4d291df2e",
+    "inspect-fb": "c9beb2009ace0a9e3167dea98bc991cca2513a638e8d2adaec611c523d43ee4e",
     "mb.gtrc": "6d86c4a7bcc43bb710d1ae888f80b04f151235db34614b96c6ee24d794805373",
     "mb2.gtrc": "5177b731a0a41441a5bc0afc925d83c2e4c59b7bc0213a2cd6a0ef0a7286ef23",
-    "off.gzs": "964fe30659116adccced08ba7b69af314e0934d1b1a57298f3cdc54910ff2f11",
-    "off.gzs.csv": "d705f22e9712a1c47f9cf355cb122223717ac56704329037fdb80b3b108e8b9a",
-    "sim.csv": "4ec2ff26f512bfd42c6ce14596496b0afebdf49d1fd0a3555da3394a17469cf2",
-    "store.gzs": "421702a6c934154a66bf325699c2b45f4b9b05fdd18be7151955db781957b0ca",
-    "store.gzs.csv": "fff9c4f5b3d0660116a29cc885b90e21db6d81d0624b814d36fbc65edb9c932d",
+    "off.gzs": "d226e2480d6aea44a35a7b93e378776c90d6949cbf8369fb108bc96393b611e6",
+    "off.gzs.csv": "e6f73cbbc0ab945668ddc4261b6f360d3718a910f06ffc0e877760c06c06d5dd",
+    "sim.csv": "ad1e23c8584208f32469fdeec7f3afd44ba4ffe00b77011c23cc9b5354b9c88a",
+    "store.gzs": "e701e1d98086c7e988f55fa72179a9a93e62166b7f9d48e27f66aabd6f7552a7",
+    "store.gzs.csv": "70ffe0ee3293e5d04a625ce31c96fa05211719164dd5bbc1db9e2935f0124f10",
     "store.rec": "be3eaa443b736fbb20c9599270b3f3f6193cdee7591bade4fdc80bd37eeca3ad",
 }
 

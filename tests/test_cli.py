@@ -359,8 +359,9 @@ def test_inspect_lossless_only_when_threshold_high(tmp_path, capsys):
     assert run("inspect", out) == 0
     text = capsys.readouterr().out
     layer_lines = [l for l in text.splitlines() if l.startswith("  ")]
-    assert layer_lines
-    assert all("tag lossless_only" in l for l in layer_lines)
+    section_lines = [l for l in layer_lines if l.startswith("  lossless section: layers 3 ")]
+    assert len(section_lines) == 2  # one per round
+    assert all("tag lossless_only" in l for l in layer_lines if l not in section_lines)
     # A fully lossless stream reconstructs exactly.
     recon = tmp_path / "r.gtrc"
     assert run("decompress", out, recon) == 0
@@ -485,90 +486,151 @@ def test_non_finite_lossless_blob_exits_3(tmp_path, capsys):
     from gradzip.codec import encode_planes, lossless_compress
     from gradzip.pipeline import frame_payload
 
-    trace = make_trace(tmp_path, layers="conv:8x4x3x3,b:10", rounds=2, seed=1)
+    trace = make_trace(tmp_path, layers="conv:16x8x3x3,a:12,b:10", rounds=2, seed=1)
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out, "--backend", "store") == 0
     data = out.read_bytes()
     payloads = read_frames(out)
     header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
-    # Store tag, blob tag u8 (lossless), then layer b's values by byte plane,
-    # the first one a NaN. The crafted blob carries a valid CRC.
-    assert payloads[0].blobs[1][:2] == b"S\x00"
-    values = load_trace(trace).rounds[0][1].values.copy()
-    values[0] = np.nan
-    blobs = [payloads[0].blobs[0], lossless_compress(b"\x00" + encode_planes(values), "store")]
+    # The lossless section of layers a and b by byte plane, b's first value
+    # a NaN, stored with a valid CRC: the refusal names layer b.
+    assert payloads[0].lossless.tolist() == [False, True, True]
+    assert payloads[0].section[:1] == b"S"
+    tensors = load_trace(trace).rounds[0]
+    values = np.concatenate([tensors[1].values, tensors[2].values])
+    values[12] = np.nan
+    section = lossless_compress(encode_planes(values, [12, 10]), "store")
     bad = tmp_path / "bad.gzp"
-    bad.write_bytes(header + frame_payload(replace(payloads[0], blobs=blobs))
+    bad.write_bytes(header + frame_payload(replace(payloads[0], section=section))
                     + frame_payload(payloads[1]))
     capsys.readouterr()
     assert run("inspect", bad) == 3
     assert run("decompress", bad, tmp_path / "r.gtrc") == 3
-    assert capsys.readouterr().err.count("lossless blob holds non-finite values") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["gradzip: layer 'b': lossless section holds non-finite values"] * 2
     assert not (tmp_path / "r.gtrc").exists()
 
 
-def _raw_deflate(data, finish=True):
+def _raw_deflate(*parts, finish=True):
+    """Raw DEFLATE of the parts, with a block boundary between them."""
     import zlib
 
     deflate = zlib.compressobj(6, zlib.DEFLATED, -15)
-    return deflate.compress(data) + deflate.flush(zlib.Z_FINISH if finish else zlib.Z_SYNC_FLUSH)
+    out = b"".join(deflate.compress(p) + deflate.flush(zlib.Z_BLOCK) for p in parts[:-1])
+    out += deflate.compress(parts[-1])
+    return out + deflate.flush(zlib.Z_FINISH if finish else zlib.Z_SYNC_FLUSH)
 
 
 def _plane_cases():
-    """(name, inner blob of a 10-element lossless layer from its values'
-    planes, exit code, message) for each refusal of a byte-plane blob."""
-    def blob(planes, flags=0, high=None, stored=(2, 1, 0), tail=b""):
-        high = _raw_deflate(planes[3]) if high is None else high
-        return bytes([0, flags]) + high + b"".join(planes[k] for k in stored) + tail
+    """(name, lossless section of layers a (12 elements) and b (10) from
+    their values' planes, whether it is wrapped with a valid CRC32, exit
+    code, message) for each refusal of a section."""
+    from gradzip.codec import lossless_compress
+
+    def section(planes, flags=(0, 0), high=None, stored=(2, 1, 0), tail=b""):
+        high = _raw_deflate(planes[0][3], planes[1][3]) if high is None else high
+        return bytes(flags) + high + b"".join(p[k] for k in stored for p in planes) + tail
+
+    def crc_flip(planes):
+        wrapped = bytearray(lossless_compress(section(planes), "store"))
+        wrapped[len(wrapped) // 2] ^= 0x01
+        return bytes(wrapped)
+
+    def zero_plane(planes, layer):
+        out = bytearray(section(planes))
+        start = len(out) - 22 + 12 * layer  # plane 0: a's 12 bytes, then b's 10
+        out[start:start + (12, 10)[layer]] = bytes((12, 10)[layer])
+        return bytes(out)
 
     return [
-        ("unknown flag bit", lambda p: blob(p, flags=0x08), 2, "unknown zero-plane flags 0x8"),
-        ("short high plane", lambda p: blob(p, high=_raw_deflate(p[3][:-1])), 3,
-         "high byte plane inflates to 9 bytes for 10 elements"),
-        ("long high plane", lambda p: blob(p, high=_raw_deflate(p[3] + b"\x00")), 3,
-         "high byte plane inflates past 10 bytes"),
-        ("unended high plane", lambda p: blob(p, flags=0x07, high=_raw_deflate(p[3], False),
-                                              stored=()), 3,
-         "high byte plane corrupt: incomplete or truncated stream"),
-        ("corrupt high plane", lambda p: blob(p, high=b"\x07" + _raw_deflate(p[3])), 3,
-         "high byte plane corrupt: Error -3"),
-        ("stored zero plane", lambda p: blob(p)[:-10] + bytes(10), 3, "stored byte plane 0 is all zero"),
-        ("missing plane bytes", lambda p: blob(p)[:-1], 3, "truncated input: wanted 10 bytes"),
-        ("missing plane", lambda p: blob(p, stored=(2, 1)), 3, "truncated input: wanted 10 bytes"),
-        ("trailing plane bytes", lambda p: blob(p, tail=b"\x01"), 3, "trailing bytes in blob"),
+        ("unknown flag bit", lambda p: section(p, flags=(0, 0x08)), True, 2,
+         "layer 'b': unknown zero-plane flags 0x8"),
+        ("short high plane", lambda p: section(p, high=_raw_deflate(p[0][3], p[1][3][:-1])),
+         True, 3, "lossless section: high byte plane inflates to 21 bytes for 22 elements"),
+        ("long high plane", lambda p: section(p, high=_raw_deflate(p[0][3], p[1][3] + b"\x00")),
+         True, 3, "lossless section: high byte plane inflates past 22 bytes"),
+        ("unended high plane",
+         lambda p: section(p, flags=(7, 7), high=_raw_deflate(p[0][3], p[1][3], finish=False),
+                           stored=()),
+         True, 3, "lossless section: high byte plane corrupt: incomplete or truncated stream"),
+        ("corrupt high plane", lambda p: section(p, high=b"\x07" + _raw_deflate(p[0][3], p[1][3])),
+         True, 3, "lossless section: high byte plane corrupt: Error -3"),
+        ("stored zero plane", lambda p: zero_plane(p, 1), True, 3,
+         "layer 'b': stored byte plane 0 is all zero"),
+        ("stored zero plane of a", lambda p: zero_plane(p, 0), True, 3,
+         "layer 'a': stored byte plane 0 is all zero"),
+        ("missing plane bytes", lambda p: section(p)[:-1], True, 3,
+         "lossless section: truncated input: wanted 66 bytes"),
+        ("missing plane", lambda p: section(p, stored=(2, 1)), True, 3,
+         "lossless section: truncated input: wanted 66 bytes"),
+        ("trailing plane bytes", lambda p: section(p, tail=b"\x01"), True, 3,
+         "lossless section: trailing bytes"),
+        ("crc flip", crc_flip, False, 3, "lossless section: stored payload corrupt: CRC32 mismatch"),
+        ("deflate wrap", lambda p: lossless_compress(section(p)), False, 2,
+         "lossless section: not a stored wrap"),
+        ("too short", lambda p: lossless_compress(b"\x07", "store"), False, 3,
+         "lossless section: a 6-byte section cannot hold its layers' 22 elements"),
     ]
 
 
 @pytest.mark.parametrize("case", _plane_cases(), ids=lambda c: c[0])
 def test_malformed_lossless_blob_exits_alike(tmp_path, capsys, case):
-    # Each malformed byte-plane blob, stored with a valid CRC32: decompress
-    # and inspect exit with the same code and the same message, naming the
-    # layer.
+    # Each malformed lossless section, most stored with a valid CRC32:
+    # decompress and inspect exit with the same code and the same message,
+    # which names the layer whose bytes are at fault, or else the section.
     from dataclasses import replace
 
     from gradzip.codec import lossless_compress
     from gradzip.pipeline import frame_payload
 
-    _, craft, code, message = case
-    trace = make_trace(tmp_path, layers="conv:8x4x3x3,b:10", rounds=2, seed=1)
+    _, craft, wrap, code, message = case
+    trace = make_trace(tmp_path, layers="conv:16x8x3x3,a:12,b:10", rounds=2, seed=1)
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out) == 0
     data = out.read_bytes()
     payloads = read_frames(out)
     header = data[:len(data) - sum(len(frame_payload(p)) for p in payloads)]
-    raw = load_trace(trace).rounds[0][1].values.view(np.uint8).reshape(-1, 4)
-    planes = [raw[:, k].tobytes() for k in range(4)]
-    assert all(any(p) for p in planes)
-    blobs = [payloads[0].blobs[0], lossless_compress(craft(planes), "store")]
+    planes = []
+    for g in load_trace(trace).rounds[0][1:]:
+        raw = g.values.view(np.uint8).reshape(-1, 4)
+        planes.append([raw[:, k].tobytes() for k in range(4)])
+        assert all(any(p) for p in planes[-1])
+    section = craft(planes)
+    if wrap:
+        section = lossless_compress(section, "store")
     bad = tmp_path / "bad.gzp"
-    bad.write_bytes(header + frame_payload(replace(payloads[0], blobs=blobs))
+    bad.write_bytes(header + frame_payload(replace(payloads[0], section=section))
                     + frame_payload(payloads[1]))
     capsys.readouterr()
     assert run("inspect", bad) == code
     assert run("decompress", bad, tmp_path / "r.gtrc") == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 2 and err[0] == err[1]
-    assert f"layer 'b': {message}" in err[0]
+    assert err[0].startswith("gradzip: " + "format error: " * (code == 2) + message)
+    assert not (tmp_path / "r.gtrc").exists()
+
+
+def test_nonzero_lossless_bitmap_padding_exits_3(tmp_path, capsys):
+    # The frame's lossless-layer bitmap pads its 3 bits to a byte with zeros.
+    from gradzip.pipeline import frame_payload
+
+    trace = make_trace(tmp_path, layers="conv:16x8x3x3,a:12,b:10", rounds=2, seed=1)
+    out = tmp_path / "t.gzp"
+    assert run("compress", trace, out) == 0
+    data = bytearray(out.read_bytes())
+    payloads = read_frames(out)
+    # The bitmap follows magic, version u16, client u32, round u32, the
+    # layer-table digest and the layer count u32.
+    at = len(data) - sum(len(frame_payload(p)) for p in payloads) + 4 + 2 + 4 + 4 + 8 + 4
+    assert data[at] == 0b110
+    data[at] |= 0x80
+    bad = tmp_path / "bad.gzp"
+    bad.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert run("inspect", bad) == 3
+    assert run("decompress", bad, tmp_path / "r.gtrc") == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["gradzip: nonzero padding bits after a 3-bit field"] * 2
     assert not (tmp_path / "r.gtrc").exists()
 
 
@@ -580,7 +642,7 @@ def test_inflation_bomb_exits_3(tmp_path, capsys):
 
     trace = make_trace(tmp_path, layers="fc:8x8", rounds=1)
     out = tmp_path / "t.gzp"
-    assert run("compress", trace, out) == 0
+    assert run("compress", trace, out, "--t-lossy", "0") == 0
     data = out.read_bytes()
     payloads = read_frames(out)
     frame = frame_payload(payloads[0])
@@ -618,8 +680,10 @@ def test_corrupt_layer_table_exits_2_or_3(tmp_path, backend):
 
 
 def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
+    from dataclasses import replace
+
     from gradzip.codec import lossless_compress
-    from gradzip.pipeline import CompressedPayload, frame_payload
+    from gradzip.pipeline import frame_payload
     from gradzip.predictor import VARIANT_FLIP, SignBitmap, encode_bitmap
 
     trace = make_trace(tmp_path, rounds=2)
@@ -636,9 +700,7 @@ def test_round_one_sign_bitmap_exits_3(tmp_path, capsys):
     assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
     inner = blob[1:19] + encode_bitmap(SignBitmap(VARIANT_FLIP, flip=True)) + blob[20:-4]
     blob = lossless_compress(inner, "store")
-    tampered = CompressedPayload(
-        first.client_id, first.round, first.spec_digest, [blob] + first.blobs[1:]
-    )
+    tampered = replace(first, blobs=[blob] + first.blobs[1:])
     bad = tmp_path / "bad.gzp"
     bad.write_bytes(header + frame_payload(tampered) + frame_payload(payloads[1]))
     assert run("decompress", bad, tmp_path / "r.gtrc") == 3
@@ -735,9 +797,10 @@ def test_bad_mu_or_sigma_on_the_wire_exits_3(tmp_path, capsys, layer, field, val
 
 def test_bin_cap_exceeded_on_the_wire_exits_3(tmp_path, capsys):
     import struct
+    from dataclasses import replace
 
     from gradzip.codec import DEFAULT_BIN_CAP, lossless_compress
-    from gradzip.pipeline import CompressedPayload, frame_payload
+    from gradzip.pipeline import frame_payload
 
     trace = make_trace(tmp_path, rounds=1)
     out = tmp_path / "t.gzp"
@@ -764,10 +827,7 @@ def test_bin_cap_exceeded_on_the_wire_exits_3(tmp_path, capsys):
     }
     bad = tmp_path / "bad.gzp"
     for message, inner in crafted.items():
-        tampered = CompressedPayload(
-            first.client_id, first.round, first.spec_digest,
-            [lossless_compress(inner, "store")] + first.blobs[1:],
-        )
+        tampered = replace(first, blobs=[lossless_compress(inner, "store")] + first.blobs[1:])
         bad.write_bytes(header + frame_payload(tampered))
         capsys.readouterr()
         assert run("decompress", bad, tmp_path / "r.gtrc") == 3
@@ -984,25 +1044,26 @@ NEEDS_BINS = (
 
 @pytest.mark.slow
 def test_inner_blob_fuzz_both_readers_agree(tmp_path):
-    # Every 4th byte of each inner blob of the fuzz stream set to 0x00,
-    # 0x01, 0xff and xor 0x80, and the blob cut at every 4th length, then
-    # re-wrapped as a stored blob with a valid CRC32, so each case reaches
-    # the blob parser. decompress and inspect exit 2 or 3, or 0; decompress
-    # exits 0 only with the untampered output, apart from the values a
-    # lossless blob carries, and inspect refuses whatever decompress refuses
-    # without decoding bins. Every refusal names the mutated blob's layer, and
-    # where both readers refuse they print the same message. A lossless blob
-    # parses the same in every round but for its tag, so past round 1 only
-    # its tag byte is mutated; one that decodes must give what a plain
-    # reading of its byte planes gives. A case in round r is a stream of
-    # rounds 1..r, so no later round is decoded.
+    # Every 4th byte of each lossy inner blob and of round 1's lossless
+    # section of the fuzz stream set to 0x00, 0x01, 0xff and xor 0x80, and
+    # each cut at every 4th length, then re-wrapped as a stored blob with a
+    # valid CRC32, so each case reaches the parser. decompress and inspect
+    # exit 2 or 3, or 0; decompress exits 0 only with the untampered output,
+    # apart from the values the section carries, and inspect refuses
+    # whatever decompress refuses without decoding bins. Every refusal of a
+    # blob names its layer, and every refusal of the section names one of
+    # its layers or the section; where both readers refuse they print the
+    # same message. A section that decodes must give what a plain reading of
+    # its byte planes gives. The section parses the same in every round, so
+    # only round 1's is mutated. A case in round r is a stream of rounds
+    # 1..r, so no later round is decoded.
     import contextlib
     import io
     import zlib
     from dataclasses import replace
 
     from gradzip.codec import lossless_compress, lossless_decompress
-    from gradzip.pipeline import TAG_LOSSLESS, _max_inner_bytes, frame_payload
+    from gradzip.pipeline import _max_inner_bytes, frame_payload
     from gradzip.trace import GradientTensor
 
     rec = tmp_path / "r.gtrc"
@@ -1019,28 +1080,40 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
     want = load_trace(rec).rounds
     # Each shorter stream is the 3-round fuzz stream's first rounds.
     assert streams == [heads[r] + b"".join(frames[:r + 1]) for r in range(3)]
+    section = np.flatnonzero(payloads[0].lossless).tolist()
+    lossy = np.flatnonzero(~payloads[0].lossless).tolist()
+    sizes = [want[0][i].spec.numel for i in section]
+    assert section and lossy
 
     def cases():
         for r, p in enumerate(payloads):
-            for i, blob in enumerate(p.blobs):
-                inner = lossless_decompress(blob, _max_inner_bytes(want[r][i].spec.numel))
-                for off in range(0, 1 if r and inner[0] == TAG_LOSSLESS else len(inner), 4):
+            parts = [(None, p.section[1:-4])] if r == 0 else []
+            parts += [(k, lossless_decompress(blob, _max_inner_bytes(want[r][i].spec.numel)))
+                      for k, (i, blob) in enumerate(zip(lossy, p.blobs))]
+            for k, inner in parts:
+                for off in range(0, len(inner), 4):
                     for byte in sorted({0x00, 0x01, 0xFF, inner[off] ^ 0x80} - {inner[off]}):
-                        yield r, i, inner[:off] + bytes([byte]) + inner[off + 1:]
-                    yield r, i, inner[:off]
+                        yield r, k, inner[:off] + bytes([byte]) + inner[off + 1:]
+                    yield r, k, inner[:off]
 
     def raw(rounds):
         return [[g.values.tobytes() for g in tensors] for tensors in rounds]
 
-    def planes_of(inner, n):
-        # Zero-plane flags, raw DEFLATE of the high bytes, stored planes.
+    def planes_of(inner):
+        # Zero-plane flags per layer, one raw DEFLATE stream of the high
+        # bytes, then planes 2, 1 and 0 of each layer whose flag bit is clear.
+        flags, at = inner[:len(sizes)], np.cumsum([0] + sizes)
         inflate = zlib.decompressobj(-15)
-        out = np.zeros((n, 4), dtype=np.uint8)
-        out[:, 3] = np.frombuffer(inflate.decompress(inner[2:]), dtype=np.uint8)
-        stored = [k for k in (2, 1, 0) if not inner[1] >> k & 1]
-        for j, k in enumerate(stored):
-            out[:, k] = np.frombuffer(inflate.unused_data[j * n:(j + 1) * n], dtype=np.uint8)
-        return out.view("<f4").reshape(-1)
+        out = np.zeros((at[-1], 4), dtype=np.uint8)
+        out[:, 3] = np.frombuffer(inflate.decompress(inner[len(sizes):]), dtype=np.uint8)
+        rest = inflate.unused_data
+        for k in (2, 1, 0):
+            for j, size in enumerate(sizes):
+                if not flags[j] >> k & 1:
+                    out[at[j]:at[j + 1], k] = np.frombuffer(rest[:size], dtype=np.uint8)
+                    rest = rest[size:]
+        values = out.view("<f4").reshape(-1)
+        return [values[at[j]:at[j + 1]] for j in range(len(sizes))]
 
     def run_quiet(*argv):
         err = io.StringIO()
@@ -1049,13 +1122,18 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
         return code, err.getvalue()
 
     bad, problems, count, lossless_decoded = tmp_path / "bad.gzp", [], 0, 0
-    for r, i, inner in cases():
+    for r, k, inner in cases():
         count += 1
-        blobs = list(payloads[r].blobs)
-        blobs[i] = lossless_compress(inner, "store")
-        tampered = frame_payload(replace(payloads[r], blobs=blobs))
-        bad.write_bytes(heads[r] + b"".join(frames[:r]) + tampered)
-        where = (r + 1, i, inner.hex())
+        if k is None:
+            tampered = replace(payloads[r], section=lossless_compress(inner, "store"))
+            names = ["lossless section"] + [f"layer {want[r][i].spec.name!r}" for i in section]
+        else:
+            blobs = list(payloads[r].blobs)
+            blobs[k] = lossless_compress(inner, "store")
+            tampered = replace(payloads[r], blobs=blobs)
+            names = [f"layer {want[r][lossy[k]].spec.name!r}"]
+        bad.write_bytes(heads[r] + b"".join(frames[:r]) + frame_payload(tampered))
+        where = (r + 1, k, inner.hex())
         rec.unlink(missing_ok=True)
         try:
             code, err = run_quiet("decompress", bad, rec)
@@ -1067,13 +1145,13 @@ def test_inner_blob_fuzz_both_readers_agree(tmp_path):
             problems.append((where, f"exit {code} / {seen}"))
         elif code == 0:
             expect = [list(t) for t in want[:r + 1]]
-            if inner[0] == TAG_LOSSLESS:  # the values are the data itself
-                values = planes_of(inner, want[r][i].spec.numel)
-                expect[r][i] = GradientTensor(want[r][i].spec, values)
-                lossless_decoded += values.tobytes() != want[r][i].values.tobytes()
+            if k is None:  # the values are the data itself
+                for i, values in zip(section, planes_of(inner)):
+                    expect[r][i] = GradientTensor(want[r][i].spec, values)
+                    lossless_decoded += values.tobytes() != want[r][i].values.tobytes()
             if raw(load_trace(rec).rounds) != raw(expect):
                 problems.append((where, "exit 0 with a changed reconstruction"))
-        elif f"layer {want[r][i].spec.name!r}: " not in err:
+        elif not any(f"gradzip: {'format error: ' * (code == 2)}{name}: " in err for name in names):
             problems.append((where, f"refusal names no layer: {err.strip()}"))
         elif seen == 0 and not any(m in err for m in NEEDS_BINS):
             problems.append((where, f"inspect passes what decompress refuses: {err.strip()}"))
@@ -1105,7 +1183,7 @@ def test_version_1_stream_exits_2(tmp_path, capsys):
     out = tmp_path / "t.gzp"
     assert run("compress", trace, out) == 0
     data = bytearray(out.read_bytes())
-    assert data[4:6] == struct.pack("<H", 3)
+    assert data[4:6] == struct.pack("<H", 4)
     data[4:6] = struct.pack("<H", 1)
     bad = tmp_path / "bad.gzp"
     bad.write_bytes(bytes(data))
@@ -1115,9 +1193,9 @@ def test_version_1_stream_exits_2(tmp_path, capsys):
     assert err.count("unsupported version 1") == 2
 
 
-def test_version_2_stream_exits_2(tmp_path, capsys):
-    # Version 3 changed the lossless blob: a version 2 stream header, or a
-    # version 2 frame under a version 3 header, is refused by both readers.
+def _older_version_exits_2(tmp_path, capsys, version):
+    """A stream header of the given older version, or a frame of it under a
+    version 4 header, is refused by both readers."""
     import struct
 
     trace = make_trace(tmp_path, rounds=2)
@@ -1125,15 +1203,25 @@ def test_version_2_stream_exits_2(tmp_path, capsys):
     assert run("compress", trace, out) == 0
     data = out.read_bytes()
     frame = data.index(b"GEBC")
-    assert data[4:6] == data[frame + 4:frame + 6] == struct.pack("<H", 3)
+    assert data[4:6] == data[frame + 4:frame + 6] == struct.pack("<H", 4)
     bad = tmp_path / "bad.gzp"
-    for at, message in ((4, "payload stream: unsupported version 2"),
-                        (frame + 4, "unsupported payload version 2")):
-        bad.write_bytes(data[:at] + struct.pack("<H", 2) + data[at + 2:])
+    for at, message in ((4, f"payload stream: unsupported version {version}"),
+                        (frame + 4, f"unsupported payload version {version}")):
+        bad.write_bytes(data[:at] + struct.pack("<H", version) + data[at + 2:])
         assert run("decompress", bad, tmp_path / "r.gtrc") == 2
         assert run("inspect", bad) == 2
         assert capsys.readouterr().err.count(message) == 2
     assert not (tmp_path / "r.gtrc").exists()
+
+
+def test_version_2_stream_exits_2(tmp_path, capsys):
+    # Version 3 changed the lossless blob.
+    _older_version_exits_2(tmp_path, capsys, 2)
+
+
+def test_version_3_stream_exits_2(tmp_path, capsys):
+    # Version 4 put every lossless layer of a round in one section.
+    _older_version_exits_2(tmp_path, capsys, 3)
 
 
 def test_mode_byte_flip_exits_3(tmp_path, capsys):
@@ -1252,8 +1340,9 @@ def test_overlong_declarations_are_rejected_before_reading(tmp_path, capsys):
     frames = read_frames(stream)
     header = len(data) - sum(len(frame_payload(p)) for p in frames)
     # The first blob length follows magic, version u16, client u32, round
-    # u32, digest 8 bytes and the layer count u32.
-    at = header + 4 + 2 + 4 + 4 + 8 + 4
+    # u32, digest 8 bytes, the layer count u32 and the lossless-layer bitmap
+    # (no layer is lossless, so no section follows).
+    at = header + 4 + 2 + 4 + 4 + 8 + 4 + 1
     assert struct.unpack_from("<I", data, at)[0] == len(frames[0].blobs[0])
     long_blob = data[:at] + struct.pack("<I", 0xFFFFFFFF) + data[at + 4:]
     extra_frame = data + frame_payload(frames[-1])
@@ -1299,7 +1388,9 @@ def crafted_stream(layers, rounds):
 
     head = _stream_header(MODE_MINI_BATCH, layers, len(rounds), PredictParams())
     return head + b"".join(
-        frame_payload(CompressedPayload(0, r, spec_digest(layers), blobs))
+        frame_payload(CompressedPayload(
+            0, r, spec_digest(layers), np.zeros(len(layers), bool), b"", blobs
+        ))
         for r, blobs in enumerate(rounds, 1)
     )
 
@@ -1475,7 +1566,7 @@ def test_crafted_wire_faults_exit_alike(tmp_path, capsys, message):
         "Huffman table declares no symbols": (3, inner[:35] + bytes(span) + inner[35 + span:]),
     }
     if message == "payload declares zero layers":
-        code, tampered = 2, replace(payloads[1], blobs=[])
+        code, tampered = 2, replace(payloads[1], lossless=np.zeros(0, bool), blobs=[])
     else:
         code, inner = crafted[message.removeprefix("layer 'fc': ")]
         blobs = list(payloads[1].blobs)

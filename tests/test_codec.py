@@ -26,9 +26,12 @@ from gradzip.codec import (
     encode_stream,
     entropy_decode,
     entropy_encode,
+    encode_planes,
     lossless_compress,
     lossless_decompress,
+    max_planes_bytes,
     quantize,
+    read_planes,
     read_stream,
     resolve_bound,
 )
@@ -744,6 +747,91 @@ class TestStreamSerialization:
         raw[block_len] ^= 0xFF
         with pytest.raises(IntegrityError):
             read_stream(ByteReader(bytes(raw), truncation_error=IntegrityError), 2)
+
+
+    def test_each_code_table_is_checked_once(self, monkeypatch):
+        # read_stream checks the code table and decode_stream's decoder uses
+        # that check; a direct entropy_decode caller gets one check of its
+        # own. _check_table is the one caller of _canonical_order on decode.
+        s = quantize0(np.random.default_rng(5).normal(size=3000), 1e-2)
+        raw, _ = encode_stream(s)
+        block = entropy_encode(s.bins)
+        real, calls = codec._canonical_order, []
+        monkeypatch.setattr(codec, "_canonical_order", lambda lengths: calls.append(1) or real(lengths))
+        back = decode_stream(read_stream(ByteReader(raw, truncation_error=IntegrityError), 3000))
+        np.testing.assert_array_equal(back.bins, s.bins)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(entropy_decode(block, 3000), s.bins)
+        assert len(calls) == 2
+
+
+def reference_planes(arrays):
+    """encode_planes' format built by hand from each layer's float32 values."""
+    deflate = zlib.compressobj(6, zlib.DEFLATED, -15, 8, zlib.Z_RLE)
+    planes = [np.asarray(a, dtype="<f4").view(np.uint8).reshape(-1, 4).T for a in arrays]
+    flags = bytes(sum(1 << k for k in range(3) if not p[k].any()) for p in planes)
+    high = b"".join(
+        deflate.compress(p[3].tobytes()) + (deflate.flush(zlib.Z_BLOCK) if j < len(planes) - 1 else b"")
+        for j, p in enumerate(planes)
+    ) + deflate.flush()
+    stored = b"".join(p[k].tobytes() for k in (2, 1, 0) for j, p in enumerate(planes)
+                      if not flags[j] >> k & 1)
+    return flags + high + stored
+
+
+class TestBytePlanes:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.lists(
+            st.tuples(st.integers(1, 700), st.sampled_from([0xFFFFFFFF, 0xFF00FF00, 0xFF000000, 0]),
+                      st.integers(0, 1 << 32)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_layers_code_by_the_format_and_read_back(self, layers):
+        # Planes 2, 1 and 0 in turn, each with the layers whose flag bit is
+        # clear, after one high-byte stream with a block boundary at each
+        # layer: the coder writes exactly that, within max_planes_bytes, and
+        # the reader returns the joined values, bit for bit.
+        arrays = []
+        for n, keep, seed in layers:
+            bits = np.random.default_rng(seed).integers(0, 1 << 32, n, dtype=np.uint32)
+            arrays.append((bits & np.uint32(keep)).view(np.float32))
+        sizes = [a.size for a in arrays]
+        values = np.concatenate(arrays)
+        data = encode_planes(values, sizes)
+        assert data == reference_planes(arrays)
+        assert len(data) <= max_planes_bytes(sizes)
+        reader = ByteReader(data + b"tail", truncation_error=IntegrityError)
+        assert read_planes(reader, sizes).tobytes() == values.tobytes()
+        assert reader.remaining == 4
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 40_000), min_size=1, max_size=4), seed=st.integers(0, 1 << 32))
+    def test_incompressible_layers_fit_the_cap(self, sizes, seed):
+        values = np.random.default_rng(seed).integers(0, 1 << 32, sum(sizes), dtype=np.uint32)
+        assert len(encode_planes(values.view(np.float32), sizes)) <= max_planes_bytes(sizes)
+
+    def test_a_fault_in_one_layer_carries_its_index(self):
+        # a: 3 values, b: 2 values; plane 0 holds a's 3 bytes, then b's 2.
+        values = np.array([1.5, -2.25, 3.0, 1e-3, 7.0], dtype=np.float32)
+        values.view(np.uint32)[:] |= 1
+        data = bytearray(encode_planes(values, [3, 2]))
+        for at, byte, cls, message, index in (
+            (1, 0x40, FormatError, "unknown zero-plane flags 0x40", 1),
+            (len(data) - 2, 0, IntegrityError, "stored byte plane 0 is all zero", 1),
+            (len(data) - 5, 0, IntegrityError, "stored byte plane 0 is all zero", 0),
+        ):
+            bad = bytearray(data)
+            bad[at] = byte
+            if message.startswith("stored"):
+                bad[at:at + (2 if index else 3)] = bytes(2 if index else 3)
+            with pytest.raises(cls, match=message) as exc:
+                read_planes(ByteReader(bytes(bad), truncation_error=IntegrityError), [3, 2])
+            assert exc.value.index == index
+        with pytest.raises(IntegrityError, match="inflates to 5 bytes for 6 elements") as exc:
+            read_planes(ByteReader(bytes(data), truncation_error=IntegrityError), [3, 3])
+        assert not hasattr(exc.value, "index")
 
 
 class TestLosslessBackend:

@@ -3,6 +3,7 @@ import math
 import struct
 import tracemalloc
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,6 +112,21 @@ class TestLosslessPath:
             compress_round([g], state, make_params(lossy_threshold=1024))
         assert state.round == 0 and not state.prev_recon[0].any()
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("mode", ["relative", "absolute"])
+    def test_non_finite_value_in_a_lossy_layer_is_refused(self, mode, bad):
+        # The same for a lossy layer: the encoder refuses it as data, naming
+        # the layer and the round, with no warning and before the layer's
+        # state is written.
+        spec = LayerSpec("fc", (64, 48))
+        g = GradientTensor(spec, np.linspace(-1, 1, spec.numel, dtype=np.float32))
+        g.values[100] = bad
+        state = SyncState.initial([spec])
+        with pytest.raises(DataError, match=r"^layer 'fc': non-finite gradient values at round 1$"):
+            encode_round([g], state, make_params(mode=mode, lossy_threshold=1024))
+        assert state.round == 0
+        assert not state.prev_recon[0].any() and not state.memory[0].any()
+
     def test_small_layer_leaves_memory_untouched(self):
         spec = LayerSpec("bias", (10,))
         state = SyncState.initial([spec])
@@ -142,8 +158,8 @@ class TestLosslessPath:
         spec = LayerSpec("v", (values.size,))
         params = make_params(lossy_threshold=4096, backend=backend)
         payload, infos, _ = encode_round([GradientTensor(spec, values)], SyncState.initial([spec]), params)
-        assert payload.blobs[0][:2] == b"S\x00"
-        assert infos[0].inner_bytes <= 1 + max_planes_bytes(values.size)
+        assert payload.section[:1] == b"S" and payload.blobs == []
+        assert infos[0].inner_bytes <= max_planes_bytes([values.size])
         recons, _, _ = decode_payload(
             parse_payload(frame_payload(payload)), SyncState.initial([spec]), params.predict
         )
@@ -151,9 +167,9 @@ class TestLosslessPath:
 
     @pytest.mark.parametrize("n", [1, 4096, 70_000])
     def test_largest_lossless_blob_fits_the_cap(self, n):
-        # An incompressible high plane in stored DEFLATE blocks, under a
-        # DEFLATE wrap, is the largest valid lossless inner blob: it fits
-        # the cap, and the encoder's own blob is no larger.
+        # An incompressible high plane in stored DEFLATE blocks is the
+        # largest valid section of one layer: it fits the cap, and the
+        # encoder's own section is no larger.
         rng = np.random.default_rng(n)
         bits = rng.integers(0, 1 << 32, n, dtype=np.uint32) | 0x00010101
         bits[(bits & 0x7F800000) == 0x7F800000] &= np.uint32(0xFF7FFFFF)
@@ -161,15 +177,154 @@ class TestLosslessPath:
         raw = values.view(np.uint8).reshape(-1, 4)
         stored = zlib.compressobj(0, zlib.DEFLATED, -15)
         high = stored.compress(raw[:, 3].tobytes()) + stored.flush()
-        inner = b"\x00\x00" + high + b"".join(raw[:, k].tobytes() for k in (2, 1, 0))
-        assert len(inner) <= pipeline._max_inner_bytes(n)
-        assert len(encode_planes(values)) <= max_planes_bytes(n)
+        inner = b"\x00" + high + b"".join(raw[:, k].tobytes() for k in (2, 1, 0))
+        assert len(inner) <= max_planes_bytes([n])
+        assert len(encode_planes(values, [n])) <= max_planes_bytes([n])
         spec = LayerSpec("v", (n,))
         state = SyncState.initial([spec])
-        payload = CompressedPayload(0, 1, spec_digest([spec]), [lossless_compress(inner)])
+        payload = CompressedPayload(
+            0, 1, spec_digest([spec]), np.array([True]), lossless_compress(inner, "store"), []
+        )
         recons, infos, _ = decode_payload(payload, state, PredictParams())
         assert recons[0].values.tobytes() == values.tobytes()
         assert infos[0].inner_bytes == len(inner)
+
+
+SECTION_KINDS = ["bits", "zeros", "constant", "negative zero", "subnormal"]
+# Masks that force low byte planes of a layer to zero.
+PLANE_MASKS = [0xFFFFFFFF, 0xFFFFFF00, 0xFFFF00FF, 0xFF00FFFF, 0xFFFF0000, 0xFF000000]
+
+
+def section_values(seed, kind, n, keep):
+    """n finite float32 values of a lossless layer, of the given kind, with
+    the low byte planes that ``keep`` clears forced to zero."""
+    rng = np.random.default_rng(seed)
+    if kind == "bits":
+        bits = rng.integers(0, 1 << 32, n, dtype=np.uint32)
+    elif kind == "zeros":
+        bits = np.zeros(n, dtype=np.uint32)
+    elif kind == "constant":
+        bits = np.full(n, rng.integers(0, 1 << 32, dtype=np.uint32), dtype=np.uint32)
+    elif kind == "negative zero":
+        bits = np.full(n, 0x80000000, dtype=np.uint32)
+    else:
+        bits = rng.integers(0, 0x00800000, n, dtype=np.uint32) | (
+            rng.integers(0, 2, n, dtype=np.uint32) << 31
+        )
+    bits &= np.uint32(keep)
+    # A non-finite pattern loses its lowest exponent bit, which makes it finite.
+    bits[(bits & 0x7F800000) == 0x7F800000] &= np.uint32(0xFF7FFFFF)
+    return bits.view(np.float32)
+
+
+@st.composite
+def mixed_rounds(draw):
+    """A layer table of 1-6 lossless layers (1-1,024 elements) and 0-2 lossy
+    ones, in random order, and one round of values for it."""
+    lossless = draw(st.lists(
+        st.tuples(st.integers(1, 1024), st.sampled_from(SECTION_KINDS),
+                  st.sampled_from(PLANE_MASKS), st.integers(0, 1 << 32)),
+        min_size=1, max_size=6,
+    ))
+    lossy = draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(lossless) + lossy)))
+    tensors = []
+    for j in order:
+        if j < len(lossless):
+            n, kind, keep, seed = lossless[j]
+            values = section_values(seed, kind, n, keep)
+        else:
+            values = np.linspace(-1, 1, 1200, dtype=np.float32) * (j + 1)
+        tensors.append(GradientTensor(LayerSpec(f"l{len(tensors)}", (values.size,)), values))
+    return tensors
+
+
+class TestLosslessSection:
+    @settings(max_examples=60, deadline=None)
+    @given(tensors=mixed_rounds())
+    def test_every_section_round_trips_bitwise(self, tensors):
+        # Every set of lossless layers, beside 0-2 lossy ones, comes back bit
+        # for bit through the wire, and both readers describe each layer as
+        # the encoder did: its share of the section, the rows summing to it.
+        layers = [g.spec for g in tensors]
+        params = make_params(lossy_threshold=1024)
+        payload, infos, client = encode_round(tensors, SyncState.initial(layers), params)
+        parsed = parse_payload(frame_payload(payload))
+        recons, read, server = decode_payload(parsed, SyncState.initial(layers), params.predict)
+        assert server.to_bytes() == client.to_bytes()
+        assert infos == read == describe_payload(parsed, layers)
+        section = [info for info in infos if info.tag == pipeline.TAG_LOSSLESS]
+        assert payload.lossless.tolist() == [g.spec.numel <= 1024 for g in tensors]
+        assert sum(info.wire_bytes for info in section) == len(payload.section)
+        assert sum(info.inner_bytes for info in section) == len(payload.section) - 5
+        for g, r, info in zip(tensors, recons, infos):
+            if info.tag == pipeline.TAG_LOSSLESS:
+                assert r.values.tobytes() == g.values.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(tensors=mixed_rounds(), at=st.floats(0, 1, exclude_max=True),
+           fault=st.sampled_from(["flag bit", "zero plane", "non-finite"]))
+    def test_a_fault_in_one_layers_bytes_names_that_layer(self, tensors, at, fault):
+        # A crafted section whose fault lies in one layer's own bytes, stored
+        # with a valid CRC32: both readers raise the same error, naming that
+        # layer.
+        layers = [g.spec for g in tensors]
+        params = make_params(lossy_threshold=1024)
+        payload, _, _ = encode_round(tensors, SyncState.initial(layers), params)
+        section = np.flatnonzero(payload.lossless).tolist()
+        sizes = [layers[i].numel for i in section]
+        j = int(at * len(section))
+        values = np.concatenate([tensors[i].values for i in section])
+        start = sum(sizes[:j])
+        if fault == "non-finite":
+            values[start] = np.nan
+        else:
+            # Layer j's first value gets a low byte of 1, so its plane 0 is
+            # stored; then its flag byte claims plane 0 omitted as well (and
+            # "zero plane" stores it all zero instead).
+            values.view(np.uint32)[start] |= 1
+        inner = bytearray(encode_planes(values, sizes))
+        assert fault == "non-finite" or inner[j] & 1 == 0
+        if fault == "flag bit":
+            inner[j] |= 0x10
+            cls, message = FormatError, "unknown zero-plane flags"
+        elif fault == "zero plane":
+            plane0 = len(inner) - sum(sizes[k] for k in range(len(sizes)) if not inner[k] & 1)
+            at0 = plane0 + sum(sizes[k] for k in range(j) if not inner[k] & 1)
+            inner[at0:at0 + sizes[j]] = bytes(sizes[j])
+            cls, message = IntegrityError, "stored byte plane 0 is all zero"
+        else:
+            cls, message = DataError, "lossless section holds non-finite values"
+        tampered = replace(payload, section=lossless_compress(bytes(inner), "store"))
+        errors = []
+        for read in (
+            lambda: describe_payload(tampered, layers),
+            lambda: decode_payload(tampered, SyncState.initial(layers), params.predict),
+        ):
+            with pytest.raises(cls) as exc:
+                read()
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"layer {layers[section[j]].name!r}: {message}")
+
+    def test_a_payload_whose_parts_disagree_is_refused(self):
+        layers = [LayerSpec("b", (10,)), LayerSpec("fc", (40, 40))]
+        params = make_params(lossy_threshold=1024)
+        tensors = [GradientTensor(s, np.ones(s.numel, dtype=np.float32)) for s in layers]
+        payload, _, _ = encode_round(tensors, SyncState.initial(layers), params)
+        for bad, message in (
+            (replace(payload, section=b""),
+             "has 1 blobs and no lossless section for 1 lossy and 1 lossless layers"),
+            (replace(payload, lossless=np.array([False, False]), blobs=payload.blobs * 2),
+             "has 2 blobs and a lossless section for 2 lossy and 0 lossless layers"),
+            (replace(payload, blobs=payload.blobs * 2),
+             "has 2 blobs and a lossless section for 1 lossy and 1 lossless layers"),
+            (replace(payload, lossless=np.array([True])), "declares 1 layers for 2"),
+        ):
+            with pytest.raises(IntegrityError, match=message):
+                describe_payload(bad, layers)
+        with pytest.raises(UsageError, match="1 blobs and no lossless section for 2 layers"):
+            frame_payload(replace(payload, section=b""))
 
 
 class TestErrorBound:
@@ -511,7 +666,7 @@ class TestFraming:
 
     def test_unsupported_version(self):
         raw = bytearray(frame_payload(self.make_payload()))
-        for version in (2, 4):  # the version u16 after the magic
+        for version in (3, 5):  # the version u16 after the magic
             struct.pack_into("<H", raw, 4, version)
             with pytest.raises(FormatError, match=f"unsupported payload version {version}"):
                 parse_payload(bytes(raw))
@@ -590,10 +745,7 @@ class TestProtocolErrors:
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(trace.layers), params)
         blob = bytearray(payload.blobs[0])
         blob[len(blob) // 2] ^= 0xFF
-        tampered = CompressedPayload(
-            payload.client_id, payload.round, payload.spec_digest,
-            [bytes(blob)] + payload.blobs[1:],
-        )
+        tampered = replace(payload, blobs=[bytes(blob)] + payload.blobs[1:])
         with pytest.raises((IntegrityError, FormatError)):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
 
@@ -612,10 +764,7 @@ class TestProtocolErrors:
         blob = payload.blobs[0]
         assert blob[:2] == b"S\x01" and blob[19:20] == b"\x00"
         inner = blob[1:19] + encode_bitmap(bitmap) + blob[20:-4]
-        tampered = CompressedPayload(
-            payload.client_id, payload.round, payload.spec_digest,
-            [lossless_compress(inner, "store")] + payload.blobs[1:],
-        )
+        tampered = replace(payload, blobs=[lossless_compress(inner, "store")] + payload.blobs[1:])
         with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
             decompress_round(tampered, SyncState.initial(trace.layers), params)
         with pytest.raises(IntegrityError, match="sign bitmap in round 1"):
@@ -639,9 +788,7 @@ class TestProtocolErrors:
         short = SignBitmap(VARIANT_KERNEL, kernel_count=level1.size, level1=level1,
                            level2=bitmap.level2[:int(level1.sum())])
         blob = lossless_compress(blob[1:19] + encode_bitmap(short) + blob[end:-4], "store")
-        tampered = CompressedPayload(
-            payload.client_id, payload.round, payload.spec_digest, [blob] + payload.blobs[1:],
-        )
+        tampered = replace(payload, blobs=[blob] + payload.blobs[1:])
         with pytest.raises(IntegrityError, match=f"bitmap covers {spec.kernel_count - 1} kernels"):
             describe_payload(tampered, trace.layers)
 
@@ -658,10 +805,7 @@ class TestProtocolErrors:
         blob = lossless_compress(
             inner[:-8] + np.array([np.nan], dtype="<f4").tobytes() + inner[-4:], "store"
         )
-        tampered = CompressedPayload(
-            payload.client_id, payload.round, payload.spec_digest,
-            [blob] + payload.blobs[1:],
-        )
+        tampered = replace(payload, blobs=[blob] + payload.blobs[1:])
         with pytest.raises(DataError):
             describe_payload(tampered, trace.layers)
         with pytest.raises(DataError):
@@ -679,10 +823,7 @@ class TestProtocolErrors:
         assert payload.blobs[0][:2] == b"S\x01"
         inner[10:18] = struct.pack("<d", delta)
         blob = lossless_compress(bytes(inner), "store")
-        tampered = CompressedPayload(
-            payload.client_id, payload.round, payload.spec_digest,
-            [bytes(blob)] + payload.blobs[1:],
-        )
+        tampered = replace(payload, blobs=[bytes(blob)] + payload.blobs[1:])
         with pytest.raises(IntegrityError, match="delta"):
             describe_payload(tampered, trace.layers)
         with pytest.raises(IntegrityError, match="delta"):
@@ -690,15 +831,15 @@ class TestProtocolErrors:
 
 
     def test_inflation_bomb_rejected_within_memory(self):
-        # 64 MiB of zeros deflate to about 65 KB. A 64-element layer's inner
-        # blob holds at most about 1 MiB, so inflation stops there.
+        # 64 MiB of zeros deflate to about 65 KB. A 64-element lossy layer's
+        # inner blob holds at most about 1 MiB, so inflation stops there.
         layers = (LayerSpec("fc", (8, 8)),)
         trace = synth_trace(SynthConfig(seed=20, layers=layers, rounds=1))
-        params = make_params()
+        params = make_params(lossy_threshold=0)
         payload, _ = compress_round(trace.rounds[0], SyncState.initial(layers), params)
         bomb = lossless_compress(bytes(64 << 20))
         assert len(bomb) < 70_000
-        tampered = CompressedPayload(payload.client_id, payload.round, payload.spec_digest, [bomb])
+        tampered = replace(payload, blobs=[bomb])
         for decode in (
             lambda: describe_payload(tampered, layers),
             lambda: decompress_round(tampered, SyncState.initial(layers), params),
@@ -851,10 +992,7 @@ class TestLayerDriver:
         cap = pipeline._max_inner_bytes(self.LAYERS[1].numel)
         inner = lossless_decompress(payload.blobs[1], cap)
         for crafted, cls, message in self.fc_faults(inner, infos[1]):
-            tampered = CompressedPayload(
-                payload.client_id, payload.round, payload.spec_digest,
-                [payload.blobs[0], lossless_compress(crafted, "store")],
-            )
+            tampered = replace(payload, blobs=[payload.blobs[0], lossless_compress(crafted, "store")])
             errors = []
             for read in (
                 lambda: describe_payload(tampered, trace.layers),
@@ -878,4 +1016,4 @@ class TestLayerDriver:
             raise MemoryError("no room")
 
         with pytest.raises(MemoryError, match=r"^no room$"):
-            pipeline._each_layer(self.LAYERS, [b""], step)
+            pipeline._each_layer(self.LAYERS, [0], [b""], step)

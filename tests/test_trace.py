@@ -106,7 +106,9 @@ class TestLayerTable:
         layers = [LayerSpec(name, shape) for name, shape in table]
         others = [LayerSpec(name, shape) for name, shape in other]
         assume(encode_layer_table(others) != encode_layer_table(layers))
-        payload = CompressedPayload(0, 1, spec_digest(others), [b""] * len(layers))
+        payload = CompressedPayload(
+            0, 1, spec_digest(others), np.zeros(len(layers), bool), b"", [b""] * len(layers)
+        )
         with pytest.raises(ProtocolError, match="does not match the layer table"):
             check_payload(payload, layers)
 
@@ -176,6 +178,23 @@ class TestHeaderWriters:
         with pytest.raises(UsageError, match=message):
             write_trace(tmp_path / "t.gtrc", cfg.mode, cfg.layers, declared, synth_rounds(cfg))
 
+    @staticmethod
+    def two_layer_round():
+        a, b = LayerSpec("a", (4,)), LayerSpec("b", (2, 2))
+        return [a, b], [GradientTensor(a, np.arange(4, dtype=np.float32)),
+                        GradientTensor(b, -np.arange(4, dtype=np.float32))]
+
+    def test_write_trace_refuses_tensors_out_of_layer_order(self, tmp_path):
+        # Both layers hold four values, so only the specs tell the swap.
+        layers, (ta, tb) = self.two_layer_round()
+        with pytest.raises(UsageError, match=r"^round 2, layer 'a': tensor is for layer 'b'$"):
+            write_trace(tmp_path / "t.gtrc", MODE_MINI_BATCH, layers, 2, [[ta, tb], [tb, ta]])
+
+    def test_write_trace_refuses_a_round_missing_a_tensor(self, tmp_path):
+        layers, (ta, tb) = self.two_layer_round()
+        with pytest.raises(UsageError, match=r"^round 2: 1 tensors for 2 layers$"):
+            write_trace(tmp_path / "t.gtrc", MODE_MINI_BATCH, layers, 2, [[ta, tb], [ta]])
+
 
 class TestGradientTensor:
     def test_size_mismatch(self):
@@ -211,6 +230,12 @@ class TestAbsStats:
         t = GradientTensor(spec, rng.normal(size=64).astype(np.float32))
         _, std = abs_stats(t.values, np.empty(t.values.size))
         assert std == pytest.approx(float(np.abs(t.values.astype(np.float64)).std(ddof=0)))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_value_gives_a_non_finite_mean_and_no_warning(self, bad):
+        values = np.array([1.0, bad, 2.0], dtype=np.float32)
+        mean, std = abs_stats(values, np.empty(3))
+        assert not math.isfinite(mean) and math.isnan(std)
 
 
 class TestTraceFileRoundtrip:
